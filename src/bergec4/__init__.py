@@ -33,21 +33,15 @@ from bergec4.blocks import (
     BlockDecomposition,
     BlockType,
     block_degrees,
-    classify,
     decompose,
     excess_degree_within,
     full_degree_profile,
-    leaf_edges,
 )
 from bergec4.census import (
     CensusReport,
     ClaimCheck,
     FourCycleRecord,
     census,
-    check_good_path_bound,
-    check_good_paths_per_pair,
-    check_nongood_bound,
-    check_rare_cycle_bound,
     is_good_path,
     is_rare_cycle,
     representative_edges,

@@ -129,6 +129,20 @@ def _distinct_representatives(candidates: Sequence[Sequence[int]]) -> list[int] 
     return out
 
 
+def _cycle_representatives(p2e: dict[Pair, list[int]], cycle: Sequence[int]) -> list[int] | None:
+    """Distinct covering edges for the consecutive pairs of a shadow cycle, or None.
+
+    Position i covers the pair (cycle[i], cycle[i+1]), cyclically; a result
+    is exactly the edge part of a Berge cycle on these vertices.
+    """
+    k = len(cycle)
+    cands = [
+        p2e[(min(cycle[i], cycle[(i + 1) % k]), max(cycle[i], cycle[(i + 1) % k]))]
+        for i in range(k)
+    ]
+    return _distinct_representatives(cands)
+
+
 def _canonical_cycles(adj: Sequence[frozenset[int]], length: int) -> Iterator[tuple[int, ...]]:
     """Yield shadow cycles as canonical vertex tuples, in lexicographic order.
 
@@ -211,11 +225,7 @@ def find_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
     g = shadow(h)
     p2e = pair_to_edges(h)
     for cyc in _canonical_cycles(g.adj, length):
-        cands = [
-            p2e[(min(cyc[i], cyc[(i + 1) % length]), max(cyc[i], cyc[(i + 1) % length]))]
-            for i in range(length)
-        ]
-        assignment = _distinct_representatives(cands)
+        assignment = _cycle_representatives(p2e, cyc)
         if assignment is not None:
             return BergeCycleWitness(cyc, tuple(assignment))
     return None
@@ -282,7 +292,8 @@ class Bc4FreeBuilder:
         idx = len(self.edges)
         for p in combinations(e, 2):
             bucket = self._pair_edges[p]
-            assert bucket[-1] == idx
+            if bucket[-1] != idx:
+                raise RuntimeError(f"pair {p} does not end with edge {idx}: pop out of order")
             bucket.pop()
             if not bucket:
                 del self._pair_edges[p]
@@ -319,14 +330,6 @@ class Bc4FreeBuilder:
             self.pop()
             return False
         return True
-
-    def would_create_cycle(self, triple: Sequence[int]) -> bool:
-        """Check the edge without keeping it."""
-        self.add(triple)
-        try:
-            return self._last_edge_creates_cycle()
-        finally:
-            self.pop()
 
     def to_hypergraph(self) -> Hypergraph:
         return Hypergraph(self.n, self.edges)

@@ -27,7 +27,12 @@ class BlockType(enum.Enum):
 
 @dataclass(frozen=True)
 class Block:
-    """One block: member edge indices, covered vertices, shape, leaf edges."""
+    """One block: member edge indices, covered vertices, shape, leaf edges.
+
+    classification tests the type definitions directly (TYPE2 wins if both
+    hold); leaf_edges are the member edges owning a vertex that no other
+    member edge meets.
+    """
 
     edge_indices: tuple[int, ...]
     vertex_set: frozenset[int]
@@ -127,17 +132,6 @@ def decompose(h: Hypergraph) -> BlockDecomposition:
             edge_to_block[i] = len(blocks)
         blocks.append(block)
     return BlockDecomposition(tuple(blocks), tuple(edge_to_block))
-
-
-def leaf_edges(h: Hypergraph, block: Block) -> set[int]:
-    """Edge indices of the block that own a vertex met by no other block edge."""
-    member_edges = [h.edges[i] for i in block.edge_indices]
-    return {block.edge_indices[pos] for pos in _leaf_positions(member_edges)}
-
-
-def classify(h: Hypergraph, block: Block) -> BlockType:
-    """Classify a block by direct definition testing (TYPE2 wins if both hold)."""
-    return _classify_edges([h.edges[i] for i in block.edge_indices])
 
 
 def block_degrees(h: Hypergraph, decomposition: BlockDecomposition) -> tuple[int, ...]:

@@ -192,7 +192,8 @@ def decimal_str(x: Fraction, places: int | None = None) -> str:
             raise ValueError(f"{x} needs {digits} decimal places, got {places}")
         digits = places
     scaled = x * 10**digits
-    assert scaled.denominator == 1
+    if scaled.denominator != 1:
+        raise RuntimeError(f"{x} scaled by 10**{digits} is not an integer")
     text = str(scaled.numerator).rjust(digits + 1, "0")
     if digits == 0:
         return sign + text

@@ -7,6 +7,10 @@ hyperedges may reach outside the cycle is available behind diagonal_scope
 ("induced" is the default, "global" the alternative). A 3-path x1,x2,x3 is
 good when its vertex set is not a hyperedge and no vertex x closes a rare
 4-cycle x,x1,x2,x3.
+
+The census sweeps the shadow 4-cycles once. The same sweep decides Berge
+C4-freeness: each cycle gets the distinct-representatives test that
+find_berge_cycle runs, until the first Berge C4 is found.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from bergec4.berge import is_bc4_free
+from bergec4.berge import _canonical_cycles, _cycle_representatives
 from bergec4.blocks import block_degrees, decompose
 from bergec4.hypergraph import (
     Hypergraph,
@@ -49,8 +53,10 @@ class ClaimCheck:
 class CensusReport:
     """Counts and witnesses for the 3-path / 4-cycle census of one hypergraph.
 
-    Claim checks are computed on every input; their pass flags are only
-    meaningful when bc4_free is True.
+    bc4_free comes from the census's own 4-cycle sweep, so it agrees with
+    is_bc4_free without a second sweep. Claim checks are computed on every
+    input; their pass flags are only meaningful when bc4_free is True.
+    rare_cycles are ordered by (v0, v1, v3, v2) of their canonical vertices.
     """
 
     n: int
@@ -150,28 +156,18 @@ def is_good_path(h: Hypergraph, x1: int, x2: int, x3: int, diagonal_scope: str =
     return True
 
 
-def _canonical_four_cycles(g: ShadowGraph):
-    """Yield each shadow 4-cycle once: least vertex first, smaller neighbor second."""
-    for c0 in range(g.n):
-        nbrs = [v for v in g.neighbors(c0) if v > c0]
-        for i, c1 in enumerate(nbrs):
-            for c3 in nbrs[i + 1 :]:
-                for c2 in sorted(g.adj[c1] & g.adj[c3]):
-                    if c2 > c0 and c2 != c1 and c2 != c3:
-                        yield (c0, c1, c2, c3)
-
-
 def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
     """Full 3-path and 4-cycle census with the four claim checks.
 
     3-paths are enumerated once each (unordered), 4-cycles once each up to
     rotation and reflection; the 3-path total is cross-checked against the
-    middle-vertex degree identity.
+    middle-vertex degree identity. The BC4 verdict is decided on the same
+    4-cycles, so no second sweep runs.
     """
     _require_scope(diagonal_scope)
     g = shadow(h)
     p2e = pair_to_edges(h)
-    free = is_bc4_free(h)
+    free = True
     m = h.edge_count
     edge_index = {e: i for i, e in enumerate(h.edges)}
 
@@ -179,8 +175,10 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
     rare_records: list[FourCycleRecord] = []
     rare_paths: set[tuple[int, int, int]] = set()
     four_cycles = 0
-    for cycle in _canonical_four_cycles(g):
+    for cycle in _canonical_cycles(g.adj, 4):
         four_cycles += 1
+        if free and _cycle_representatives(p2e, cycle) is not None:
+            free = False
         reps = tuple(
             i
             for t in combinations(sorted(cycle), 3)
@@ -188,14 +186,20 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
         )
         k = len(reps)
         rep_histogram[k] = rep_histogram.get(k, 0) + 1
-        if free:
-            # a cycle with no representative edge would itself yield a Berge C4
-            assert 1 <= k <= 3, f"cycle {cycle} has {k} representative edges in a BC4-free hypergraph"
         if _rare(h, cycle, reps, p2e, diagonal_scope):
             rare_records.append(FourCycleRecord(cycle, reps, True))
             a, b, c, d = cycle
             for x1, x2, x3 in ((a, b, c), (b, c, d), (c, d, a), (d, a, b)):
                 rare_paths.add((min(x1, x3), x2, max(x1, x3)))
+    unrepresented = sum(c for k, c in rep_histogram.items() if not 1 <= k <= 3)
+    if free and unrepresented:
+        # a cycle with no representative edge would itself yield a Berge C4,
+        # and four representative edges form a K4^(3), which contains one
+        raise RuntimeError(
+            f"{unrepresented} shadow 4-cycles have 0 or 4 representative edges"
+            " in a BC4-free hypergraph"
+        )
+    rare_records.sort(key=lambda r: (r.vertices[0], r.vertices[1], r.vertices[3], r.vertices[2]))
 
     total = 0
     good = 0
@@ -212,7 +216,8 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
                 good += 1
                 per_pair[(x1, x3)] = per_pair.get((x1, x3), 0) + 1
 
-    assert total == count_three_paths(g), "3-path census disagrees with the degree identity"
+    if total != count_three_paths(g):
+        raise RuntimeError("3-path census disagrees with the degree identity")
     nongood = total - good
     rare_count = len(rare_records)
 
@@ -237,27 +242,3 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
         good_bound=ClaimCheck("good_paths_total", good, good_rhs, good <= good_rhs),
         nongood_bound=ClaimCheck("nongood_paths", nongood, 21 * m, nongood <= 21 * m),
     )
-
-
-def check_good_paths_per_pair(h: Hypergraph) -> tuple[int, bool]:
-    """Max number of good 3-paths sharing an endpoint pair, and whether <= 2."""
-    c = census(h).per_pair_bound
-    return c.lhs, c.passed
-
-
-def check_rare_cycle_bound(h: Hypergraph) -> tuple[int, int, bool]:
-    """Rare 4-cycle count against the 6|E| bound."""
-    c = census(h).rare_bound
-    return c.lhs, c.rhs, c.passed
-
-
-def check_good_path_bound(h: Hypergraph) -> tuple[int, int, bool]:
-    """Good 3-path count against 2*C(n,2) - 4*sum_v C(block_degree(v), 2)."""
-    c = census(h).good_bound
-    return c.lhs, c.rhs, c.passed
-
-
-def check_nongood_bound(h: Hypergraph) -> tuple[int, int, bool]:
-    """Non-good 3-path count against the 21|E| bound."""
-    c = census(h).nongood_bound
-    return c.lhs, c.rhs, c.passed

@@ -9,7 +9,8 @@ PG(2, q) this gives n = 3(q^2+q+1) vertices and (q+1)(q^2+q+1) edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from math import isqrt
 import random
 
 from bergec4.berge import Bc4FreeBuilder, is_bc4_free
@@ -49,110 +50,85 @@ def is_c4_free(g: BipartiteGraph) -> bool:
     return True
 
 
-def _is_prime(q: int) -> bool:
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k and p prime, found by trial division."""
     if q < 2:
-        return False
-    i = 2
-    while i * i <= q:
-        if q % i == 0:
-            return False
-        i += 1
+        raise ValueError(f"q={q} is not a prime power")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k, rest = 0, q
+    while rest % p == 0:
+        rest //= p
+        k += 1
+    if rest != 1:
+        raise ValueError(f"q={q} is not a prime power")
+    return p, k
+
+
+def _poly_mod(f: list[int], g: list[int], p: int) -> list[int]:
+    """Remainder of f modulo the monic g over GF(p); coefficients low to high."""
+    r = list(f)
+    dg = len(g) - 1
+    for d in range(len(r) - 1, dg - 1, -1):
+        c = r[d] % p
+        if c:
+            for i in range(dg + 1):
+                r[d - dg + i] -= c * g[i]
+    return [c % p for c in r[:dg]]
+
+
+def _monic_polys(p: int, k: int):
+    """Monic degree-k polynomials over GF(p), low to high, in search order.
+
+    The order is lexicographic in (c_{k-1}, ..., c_1, r) with c_0 = -r mod p
+    and r = 1..p-1, so the first irreducible one for q = 4, 8, 16 is
+    x^2+x+1, x^3+x+1, x^4+x+1, and for q = p^2 it is x^2 - (least
+    non-residue mod p).
+    """
+    for high in product(range(p), repeat=k - 1):
+        for r in range(1, p):
+            yield [(-r) % p, *reversed(high), 1]
+
+
+def _is_irreducible(f: list[int], p: int) -> bool:
+    """No monic factor of degree 1..deg(f)/2 divides f (trial division)."""
+    k = len(f) - 1
+    for d in range(1, k // 2 + 1):
+        for low in product(range(p), repeat=d):
+            if not any(_poly_mod(f, [*low, 1], p)):
+                return False
     return True
 
 
-# irreducible polynomials (coefficients low to high, monic) for the
-# characteristic-2 extensions that have no x^2 - nonresidue form
-_POLY_TABLE = {
-    4: (2, [1, 1, 1]),  # x^2 + x + 1 over GF(2)
-    8: (2, [1, 1, 0, 1]),  # x^3 + x + 1 over GF(2)
-    16: (2, [1, 1, 0, 0, 1]),  # x^4 + x + 1 over GF(2)
-}
-
-
 class _Field:
-    """Arithmetic tables for GF(q); elements are ints 0..q-1.
+    """Addition and multiplication tables for GF(q), q = p^k.
 
-    Supported orders: any prime (modular arithmetic), any odd prime square
-    (adjoining a square root of a non-residue), and 4, 8, 16 from the
-    polynomial table. Anything else is rejected.
+    Element x stands for the polynomial whose coefficients, low to high, are
+    the base-p digits of x; products are reduced modulo the first monic
+    irreducible polynomial of degree k in _monic_polys order.
     """
 
     def __init__(self, q: int):
-        if _is_prime(q):
-            self.q = q
-            self._mul = None  # prime field: compute directly
-            self._p = q
-            return
-        p, k, poly = self._extension_parameters(q)
-        self.q = q
-        self._p = p
-        digits = [self._digits(x, p, k) for x in range(q)]
-        reduction = [(-c) % p for c in poly[:-1]]  # x^k = reduction in GF(p)
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(q):
-                # schoolbook polynomial product, reduced degree by degree
-                prod = [0] * (2 * k - 1)
-                for i, ai in enumerate(digits[a]):
-                    if ai:
-                        for j, bj in enumerate(digits[b]):
-                            prod[i + j] = (prod[i + j] + ai * bj) % p
-                for d in range(2 * k - 2, k - 1, -1):
-                    c = prod[d]
-                    if c:
-                        prod[d] = 0
-                        for t, r in enumerate(reduction):
-                            prod[d - k + t] = (prod[d - k + t] + c * r) % p
-                mul[a][b] = self._value(prod[:k], p)
-        self._mul = mul
+        p, k = _prime_power(q)
+        modulus = next(f for f in _monic_polys(p, k) if _is_irreducible(f, p))
+        digits = [[(x // p**i) % p for i in range(k)] for x in range(q)]
 
-    @staticmethod
-    def _extension_parameters(q: int) -> tuple[int, int, list[int]]:
-        if q in _POLY_TABLE:
-            p, poly = _POLY_TABLE[q]
-            return p, len(poly) - 1, poly
-        root = 2
-        while root * root < q:
-            root += 1
-        if root * root == q and _is_prime(root):
-            # odd prime square: x^2 - r with r the least non-residue mod root
-            residues = {(x * x) % root for x in range(root)}
-            r = next(x for x in range(2, root) if x not in residues)
-            return root, 2, [(-r) % root, 0, 1]
-        raise ValueError(
-            f"q={q} is not a supported prime power (primes, prime squares, 8, 16)"
-        )
+        def value(coeffs: list[int]) -> int:
+            return sum(c * p**i for i, c in enumerate(coeffs))
 
-    @staticmethod
-    def _digits(x: int, p: int, k: int) -> list[int]:
-        out = []
-        for _ in range(k):
-            out.append(x % p)
-            x //= p
-        return out
+        def times(da: list[int], db: list[int]) -> int:
+            prod = [0] * (2 * k - 1)
+            for i, u in enumerate(da):
+                for j, v in enumerate(db):
+                    prod[i + j] += u * v
+            return value(_poly_mod(prod, modulus, p))
 
-    @staticmethod
-    def _value(digits: list[int], p: int) -> int:
-        x = 0
-        for d in reversed(digits):
-            x = x * p + d
-        return x
+        self._add = [[value([(u + v) % p for u, v in zip(da, db)]) for db in digits] for da in digits]
+        self._mul = [[times(da, db) for db in digits] for da in digits]
 
     def add(self, a: int, b: int) -> int:
-        if self._mul is None:
-            return (a + b) % self.q
-        p = self._p
-        out, base = 0, 1
-        while a or b:
-            out += ((a + b) % p) * base
-            a //= p
-            b //= p
-            base *= p
-        return out
+        return self._add[a][b]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is None:
-            return (a * b) % self.q
         return self._mul[a][b]
 
 
@@ -162,14 +138,15 @@ def projective_plane_incidence(q: int) -> BipartiteGraph:
     Both points and lines are the canonical projective triples over GF(q);
     a point (x, y, z) lies on line (a, b, c) when ax + by + cz = 0. Two
     points share exactly one line, so the graph is C4-free (girth 6); this
-    is asserted by a direct neighborhood check for q <= 16.
+    is confirmed by a direct neighborhood check for q <= 16.
     """
     field = _Field(q)
     triples: list[tuple[int, int, int]] = [(1, 0, 0)]
     triples.extend((x, 1, 0) for x in range(q))
     triples.extend((x, y, 1) for x in range(q) for y in range(q))
     count = len(triples)
-    assert count == q * q + q + 1
+    if count != q * q + q + 1:
+        raise RuntimeError(f"PG(2, {q}) has {count} points, expected {q * q + q + 1}")
     edges = []
     for li, (a, b, c) in enumerate(triples):
         for pi, (x, y, z) in enumerate(triples):
@@ -177,9 +154,10 @@ def projective_plane_incidence(q: int) -> BipartiteGraph:
             if s == 0:
                 edges.append((pi, li))
     g = BipartiteGraph(count, count, tuple(sorted(edges)))
-    assert g.edge_count == (q + 1) * count
-    if q <= 16:
-        assert is_c4_free(g), f"incidence graph for q={q} is not C4-free"
+    if g.edge_count != (q + 1) * count:
+        raise RuntimeError(f"PG(2, {q}) has {g.edge_count} incidences, expected {(q + 1) * count}")
+    if q <= 16 and not is_c4_free(g):
+        raise RuntimeError(f"incidence graph for q={q} is not C4-free")
     return g
 
 
@@ -212,9 +190,10 @@ def lower_bound_construction(q: int) -> Hypergraph:
     g = projective_plane_incidence(q)
     h = expand_to_hypergraph(g, "right")
     count = q * q + q + 1
-    assert h.n == 3 * count and h.edge_count == (q + 1) * count
-    if q <= 16:
-        assert is_bc4_free(h), f"construction for q={q} is not BC4-free"
+    if h.n != 3 * count or h.edge_count != (q + 1) * count:
+        raise RuntimeError(f"construction for q={q} has n={h.n}, m={h.edge_count}")
+    if q <= 16 and not is_bc4_free(h):
+        raise RuntimeError(f"construction for q={q} is not BC4-free")
     return h
 
 

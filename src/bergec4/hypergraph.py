@@ -32,10 +32,11 @@ class Hypergraph:
     """Immutable 3-uniform hypergraph on vertex ids 0..n-1.
 
     Duplicate edges are a hard error rather than silently merged: degree
-    counts assume the edge list is a set.
+    counts assume the edge list is a set. The 2-shadow is built on first use
+    and kept (see shadow()).
     """
 
-    __slots__ = ("n", "edges", "edge_set")
+    __slots__ = ("n", "edges", "edge_set", "_shadow")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
         if n < 0:
@@ -55,6 +56,7 @@ class Hypergraph:
         self.n: int = n
         self.edges: tuple[Edge, ...] = tuple(canon)
         self.edge_set: frozenset[Edge] = frozenset(canon)
+        self._shadow: ShadowGraph | None = None
 
     @property
     def edge_count(self) -> int:
@@ -82,7 +84,8 @@ class Hypergraph:
         """Parse the standard text format.
 
         First data line is "n m", followed by m lines "a b c" with a < b < c.
-        Lines starting with '#' are comments; blank lines are ignored.
+        Lines whose first non-blank character is '#' are comments; blank
+        lines are ignored.
         Duplicate edges and malformed lines raise ParseError with the
         1-based line number.
         """
@@ -91,7 +94,7 @@ class Hypergraph:
         seen: dict[Edge, int] = {}
         for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
-            if not line or raw.startswith("#"):
+            if not line or line.startswith("#"):
                 continue
             tokens = line.split()
             if header is None:
@@ -216,11 +219,16 @@ class DegreeProfile:
 
 
 def shadow(h: Hypergraph) -> ShadowGraph:
-    """The 2-shadow: pair {x, y} is present iff some hyperedge contains both."""
-    pairs: set[Pair] = set()
-    for e in h.edges:
-        pairs.update(combinations(e, 2))
-    return ShadowGraph(h.n, pairs)
+    """The 2-shadow: pair {x, y} is present iff some hyperedge contains both.
+
+    Built once per hypergraph; later calls return the same immutable graph.
+    """
+    if h._shadow is None:
+        pairs: set[Pair] = set()
+        for e in h.edges:
+            pairs.update(combinations(e, 2))
+        h._shadow = ShadowGraph(h.n, pairs)
+    return h._shadow
 
 
 def pair_to_edges(h: Hypergraph) -> dict[Pair, list[int]]:

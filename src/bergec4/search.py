@@ -145,8 +145,8 @@ def _explore_subtree(
     m = len(triples)
     builder = Bc4FreeBuilder(n)
     for e in prefix:
-        ok = builder.try_add(e)
-        assert ok, "subtree prefix must be feasible"
+        if not builder.try_add(e):
+            raise RuntimeError(f"subtree prefix {prefix} is not BC4-free")
     best = seed_best
     best_edges: list[Edge] | None = None
     nodes = 0
@@ -198,6 +198,8 @@ def branch_and_bound_ex(n: int, node_budget: int | None = None, threads: int = 1
         raise ValueError(f"branch and bound requires n >= 3, got {n}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {node_budget}")
     start_time = time.perf_counter()
     triples = list(combinations(range(n), 3))
     m = len(triples)

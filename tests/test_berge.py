@@ -167,11 +167,3 @@ class TestBc4FreeBuilder:
         builder.add((1, 4, 5))
         builder.pop()
         assert builder.to_hypergraph() == before
-
-    def test_would_create_cycle_leaves_builder_unchanged(self, k4_minus):
-        builder = Bc4FreeBuilder(4)
-        for e in k4_minus.edges:
-            builder.try_add(e)
-        before = builder.to_hypergraph()
-        assert builder.would_create_cycle((1, 2, 3))
-        assert builder.to_hypergraph() == before

@@ -8,11 +8,9 @@ from bergec4.berge import is_bc4_free
 from bergec4.blocks import (
     BlockType,
     block_degrees,
-    classify,
     decompose,
     excess_degree_within,
     full_degree_profile,
-    leaf_edges,
 )
 from bergec4.hypergraph import Hypergraph
 
@@ -78,23 +76,21 @@ class TestDecompose:
 class TestLeafEdges:
     def test_single_edge_block_is_leaf(self, single_edge):
         b = decompose(single_edge).blocks[0]
-        assert leaf_edges(single_edge, b) == {0}
         assert b.leaf_edges == (0,)
 
     def test_k4_minus_has_no_leaves(self, k4_minus):
         b = decompose(k4_minus).blocks[0]
-        assert leaf_edges(k4_minus, b) == set()
+        assert b.leaf_edges == ()
 
     def test_sunflower_all_leaves(self, sunflower):
         b = decompose(sunflower).blocks[0]
-        assert leaf_edges(sunflower, b) == {0, 1, 2}
+        assert b.leaf_edges == (0, 1, 2)
 
 
 class TestClassify:
     def test_k4_minus_is_type2(self, k4_minus):
         b = decompose(k4_minus).blocks[0]
         assert b.classification is BlockType.TYPE2
-        assert classify(k4_minus, b) is BlockType.TYPE2
 
     def test_sunflower_is_type1(self, sunflower):
         assert decompose(sunflower).blocks[0].classification is BlockType.TYPE1

@@ -1,15 +1,18 @@
 import pytest
 
 from conftest import random_hypergraph
-from oracles import naive_four_cycles, naive_is_good, naive_is_rare, naive_rare_cycles
+from oracles import (
+    naive_berge_cycle_exists,
+    naive_four_cycles,
+    naive_is_good,
+    naive_is_rare,
+    naive_rare_cycles,
+)
 
 from bergec4.berge import is_bc4_free
 from bergec4.census import (
+    ClaimCheck,
     census,
-    check_good_path_bound,
-    check_good_paths_per_pair,
-    check_nongood_bound,
-    check_rare_cycle_bound,
     is_good_path,
     is_rare_cycle,
     representative_edges,
@@ -131,6 +134,19 @@ class TestCensus:
                 assert rep.rare_4cycles == len(naive)
                 assert sorted(rec.vertices for rec in rep.rare_cycles) == sorted(naive)
                 assert rep.four_cycle_count == len(naive_four_cycles(g))
+                assert rep.bc4_free == (not naive_berge_cycle_exists(h, 4))
+
+    def test_rare_cycle_order_is_pinned(self):
+        # records are ordered by (v0, v1, v3, v2), not lexicographically
+        h = Hypergraph(6, [(0, 2, 3), (0, 2, 4), (0, 2, 5), (0, 4, 5), (1, 3, 5)])
+        assert [rec.vertices for rec in census(h).rare_cycles] == [
+            (0, 2, 5, 3),
+            (0, 2, 3, 5),
+            (0, 3, 5, 4),
+            (0, 3, 1, 5),
+            (1, 3, 2, 5),
+            (2, 3, 5, 4),
+        ]
 
     def test_goodness_matches_standalone_op(self):
         for seed in range(10):
@@ -160,25 +176,31 @@ class TestCensus:
         assert rep.representative_histogram == {4: 3}
 
 
+def _claim(c: ClaimCheck) -> tuple[int, int, bool]:
+    return c.lhs, c.rhs, c.passed
+
+
 class TestClaimChecks:
     def test_k4_minus(self, k4_minus):
-        assert check_good_paths_per_pair(k4_minus) == (1, True)
-        assert check_rare_cycle_bound(k4_minus) == (0, 18, True)
-        assert check_good_path_bound(k4_minus) == (3, 12, True)
-        assert check_nongood_bound(k4_minus) == (9, 63, True)
+        rep = census(k4_minus)
+        assert _claim(rep.per_pair_bound) == (1, 2, True)
+        assert _claim(rep.rare_bound) == (0, 18, True)
+        assert _claim(rep.good_bound) == (3, 12, True)
+        assert _claim(rep.nongood_bound) == (9, 63, True)
 
     def test_single_edge(self, single_edge):
-        assert check_good_paths_per_pair(single_edge) == (0, True)
-        assert check_rare_cycle_bound(single_edge) == (0, 6, True)
-        assert check_good_path_bound(single_edge) == (0, 6, True)
-        assert check_nongood_bound(single_edge) == (3, 21, True)
+        rep = census(single_edge)
+        assert _claim(rep.per_pair_bound) == (0, 2, True)
+        assert _claim(rep.rare_bound) == (0, 6, True)
+        assert _claim(rep.good_bound) == (0, 6, True)
+        assert _claim(rep.nongood_bound) == (3, 21, True)
 
     def test_empty(self):
         h = Hypergraph(4, [])
-        assert check_nongood_bound(h) == (0, 0, True)
+        assert _claim(census(h).nongood_bound) == (0, 0, True)
 
     def test_chain_instance_rare_bound(self, three_edge_chain):
-        rare, bound, passed = check_rare_cycle_bound(three_edge_chain)
+        rare, bound, passed = _claim(census(three_edge_chain).rare_bound)
         assert rare >= 1 and bound == 18 and passed
 
     def test_all_claims_pass_on_free_instances(self):

@@ -146,6 +146,11 @@ class TestGeneratorCommands:
     def test_construct_bad_order(self):
         assert run_cli("construct", "--q", "6").returncode == 2
 
+    def test_construct_prime_cube(self):
+        out = run_cli("construct", "--q", "27", check=True).stdout
+        assert "# q 27" in out
+        assert "2271 21196" in out
+
     def test_construct_output_round_trips_to_free(self, tmp_path):
         out = run_cli("construct", "--q", "2", check=True).stdout
         path = tmp_path / "c2.txt"
@@ -168,6 +173,11 @@ class TestSearchCommand:
         out = run_cli("search", "--n-max", "7", "--budget", "0", check=True).stdout
         row7 = next(l for l in out.splitlines() if l.startswith("7\t"))
         assert "\tfalse\t" in row7
+
+    def test_negative_budget_is_usage_error(self):
+        proc = run_cli("search", "--n-max", "7", "--budget", "-5")
+        assert proc.returncode == 2
+        assert "budget" in proc.stderr
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ from bergec4.berge import is_bc4_free
 from bergec4.blocks import BlockType, decompose
 from bergec4.construct import (
     BipartiteGraph,
+    _Field,
     expand_to_hypergraph,
     is_c4_free,
     lower_bound_construction,
@@ -26,7 +27,7 @@ class TestProjectivePlane:
         g = projective_plane_incidence(3)
         assert g.left_count == 13 and g.edge_count == 52
 
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 27])
     def test_counts_and_c4_freeness(self, q):
         g = projective_plane_incidence(q)
         count = q * q + q + 1
@@ -46,10 +47,27 @@ class TestProjectivePlane:
         assert g.left_count == 651
         assert g.edge_count == 26 * 651
 
-    @pytest.mark.parametrize("q", [0, 1, 6, 10, 12, 15, 27])
+    @pytest.mark.parametrize("q", [0, 1, 6, 10, 12, 15])
     def test_unsupported_orders_rejected(self, q):
         with pytest.raises(ValueError):
             projective_plane_incidence(q)
+
+
+@pytest.mark.parametrize(
+    "q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
+)
+def test_field_axioms(q):
+    f = _Field(q)
+    elements = range(q)
+    for a in elements:
+        assert f.add(a, 0) == a and f.mul(a, 1) == a
+        assert sum(f.add(a, b) == 0 for b in elements) == 1
+        if a:
+            assert sum(f.mul(a, b) == 1 for b in elements) == 1
+        for b in elements:
+            ab = f.mul(a, b)
+            for c in elements:
+                assert f.mul(a, f.add(b, c)) == f.add(ab, f.mul(a, c))
 
 
 class TestExpand:

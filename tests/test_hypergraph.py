@@ -52,6 +52,9 @@ class TestShadow:
         g = shadow(single_edge)
         assert g.pairs == ((0, 1), (0, 2), (1, 2))
 
+    def test_built_once_per_hypergraph(self, k4_minus):
+        assert shadow(k4_minus) is shadow(k4_minus)
+
     def test_k4_minus_gives_complete_graph(self, k4_minus):
         assert shadow(k4_minus).pairs == tuple(
             (x, y) for x in range(4) for y in range(x + 1, 4)
@@ -150,7 +153,7 @@ class TestTextFormat:
             assert Hypergraph.from_text(h.to_text()) == h
 
     def test_comments_and_blank_lines(self):
-        text = "# generated\n\n3 1\n# mid comment\n0 1 2\n"
+        text = "# generated\n\n3 1\n# mid comment\n  # indented comment\n0 1 2\n"
         assert Hypergraph.from_text(text) == Hypergraph(3, [(0, 1, 2)])
 
     def test_unsorted_line_rejected_with_line_number(self):

@@ -82,6 +82,8 @@ class TestBranchAndBound:
             branch_and_bound_ex(2)
         with pytest.raises(ValueError):
             branch_and_bound_ex(5, threads=0)
+        with pytest.raises(ValueError):
+            branch_and_bound_ex(7, node_budget=-1)
 
 
 class TestExTable:
