@@ -6,7 +6,9 @@ hyperedge; a Berge path of length L uses L+1 vertices and L hyperedges.
 Candidate vertex sequences are enumerated from the 2-shadow in a fixed
 canonical order, and for each sequence the existence of distinct
 representative hyperedges is decided by bipartite maximum matching, so the
-returned witness is reproducible.
+returned witness is reproducible. The plain BC4 verdict (is_bc4_free and
+Bc4FreeBuilder) is the incremental pinned-edge check instead, which needs
+no cycle enumeration and no generic matching.
 """
 
 from __future__ import annotations
@@ -251,18 +253,40 @@ def find_berge_path(h: Hypergraph, length: int) -> BergePathWitness | None:
 
 
 def is_bc4_free(h: Hypergraph) -> bool:
-    """True iff the hypergraph has no Berge cycle of length 4."""
-    return find_berge_cycle(h, 4) is None
+    """True iff the hypergraph has no Berge cycle of length 4.
+
+    This is the incremental check of Bc4FreeBuilder: the edges are inserted
+    one at a time and the first rejection decides, since a hypergraph is
+    BC4-free iff every prefix insertion is accepted. It returns no witness;
+    find_berge_cycle(h, 4) gives the canonical one.
+    """
+    builder = Bc4FreeBuilder(h.n)
+    return all(builder.try_add(e) for e in h.edges)
 
 
 class Bc4FreeBuilder:
     """Edge set grown one triple at a time while staying BC4-free.
 
     Removal is last-in-first-out, which is exactly what a depth-first search
-    needs. The insertion check is local: a new Berge C4 must assign the new
-    edge to some consecutive pair of its cycle, so that pair is one of the
-    new edge's three pairs and only shadow 4-cycles through those pairs need
-    a distinct-representatives test.
+    needs.
+
+    Pinned-edge lemma: if the current edges carry no Berge C4, then a Berge
+    C4 of the edges plus a new triple e must assign e to one of its
+    positions, and the consecutive cycle vertices x, y there are a pair of
+    e. The other three positions form a Berge 3-path y -> w -> z -> x over
+    the existing edges, on vertices distinct from x and y. So try_add scans,
+    for each of the three pairs {x, y} of e, every w in adj[y] - {x} and z in
+    (adj[x] & adj[w]) - {y}; one orientation per pair suffices, since the
+    other one only swaps w and z.
+
+    Three-position Hall condition: the candidate lists A, B, C (edges on
+    yw, wz and zx) are nonempty, so distinct representatives exist iff no
+    two of them are the same single edge and |A | B | C| >= 3. A and C are
+    disjoint, since no triple holds all four cycle vertices, so this is
+    equivalent to: some b in B differs from the only edge of A when |A| = 1
+    and from the only edge of C when |C| = 1 (then a in A - {b} and
+    c in C - {b} exist and differ). A candidate is rejected before anything
+    is mutated; only a kept edge is added.
     """
 
     def __init__(self, n: int):
@@ -274,9 +298,21 @@ class Bc4FreeBuilder:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def add(self, triple: Sequence[int]) -> None:
-        """Append the edge without any freeness check."""
-        e: Edge = tuple(sorted(triple))  # type: ignore[assignment]
+    def _new_edge(self, triple: Sequence[int]) -> Edge:
+        """The sorted triple; ValueError unless it is a new edge on 0..n-1."""
+        try:
+            a, b, c = sorted(triple)
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {triple!r} is not 3 vertex ids") from None
+        if not (type(a) is int and type(b) is int and type(c) is int and 0 <= a < b < c < self.n):
+            raise ValueError(f"edge {triple!r} is not 3 distinct int vertex ids in [0, {self.n})")
+        e = (a, b, c)
+        for i in self._pair_edges.get((a, b), ()):
+            if self.edges[i] == e:
+                raise ValueError(f"duplicate edge {e}")
+        return e
+
+    def _append(self, e: Edge) -> None:
         idx = len(self.edges)
         self.edges.append(e)
         for p in combinations(e, 2):
@@ -285,6 +321,10 @@ class Bc4FreeBuilder:
                 self._adj[p[0]].add(p[1])
                 self._adj[p[1]].add(p[0])
             bucket.append(idx)
+
+    def add(self, triple: Sequence[int]) -> None:
+        """Append the edge without any freeness check (ValueError as for try_add)."""
+        self._append(self._new_edge(triple))
 
     def pop(self) -> None:
         """Remove the most recently added edge."""
@@ -300,35 +340,39 @@ class Bc4FreeBuilder:
                 self._adj[p[0]].discard(p[1])
                 self._adj[p[1]].discard(p[0])
 
-    def _cycle_through_pair(self, x: int, y: int) -> bool:
+    def _closes_c4(self, x: int, y: int) -> bool:
+        """Is there a Berge 3-path y -> w -> z -> x over the current edges?"""
         adj = self._adj
         p2e = self._pair_edges
+        adj_x = adj[x]
         for w in adj[y]:
             if w == x:
                 continue
-            for z in adj[x] & adj[w]:
-                if z == y or z == x or z == w:
+            A = p2e[(y, w) if y < w else (w, y)]
+            forced_a = A[0] if len(A) == 1 else -1
+            for z in adj_x & adj[w]:
+                if z == y:
                     continue
-                cands = [
-                    p2e[(min(x, y), max(x, y))],
-                    p2e[(min(y, w), max(y, w))],
-                    p2e[(min(w, z), max(w, z))],
-                    p2e[(min(z, x), max(z, x))],
-                ]
-                if _distinct_representatives(cands) is not None:
-                    return True
+                C = p2e[(z, x) if z < x else (x, z)]
+                forced_c = C[0] if len(C) == 1 else -1
+                for b in p2e[(w, z) if w < z else (z, w)]:
+                    if b != forced_a and b != forced_c:
+                        return True
         return False
 
-    def _last_edge_creates_cycle(self) -> bool:
-        e = self.edges[-1]
-        return any(self._cycle_through_pair(x, y) for x, y in combinations(e, 2))
-
     def try_add(self, triple: Sequence[int]) -> bool:
-        """Add the edge iff the result stays BC4-free; report whether it was kept."""
-        self.add(triple)
-        if self._last_edge_creates_cycle():
-            self.pop()
+        """Add the edge iff the result stays BC4-free; report whether it was kept.
+
+        Only Berge C4s through the new edge are looked for, so the verdict
+        assumes the current edges are BC4-free, as they are when every edge
+        came through try_add. Raises ValueError unless the triple is 3
+        distinct int vertex ids in [0, n) that are not already an edge.
+        """
+        e = self._new_edge(triple)
+        a, b, c = e
+        if self._closes_c4(a, b) or self._closes_c4(a, c) or self._closes_c4(b, c):
             return False
+        self._append(e)
         return True
 
     def to_hypergraph(self) -> Hypergraph:

@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hypergraph
 from oracles import naive_berge_cycle_exists
@@ -15,6 +19,7 @@ from bergec4.berge import (
     verify_path_witness,
 )
 from bergec4.hypergraph import Hypergraph
+from bergec4.search import _four_edges_support_c4
 
 
 class TestVerifyWitness:
@@ -125,6 +130,7 @@ class TestIsBc4Free:
         for seed in range(40):
             h = random_hypergraph(5 + seed % 5, 4 + seed % 9, seed)
             assert is_bc4_free(h) == (not naive_berge_cycle_exists(h, 4))
+            assert is_bc4_free(h) == (find_berge_cycle(h, 4) is None)
 
     def test_monotone_under_edge_addition(self):
         for seed in range(15):
@@ -154,10 +160,66 @@ class TestBc4FreeBuilder:
             for e in h.edges:
                 accepted = builder.try_add(e)
                 candidate = Hypergraph(h.n, kept + [e])
-                assert accepted == is_bc4_free(candidate)
+                assert accepted == (find_berge_cycle(candidate, 4) is None)
+                assert accepted == (not naive_berge_cycle_exists(candidate, 4))
                 if accepted:
                     kept.append(e)
             assert builder.to_hypergraph() == Hypergraph(h.n, kept)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(min_value=4, max_value=9).flatmap(
+        lambda n: st.tuples(st.just(n), st.permutations(list(combinations(range(n), 3))))
+    ))
+    def test_verdict_matches_four_edge_oracle(self, case):
+        # a new edge closes a Berge C4 iff it and three kept edges carry one
+        n, order = case
+        builder = Bc4FreeBuilder(n)
+        for e in order:
+            kept = list(builder.edges)
+            closes = any(
+                _four_edges_support_c4((e, *three)) for three in combinations(kept, 3)
+            )
+            assert builder.try_add(e) == (not closes)
+
+    def test_rejection_leaves_builder_untouched(self, monkeypatch):
+        builder = Bc4FreeBuilder(6)
+        for e in ((0, 1, 2), (0, 1, 3), (0, 2, 3)):
+            assert builder.try_add(e)
+        edges = list(builder.edges)
+        adj = [set(s) for s in builder._adj]
+        pair_edges = {p: list(b) for p, b in builder._pair_edges.items()}
+
+        def no_pop():
+            raise AssertionError("a rejection must not pop")
+
+        monkeypatch.setattr(builder, "pop", no_pop)
+        assert not builder.try_add((1, 2, 3))
+        assert builder.edges == edges
+        assert builder._adj == adj
+        assert builder._pair_edges == pair_edges
+
+    def test_duplicate_edge_rejected(self):
+        builder = Bc4FreeBuilder(5)
+        assert builder.try_add((0, 1, 2))
+        with pytest.raises(ValueError, match="duplicate"):
+            builder.try_add((2, 1, 0))
+        with pytest.raises(ValueError, match="duplicate"):
+            builder.add((0, 1, 2))
+        assert builder.edges == [(0, 1, 2)]
+        assert builder.to_hypergraph().edge_count == 1
+
+    @pytest.mark.parametrize(
+        "triple",
+        [(0, 0, 1), (-1, 0, 1), (1, 2), (0, 1, 2, 3), (0, 1, 5), (0, 1, 2.0), (0, 1, "2")],
+    )
+    def test_invalid_triple_rejected(self, triple):
+        builder = Bc4FreeBuilder(5)
+        for method in (builder.try_add, builder.add):
+            with pytest.raises(ValueError):
+                method(triple)
+        assert builder.edges == []
+        assert builder._adj == [set()] * 5
+        assert builder._pair_edges == {}
 
     def test_pop_restores_state(self):
         builder = Bc4FreeBuilder(6)

@@ -1,3 +1,6 @@
+import hashlib
+from math import comb
+
 import pytest
 
 from oracles import naive_berge_cycle_exists
@@ -150,6 +153,20 @@ class TestRandomBc4Free:
     def test_target_respected(self):
         h = random_bc4free(20, 5, seed=0)
         assert h.edge_count == 5
+
+    @pytest.mark.parametrize(
+        "seed, m, digest",
+        [
+            (1, 108, "227e1a5b100022fbfd77ef8f39e9bb6e744ad3a584b4eb638123c1aee45308be"),
+            (2, 107, "757120a68751fa11d97bcc68b3d94b4df1c34c405e5297a941410557de494501"),
+            (3, 116, "c35682f749551db5ecab8eab141e45deee2a4f8fda3d1bcdca6c42efdb44d16c"),
+        ],
+    )
+    def test_pinned_greedy_decisions(self, seed, m, digest):
+        # every accept/reject decision over all C(80, 3) triples, not just freeness
+        h = random_bc4free(80, comb(80, 3), seed)
+        assert h.edge_count == m
+        assert hashlib.sha256(h.to_text().encode()).hexdigest() == digest
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,14 @@ class TestBranchAndBound:
             assert is_bc4_free(bb.witness)
             assert bb.witness.edge_count == bb.max_edges
 
+    def test_n7_result_is_pinned(self):
+        # the same builder decisions visit the same nodes in the same order
+        r = branch_and_bound_ex(7)
+        assert (r.max_edges, r.nodes_explored, r.optimal) == (6, 31_914, True)
+        assert r.witness.edges == (
+            (0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6),
+        )
+
     def test_zero_budget_returns_greedy_lower_bound(self):
         r = branch_and_bound_ex(7, node_budget=0)
         assert not r.optimal
