@@ -21,6 +21,7 @@ from bergec4.hypergraph import (
     Edge,
     Hypergraph,
     Pair,
+    canonical_edge,
     pair_to_edges,
     shadow,
 )
@@ -131,20 +132,6 @@ def _distinct_representatives(candidates: Sequence[Sequence[int]]) -> list[int] 
     return out
 
 
-def _cycle_representatives(p2e: dict[Pair, list[int]], cycle: Sequence[int]) -> list[int] | None:
-    """Distinct covering edges for the consecutive pairs of a shadow cycle, or None.
-
-    Position i covers the pair (cycle[i], cycle[i+1]), cyclically; a result
-    is exactly the edge part of a Berge cycle on these vertices.
-    """
-    k = len(cycle)
-    cands = [
-        p2e[(min(cycle[i], cycle[(i + 1) % k]), max(cycle[i], cycle[(i + 1) % k]))]
-        for i in range(k)
-    ]
-    return _distinct_representatives(cands)
-
-
 def _canonical_cycles(adj: Sequence[frozenset[int]], length: int) -> Iterator[tuple[int, ...]]:
     """Yield shadow cycles as canonical vertex tuples, in lexicographic order.
 
@@ -227,7 +214,12 @@ def find_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
     g = shadow(h)
     p2e = pair_to_edges(h)
     for cyc in _canonical_cycles(g.adj, length):
-        assignment = _cycle_representatives(p2e, cyc)
+        # position i covers the pair (cyc[i], cyc[i+1]), cyclically
+        cands = [
+            p2e[(min(cyc[i], cyc[(i + 1) % length]), max(cyc[i], cyc[(i + 1) % length]))]
+            for i in range(length)
+        ]
+        assignment = _distinct_representatives(cands)
         if assignment is not None:
             return BergeCycleWitness(cyc, tuple(assignment))
     return None
@@ -299,15 +291,9 @@ class Bc4FreeBuilder:
         return len(self.edges)
 
     def _new_edge(self, triple: Sequence[int]) -> Edge:
-        """The sorted triple; ValueError unless it is a new edge on 0..n-1."""
-        try:
-            a, b, c = sorted(triple)
-        except (TypeError, ValueError):
-            raise ValueError(f"edge {triple!r} is not 3 vertex ids") from None
-        if not (type(a) is int and type(b) is int and type(c) is int and 0 <= a < b < c < self.n):
-            raise ValueError(f"edge {triple!r} is not 3 distinct int vertex ids in [0, {self.n})")
-        e = (a, b, c)
-        for i in self._pair_edges.get((a, b), ()):
+        """The sorted triple; ValueError unless it is a new edge (see canonical_edge)."""
+        e = canonical_edge(triple, self.n)
+        for i in self._pair_edges.get(e[:2], ()):
             if self.edges[i] == e:
                 raise ValueError(f"duplicate edge {e}")
         return e

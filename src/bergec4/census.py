@@ -8,9 +8,8 @@ hyperedges may reach outside the cycle is available behind diagonal_scope
 good when its vertex set is not a hyperedge and no vertex x closes a rare
 4-cycle x,x1,x2,x3.
 
-The census sweeps the shadow 4-cycles once. The same sweep decides Berge
-C4-freeness: each cycle gets the distinct-representatives test that
-find_berge_cycle runs, until the first Berge C4 is found.
+The census sweeps the shadow 4-cycles once; the BC4 verdict comes from
+is_bc4_free, the package's one production detector.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from bergec4.berge import _canonical_cycles, _cycle_representatives
+from bergec4.berge import _canonical_cycles, is_bc4_free
 from bergec4.blocks import block_degrees, decompose
 from bergec4.hypergraph import (
     Hypergraph,
@@ -53,8 +52,7 @@ class ClaimCheck:
 class CensusReport:
     """Counts and witnesses for the 3-path / 4-cycle census of one hypergraph.
 
-    bc4_free comes from the census's own 4-cycle sweep, so it agrees with
-    is_bc4_free without a second sweep. Claim checks are computed on every
+    bc4_free is is_bc4_free(h). Claim checks are computed on every
     input; their pass flags are only meaningful when bc4_free is True.
     rare_cycles are ordered by (v0, v1, v3, v2) of their canonical vertices.
     """
@@ -161,13 +159,12 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
 
     3-paths are enumerated once each (unordered), 4-cycles once each up to
     rotation and reflection; the 3-path total is cross-checked against the
-    middle-vertex degree identity. The BC4 verdict is decided on the same
-    4-cycles, so no second sweep runs.
+    middle-vertex degree identity.
     """
     _require_scope(diagonal_scope)
     g = shadow(h)
     p2e = pair_to_edges(h)
-    free = True
+    free = is_bc4_free(h)
     m = h.edge_count
     edge_index = {e: i for i, e in enumerate(h.edges)}
 
@@ -177,8 +174,6 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
     four_cycles = 0
     for cycle in _canonical_cycles(g.adj, 4):
         four_cycles += 1
-        if free and _cycle_representatives(p2e, cycle) is not None:
-            free = False
         reps = tuple(
             i
             for t in combinations(sorted(cycle), 3)

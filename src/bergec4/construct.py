@@ -16,6 +16,10 @@ import random
 from bergec4.berge import Bc4FreeBuilder, is_bc4_free
 from bergec4.hypergraph import Hypergraph
 
+# random_bc4free shuffles all C(n, 3) triples, so memory grows as n^3
+# (about 117 MB at n = 200); larger n is refused before anything is built.
+RANDOM_MAX_N = 200
+
 
 @dataclass(frozen=True)
 class BipartiteGraph:
@@ -204,9 +208,10 @@ def random_bc4free(n: int, target_m: int, seed: int) -> Hypergraph:
     Twister, platform independent) and added greedily while the result stays
     BC4-free, stopping at target_m or exhaustion. The sample is biased by the
     greedy order; it is a falsification-test generator, not a uniform one.
+    Raises ValueError for n outside [3, RANDOM_MAX_N].
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
+    if not 3 <= n <= RANDOM_MAX_N:
+        raise ValueError(f"n must be in [3, {RANDOM_MAX_N}], got {n}")
     if target_m < 0:
         raise ValueError(f"target_m must be >= 0, got {target_m}")
     triples = list(combinations(range(n), 3))

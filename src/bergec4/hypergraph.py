@@ -28,6 +28,30 @@ class ParseError(HypergraphError):
         self.line = line
 
 
+def canonical_edge(triple: Iterable[int], n: int) -> Edge:
+    """The sorted triple; HypergraphError unless it is 3 distinct int vertex ids in [0, n).
+
+    Vertex ids must be of type int exactly, so bool, float and str ids are
+    rejected rather than compared or hashed as numbers.
+    """
+    try:
+        a, b, c = triple
+    except (TypeError, ValueError):
+        raise HypergraphError(f"edge {triple!r} is not 3 vertex ids") from None
+    if type(a) is int and type(b) is int and type(c) is int:
+        # three compare-and-swaps instead of sorted(): this runs on every
+        # Bc4FreeBuilder insertion, where a list sort costs more
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        if 0 <= a < b < c < n:
+            return (a, b, c)
+    raise HypergraphError(f"edge {triple!r} is not 3 distinct int vertex ids in [0, {n})")
+
+
 class Hypergraph:
     """Immutable 3-uniform hypergraph on vertex ids 0..n-1.
 
@@ -41,15 +65,7 @@ class Hypergraph:
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
         if n < 0:
             raise HypergraphError(f"vertex count must be non-negative, got {n}")
-        canon: list[Edge] = []
-        for e in edges:
-            t = tuple(sorted(e))
-            if len(t) != 3 or t[0] == t[1] or t[1] == t[2]:
-                raise HypergraphError(f"edge {tuple(e)!r} is not 3 distinct vertices")
-            if t[0] < 0 or t[2] >= n:
-                raise HypergraphError(f"edge {t} out of vertex range [0, {n})")
-            canon.append(t)  # type: ignore[arg-type]
-        canon.sort()
+        canon = sorted(canonical_edge(e, n) for e in edges)
         for a, b in zip(canon, canon[1:]):
             if a == b:
                 raise HypergraphError(f"duplicate edge {a}")

@@ -1,9 +1,12 @@
 """Exact extremal edge counts for BC4-free hypergraphs at desk scale.
 
-Two independent routes: an exhaustive edge-subset sweep (n <= 6) and a pruned
-depth-first branch-and-bound. Correctness never depends on pruning; every
-prune rule carries its justifying lemma and is covered by oracle-equivalence
-tests against the exhaustive sweep.
+Two independent routes. The exhaustive route (n <= 6) enumerates every
+BC4-free edge set, extending free sets one triple at a time with only the
+four-edge definition check below; it never visits an edge subset that
+contains a Berge C4. The other route is a pruned depth-first
+branch-and-bound on Bc4FreeBuilder. Correctness never depends on pruning;
+every prune rule carries its justifying lemma and is covered by
+oracle-equivalence tests against the exhaustive route.
 """
 
 from __future__ import annotations
@@ -21,7 +24,12 @@ from bergec4.hypergraph import Edge, Hypergraph
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome for one n; optimal is False when a node budget cut the search."""
+    """Outcome for one n; optimal is False when a node budget cut the search.
+
+    nodes_explored counts the BC4-free edge sets for brute_force_ex (the
+    empty set included) and the depth-first calls, pruned ones included,
+    for branch_and_bound_ex.
+    """
 
     n: int
     max_edges: int
@@ -59,60 +67,44 @@ def _four_edges_support_c4(edges: tuple[Edge, Edge, Edge, Edge]) -> bool:
 
 
 def brute_force_ex(n: int) -> SearchResult:
-    """Exhaustive sweep of all edge subsets; exact for 3 <= n <= 6.
+    """Exhaustive enumeration of the BC4-free edge sets; exact for 3 <= n <= 6.
 
-    A hypergraph contains a Berge C4 iff some 4 of its edges support one, so
-    freeness of every subset follows from the 4-edge base cases: any subset
-    with at least 5 edges is free iff removing any single edge leaves it free
-    (checking 5 removals suffices, since a 4-edge subset must avoid one of
-    any 5 chosen edges). Returns the lexicographically least maximizer.
+    Depth-first from the empty set, extending the current set S only by
+    triples of larger index than its last one, and keeping a triple t iff no
+    three edges of S together with t pass _four_edges_support_c4. This visits
+    every BC4-free edge set and nothing else, because:
+    - every subset of a BC4-free set is BC4-free, so each free set is
+      reached through its free prefixes;
+    - a Berge C4 uses exactly four distinct edges, so if S is free, a Berge
+      C4 in S + {t} is t plus three edges of S.
+    Trying inclusions in increasing index order visits each free set once,
+    in lexicographic order of its edge-index tuple, so the first largest set
+    found is the lexicographically least maximizer. nodes_explored is the
+    number of free sets, the empty set included.
     """
     if not 3 <= n <= 6:
         raise ValueError(f"brute force supports 3 <= n <= 6, got {n}")
     start = time.perf_counter()
     triples = list(combinations(range(n), 3))
-    m = len(triples)
-    free = bytearray(1 << m)
-    best_mask = 0
-    best_size = 0
-    for mask in range(1 << m):
-        pc = mask.bit_count()
-        if pc <= 3:
-            free[mask] = 1
-        elif pc == 4:
-            bits, rest = [], mask
-            while rest:
-                b = rest & -rest
-                bits.append(b.bit_length() - 1)
-                rest ^= b
-            quad = tuple(triples[b] for b in bits)
-            free[mask] = 0 if _four_edges_support_c4(quad) else 1
-        else:
-            ok, rest = 1, mask
-            for _ in range(5):
-                b = rest & -rest
-                if not free[mask ^ b]:
-                    ok = 0
-                    break
-                rest ^= b
-            free[mask] = ok
-        if free[mask] and pc > best_size:
-            best_size, best_mask = pc, mask
-        elif free[mask] and pc == best_size and pc:
-            # lexicographically least edge-index tuple wins
-            if _mask_bits(mask) < _mask_bits(best_mask):
-                best_mask = mask
-    witness = Hypergraph(n, [triples[b] for b in _mask_bits(best_mask)])
-    return SearchResult(n, best_size, witness, True, 1 << m, time.perf_counter() - start)
+    chosen: list[Edge] = []
+    best: list[Edge] = []
+    free_sets = 0
 
+    def extend(i: int) -> None:
+        nonlocal best, free_sets
+        free_sets += 1
+        if len(chosen) > len(best):
+            best = list(chosen)
+        for j in range(i, len(triples)):
+            t = triples[j]
+            if not any(_four_edges_support_c4((*three, t)) for three in combinations(chosen, 3)):
+                chosen.append(t)
+                extend(j + 1)
+                chosen.pop()
 
-def _mask_bits(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return tuple(out)
+    extend(0)
+    witness = Hypergraph(n, best)
+    return SearchResult(n, len(best), witness, True, free_sets, time.perf_counter() - start)
 
 
 class _Budget(Exception):

@@ -162,6 +162,12 @@ class TestGeneratorCommands:
         out = run_cli("random", "--n", "3", "--m", "5", "--seed", "7", check=True).stdout
         assert "3 1" in out and "0 1 2" in out
 
+    def test_random_huge_n_is_usage_error(self):
+        # refused before the C(n, 3) triples are built
+        proc = run_cli("random", "--n", "1000000000", "--m", "1", "--seed", "0")
+        assert proc.returncode == 2
+        assert "n must be" in proc.stderr
+
 
 class TestSearchCommand:
     def test_table_rows(self):

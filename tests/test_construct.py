@@ -8,6 +8,7 @@ from oracles import naive_berge_cycle_exists
 from bergec4.berge import is_bc4_free
 from bergec4.blocks import BlockType, decompose
 from bergec4.construct import (
+    RANDOM_MAX_N,
     BipartiteGraph,
     _Field,
     expand_to_hypergraph,
@@ -173,3 +174,5 @@ class TestRandomBc4Free:
             random_bc4free(2, 1, 0)
         with pytest.raises(ValueError):
             random_bc4free(5, -1, 0)
+        with pytest.raises(ValueError, match="n must be"):
+            random_bc4free(RANDOM_MAX_N + 1, 0, 0)

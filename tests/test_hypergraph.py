@@ -30,6 +30,11 @@ class TestConstruction:
         with pytest.raises(HypergraphError):
             Hypergraph(4, [(0, 1, 1)])
 
+    @pytest.mark.parametrize("bad", [(0, 1.5, 3), (0, 1, "2"), (True, 2, 3)])
+    def test_non_int_vertex_ids_rejected(self, bad):
+        with pytest.raises(HypergraphError):
+            Hypergraph(4, [bad, (0, 1, 2)])
+
     def test_out_of_range_rejected(self):
         with pytest.raises(HypergraphError):
             Hypergraph(3, [(0, 1, 3)])

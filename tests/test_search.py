@@ -1,3 +1,4 @@
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -31,6 +32,25 @@ class TestBruteForce:
             assert not naive_berge_cycle_exists(r.witness, 4)
             assert r.optimal
             assert r.witness.edge_count == r.max_edges
+
+    def test_larger_witnesses_are_pinned(self):
+        assert brute_force_ex(5).witness.edges == ((0, 1, 2), (0, 1, 3), (0, 1, 4))
+        assert brute_force_ex(6).witness.edges == ((0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5))
+
+    def test_nodes_explored_counts_free_sets(self):
+        # the number of BC4-free edge subsets of K_n^(3), the empty set included
+        assert [brute_force_ex(n).nodes_explored for n in range(3, 7)] == [2, 15, 176, 2176]
+
+    @pytest.mark.parametrize("n, free_sets", [(4, 15), (5, 176)])
+    def test_free_set_count_matches_naive_oracle(self, n, free_sets):
+        # every subset of all C(n, 3) triples, judged by the ordered-tuple oracle
+        triples = list(combinations(range(n), 3))
+        count = sum(
+            not naive_berge_cycle_exists(Hypergraph(n, subset), 4)
+            for k in range(len(triples) + 1)
+            for subset in combinations(triples, k)
+        )
+        assert count == free_sets == brute_force_ex(n).nodes_explored
 
     def test_range_enforced(self):
         with pytest.raises(ValueError):
