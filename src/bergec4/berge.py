@@ -1,14 +1,15 @@
-"""Berge path and cycle detection via shadow cycles and distinct representatives.
+"""Berge path and cycle detection via shadow walks and distinct representatives.
 
 A Berge cycle of length L is L distinct vertices and L distinct hyperedges
 with each consecutive vertex pair (cyclically) inside the corresponding
 hyperedge; a Berge path of length L uses L+1 vertices and L hyperedges.
-Candidate vertex sequences are enumerated from the 2-shadow in a fixed
-canonical order, and for each sequence the existence of distinct
-representative hyperedges is decided by bipartite maximum matching, so the
-returned witness is reproducible. The plain BC4 verdict (is_bc4_free and
-Bc4FreeBuilder) is the incremental pinned-edge check instead, which needs
-no cycle enumeration and no generic matching.
+One walker enumerates candidate vertex sequences, cycles and paths alike,
+from the 2-shadow in a fixed canonical order, and for each sequence the
+existence of distinct representative hyperedges is decided by bipartite
+maximum matching, so the returned witness is reproducible. That search
+serves witnesses and general lengths only. Every BC4 verdict (is_bc4_free,
+and through it census, construct and verify) comes from Bc4FreeBuilder's
+pinned-edge check, which needs no cycle enumeration and no generic matching.
 """
 
 from __future__ import annotations
@@ -55,13 +56,24 @@ class BergePathWitness:
         return len(self.edge_indices)
 
 
-def _check_ids(h: Hypergraph, vertices: Sequence[int], edge_indices: Sequence[int]) -> None:
-    for v in vertices:
+def _valid_walk(h: Hypergraph, vs: Sequence[int], es: Sequence[int], closed: bool) -> bool:
+    """Do vs and es form a Berge cycle (closed) or path (open) of h?"""
+    for v in vs:
         if not 0 <= v < h.n:
             raise WitnessError(f"vertex id {v} out of range [0, {h.n})")
-    for i in edge_indices:
+    for i in es:
         if not 0 <= i < h.edge_count:
             raise WitnessError(f"edge index {i} out of range [0, {h.edge_count})")
+    k = len(es)
+    if k < (2 if closed else 1) or len(vs) != (k if closed else k + 1):
+        return False
+    if len(set(vs)) != len(vs) or len(set(es)) != k:
+        return False
+    for i in range(k):
+        edge = h.edges[es[i]]
+        if vs[i] not in edge or vs[(i + 1) % len(vs)] not in edge:
+            return False
+    return True
 
 
 def verify_cycle_witness(h: Hypergraph, witness: BergeCycleWitness) -> bool:
@@ -70,34 +82,12 @@ def verify_cycle_witness(h: Hypergraph, witness: BergeCycleWitness) -> bool:
     Out-of-range vertex or edge ids raise WitnessError; any other violation
     (repeats, a pair not inside its edge, length < 2) returns False.
     """
-    vs, es = witness.vertices, witness.edge_indices
-    _check_ids(h, vs, es)
-    k = len(vs)
-    if k < 2 or len(es) != k:
-        return False
-    if len(set(vs)) != k or len(set(es)) != k:
-        return False
-    for i in range(k):
-        edge = h.edges[es[i]]
-        if vs[i] not in edge or vs[(i + 1) % k] not in edge:
-            return False
-    return True
+    return _valid_walk(h, witness.vertices, witness.edge_indices, True)
 
 
 def verify_path_witness(h: Hypergraph, witness: BergePathWitness) -> bool:
     """True iff the witness is a valid Berge path of h (see verify_cycle_witness)."""
-    vs, es = witness.vertices, witness.edge_indices
-    _check_ids(h, vs, es)
-    k = len(es)
-    if k < 1 or len(vs) != k + 1:
-        return False
-    if len(set(vs)) != k + 1 or len(set(es)) != k:
-        return False
-    for i in range(k):
-        edge = h.edges[es[i]]
-        if vs[i] not in edge or vs[i + 1] not in edge:
-            return False
-    return True
+    return _valid_walk(h, witness.vertices, witness.edge_indices, False)
 
 
 def _distinct_representatives(candidates: Sequence[Sequence[int]]) -> list[int] | None:
@@ -132,35 +122,34 @@ def _distinct_representatives(candidates: Sequence[Sequence[int]]) -> list[int] 
     return out
 
 
-def _canonical_cycles(adj: Sequence[frozenset[int]], length: int) -> Iterator[tuple[int, ...]]:
-    """Yield shadow cycles as canonical vertex tuples, in lexicographic order.
+def _canonical_walks(adj: Sequence[frozenset[int]], k: int, closed: bool) -> Iterator[tuple[int, ...]]:
+    """Yield the shadow cycles or paths with k steps, in lexicographic order.
 
-    Canonical form: smallest vertex first, reflection normalized by
-    second vertex < last vertex. Length 2 means a doubled edge (a, b), a < b.
+    A closed walk is a cycle on k distinct vertices, v_0 the least and the
+    reflection fixed by v_1 < v_last; k = 2 gives a doubled pair (a, b),
+    a < b. An open walk is a path on k+1 distinct vertices with v_0 < v_last.
     """
     n = len(adj)
-    if length == 2:
-        for a in range(n):
-            for b in sorted(adj[a]):
-                if b > a:
-                    yield (a, b)
-        return
-    seq = [0] * length
+    last = k - 1 if closed else k
+    seq = [0] * (last + 1)
     in_use = [False] * n
 
     def extend(depth: int) -> Iterator[tuple[int, ...]]:
-        first = seq[0]
+        v0 = seq[0]
         prev = seq[depth - 1]
-        if depth == length - 1:
-            closing = adj[prev] & adj[first]
-            for v in sorted(closing):
-                # v0 smallest, and v1 < v_last kills the reflected copy
-                if v > seq[1] and not in_use[v]:
+        if depth == last:
+            if closed:
+                ends, low = adj[prev] & adj[v0], seq[1] if last > 1 else v0
+            else:
+                ends, low = adj[prev], v0
+            for v in sorted(ends):
+                if v > low and not in_use[v]:
                     seq[depth] = v
                     yield tuple(seq)
             return
+        low = v0 if closed else -1
         for v in sorted(adj[prev]):
-            if v > first and not in_use[v]:
+            if v > low and not in_use[v]:
                 seq[depth] = v
                 in_use[v] = True
                 yield from extend(depth + 1)
@@ -173,32 +162,20 @@ def _canonical_cycles(adj: Sequence[frozenset[int]], length: int) -> Iterator[tu
         in_use[v0] = False
 
 
-def _canonical_paths(adj: Sequence[frozenset[int]], length: int) -> Iterator[tuple[int, ...]]:
-    """Yield shadow paths on length+1 vertices, direction normalized v0 < v_last."""
-    n = len(adj)
-    seq = [0] * (length + 1)
-    in_use = [False] * n
-
-    def extend(depth: int) -> Iterator[tuple[int, ...]]:
-        prev = seq[depth - 1]
-        if depth == length:
-            for v in sorted(adj[prev]):
-                if v > seq[0] and not in_use[v]:
-                    seq[depth] = v
-                    yield tuple(seq)
-            return
-        for v in sorted(adj[prev]):
-            if not in_use[v]:
-                seq[depth] = v
-                in_use[v] = True
-                yield from extend(depth + 1)
-                in_use[v] = False
-
-    for v0 in range(n):
-        seq[0] = v0
-        in_use[v0] = True
-        yield from extend(1)
-        in_use[v0] = False
+def _first_witness(h: Hypergraph, k: int, closed: bool) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """First canonical walk with distinct representative edges, and those edges."""
+    if h.edge_count < k:
+        return None
+    g = shadow(h)
+    p2e = pair_to_edges(h)
+    for walk in _canonical_walks(g.adj, k, closed):
+        # step i covers the pair (walk[i], walk[i+1]), cyclically when closed
+        following = walk[1:] + walk[:1] if closed else walk[1:]
+        cands = [p2e[(a, b) if a < b else (b, a)] for a, b in zip(walk, following)]
+        assignment = _distinct_representatives(cands)
+        if assignment is not None:
+            return walk, tuple(assignment)
+    return None
 
 
 def find_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
@@ -209,39 +186,16 @@ def find_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
     """
     if length < 2:
         raise ValueError(f"cycle length must be >= 2, got {length}")
-    if h.edge_count < length:
-        return None
-    g = shadow(h)
-    p2e = pair_to_edges(h)
-    for cyc in _canonical_cycles(g.adj, length):
-        # position i covers the pair (cyc[i], cyc[i+1]), cyclically
-        cands = [
-            p2e[(min(cyc[i], cyc[(i + 1) % length]), max(cyc[i], cyc[(i + 1) % length]))]
-            for i in range(length)
-        ]
-        assignment = _distinct_representatives(cands)
-        if assignment is not None:
-            return BergeCycleWitness(cyc, tuple(assignment))
-    return None
+    found = _first_witness(h, length, True)
+    return None if found is None else BergeCycleWitness(*found)
 
 
 def find_berge_path(h: Hypergraph, length: int) -> BergePathWitness | None:
     """First Berge path of the given length under canonical enumeration."""
     if length < 1:
         raise ValueError(f"path length must be >= 1, got {length}")
-    if h.edge_count < length:
-        return None
-    g = shadow(h)
-    p2e = pair_to_edges(h)
-    for path in _canonical_paths(g.adj, length):
-        cands = [
-            p2e[(min(path[i], path[i + 1]), max(path[i], path[i + 1]))]
-            for i in range(length)
-        ]
-        assignment = _distinct_representatives(cands)
-        if assignment is not None:
-            return BergePathWitness(path, tuple(assignment))
-    return None
+    found = _first_witness(h, length, False)
+    return None if found is None else BergePathWitness(*found)
 
 
 def is_bc4_free(h: Hypergraph) -> bool:

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
 
-from bergec4.berge import BergeCycleWitness, find_berge_cycle
+from bergec4.berge import BergeCycleWitness, find_berge_cycle, is_bc4_free
 from bergec4.blocks import block_degrees, decompose
 from bergec4.hypergraph import Hypergraph, degree_profile
 
@@ -262,8 +261,10 @@ def verify_chain(h: Hypergraph) -> BoundReport:
     """Evaluate the full inequality chain on a BC4-free hypergraph.
 
     Refuses (HypothesisError) when the input has an isolated vertex or
-    contains a Berge C4, carrying the witness in the latter case; the chain
-    is only claimed under those hypotheses.
+    contains a Berge C4; the chain is only claimed under those hypotheses.
+    The BC4 verdict comes from is_bc4_free (the builder's pinned-edge
+    check); only a refused input pays for find_berge_cycle(h, 4), which
+    supplies the canonical witness carried by the error.
     """
     if h.n < 3:
         raise ValueError(f"chain verification requires n >= 3, got {h.n}")
@@ -274,8 +275,8 @@ def verify_chain(h: Hypergraph) -> BoundReport:
             "isolated_vertices",
             f"hypergraph has isolated vertices {isolated}",
         )
-    witness = find_berge_cycle(h, 4)
-    if witness is not None:
+    if not is_bc4_free(h):
+        witness = find_berge_cycle(h, 4)
         raise HypothesisError(
             "berge_c4_present",
             f"hypergraph contains a Berge C4 on vertices {witness.vertices}",

@@ -17,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from bergec4.berge import _canonical_cycles, is_bc4_free
+from bergec4.berge import _canonical_walks, is_bc4_free
 from bergec4.blocks import block_degrees, decompose
 from bergec4.hypergraph import (
     Hypergraph,
     ShadowGraph,
     count_three_paths,
-    degree_profile,
     pair_to_edges,
     shadow,
 )
@@ -125,10 +124,7 @@ def _rare(
 def is_rare_cycle(h: Hypergraph, cycle: tuple[int, int, int, int], diagonal_scope: str = "induced") -> bool:
     """True iff no two hyperedges (per the scope) share a diagonal pair of the cycle."""
     _require_scope(diagonal_scope)
-    _validate_cycle(shadow(h), cycle)
-    on_cycle = set(cycle)
-    reps = tuple(i for i, e in enumerate(h.edges) if on_cycle.issuperset(e))
-    return _rare(h, cycle, reps, pair_to_edges(h), diagonal_scope)
+    return _rare(h, cycle, representative_edges(h, cycle), pair_to_edges(h), diagonal_scope)
 
 
 def is_good_path(h: Hypergraph, x1: int, x2: int, x3: int, diagonal_scope: str = "induced") -> bool:
@@ -147,9 +143,7 @@ def is_good_path(h: Hypergraph, x1: int, x2: int, x3: int, diagonal_scope: str =
         if x in (x1, x2, x3):
             continue
         cycle = (x, x1, x2, x3)
-        on_cycle = set(cycle)
-        reps = tuple(i for i, e in enumerate(h.edges) if on_cycle.issuperset(e))
-        if _rare(h, cycle, reps, p2e, diagonal_scope):
+        if _rare(h, cycle, representative_edges(h, cycle), p2e, diagonal_scope):
             return False
     return True
 
@@ -172,7 +166,7 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
     rare_records: list[FourCycleRecord] = []
     rare_paths: set[tuple[int, int, int]] = set()
     four_cycles = 0
-    for cycle in _canonical_cycles(g.adj, 4):
+    for cycle in _canonical_walks(g.adj, 4, True):
         four_cycles += 1
         reps = tuple(
             i

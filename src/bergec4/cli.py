@@ -15,7 +15,7 @@ import sys
 import bergec4
 from bergec4.berge import BergeCycleWitness, BergePathWitness, find_berge_cycle
 from bergec4.blocks import block_degrees, decompose
-from bergec4.bounds import HypothesisError, decimal_str, edge_ratio, verify_chain
+from bergec4.bounds import HypothesisError, verify_chain
 from bergec4.census import census
 from bergec4.construct import lower_bound_construction, random_bc4free
 from bergec4.hypergraph import Hypergraph, ParseError, degree_profile, shadow

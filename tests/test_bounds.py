@@ -5,6 +5,8 @@ import pytest
 
 from oracles import bisect_upper_bound
 
+from bergec4 import bounds
+from bergec4.berge import find_berge_cycle
 from bergec4.bounds import (
     EdgeBound,
     HypothesisError,
@@ -171,6 +173,18 @@ class TestVerifyChain:
             verify_chain(k4_full)
         assert info.value.reason == "berge_c4_present"
         assert info.value.witness is not None
+
+    def test_verify_chain_decides_with_builder(self, k4_minus, k4_full, monkeypatch):
+        # the verdict is is_bc4_free's; find_berge_cycle only builds the refusal witness
+        def no_sweep(h, length):
+            raise AssertionError("find_berge_cycle called on a BC4-free input")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "find_berge_cycle", no_sweep)
+            assert verify_chain(k4_minus).all_pass()
+        with pytest.raises(HypothesisError) as info:
+            verify_chain(k4_full)
+        assert info.value.witness == find_berge_cycle(k4_full, 4)
 
     def test_refuses_isolated_vertices(self):
         with pytest.raises(HypothesisError) as info:

@@ -151,6 +151,12 @@ class TestGeneratorCommands:
         assert "# q 27" in out
         assert "2271 21196" in out
 
+    def test_construct_huge_q_is_usage_error(self):
+        # refused before the q x q field tables are built
+        proc = run_cli("construct", "--q", "81")
+        assert proc.returncode == 2
+        assert "q must be at most" in proc.stderr
+
     def test_construct_output_round_trips_to_free(self, tmp_path):
         out = run_cli("construct", "--q", "2", check=True).stdout
         path = tmp_path / "c2.txt"
@@ -184,6 +190,14 @@ class TestSearchCommand:
         proc = run_cli("search", "--n-max", "7", "--budget", "-5")
         assert proc.returncode == 2
         assert "budget" in proc.stderr
+
+    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--budget", "-1")])
+    def test_bad_setting_refused_without_pruned_rows(self, flag, value):
+        # n <= 6 rows never reach branch-and-bound, yet the setting is checked
+        proc = run_cli("search", "--n-max", "6", flag, value)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert flag.strip("-") in proc.stderr
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ from oracles import naive_berge_cycle_exists
 from bergec4.berge import is_bc4_free
 from bergec4.blocks import BlockType, decompose
 from bergec4.construct import (
+    CONSTRUCT_MAX_Q,
     RANDOM_MAX_N,
     BipartiteGraph,
     _Field,
@@ -109,6 +110,12 @@ class TestLowerBoundConstruction:
         count = q * q + q + 1
         assert h.n == 3 * count
         assert h.edge_count == (q + 1) * count
+
+    def test_rejects_q_above_max(self):
+        # 81 = 3^4 is a prime power, so only the size bound refuses it
+        assert CONSTRUCT_MAX_Q < 81
+        with pytest.raises(ValueError, match="at most"):
+            lower_bound_construction(81)
 
     def test_q2_is_bc4_free_by_naive_oracle(self):
         h = lower_bound_construction(2)
