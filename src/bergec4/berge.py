@@ -8,8 +8,12 @@ from the 2-shadow in a fixed canonical order, and for each sequence the
 existence of distinct representative hyperedges is decided by bipartite
 maximum matching, so the returned witness is reproducible. That search
 serves witnesses and general lengths only. Every BC4 verdict (is_bc4_free,
-and through it census, construct and verify) comes from Bc4FreeBuilder's
-pinned-edge check, which needs no cycle enumeration and no generic matching.
+and through it census, check, construct and verify) comes from
+Bc4FreeBuilder's pinned-edge check, which needs no cycle enumeration and no
+generic matching. The builder keeps each neighbourhood twice, as a set and
+as an int bitset: the set to iterate the first inner vertex, the bitset to
+intersect two neighbourhoods in one machine-word operation. is_bc4_free
+skips the builder for fewer than four edges, since a Berge C4 needs four.
 """
 
 from __future__ import annotations
@@ -203,9 +207,13 @@ def is_bc4_free(h: Hypergraph) -> bool:
 
     This is the incremental check of Bc4FreeBuilder: the edges are inserted
     one at a time and the first rejection decides, since a hypergraph is
-    BC4-free iff every prefix insertion is accepted. It returns no witness;
-    find_berge_cycle(h, 4) gives the canonical one.
+    BC4-free iff every prefix insertion is accepted. Fewer than four edges
+    are free without building anything, so a large header n with few edges
+    costs nothing. It returns no witness; find_berge_cycle(h, 4) gives the
+    canonical one.
     """
+    if h.edge_count < 4:
+        return True
     builder = Bc4FreeBuilder(h.n)
     return all(builder.try_add(e) for e in h.edges)
 
@@ -233,12 +241,23 @@ class Bc4FreeBuilder:
     and from the only edge of C when |C| = 1 (then a in A - {b} and
     c in C - {b} exist and differ). A candidate is rejected before anything
     is mutated; only a kept edge is added.
+
+    Neighbourhoods are kept twice: _adj[v] as a set and _bits[v] as an int
+    with bit u set iff {u, v} is a shadow pair, both updated where a pair's
+    edge bucket is created or deleted. The scan walks w over the set, which
+    is cheaper than peeling bits from an int, and finds the z candidates as
+    the bitset _bits[x] & _bits[w], which is usually 0 and then skips w
+    without a set allocation. Dropping either representation measured
+    slower: bits alone (w peeled from _bits[y]) took is_bc4_free on the q=16
+    construction from 0.036 s to 0.063 s, and sets alone, with an isdisjoint
+    pre-test, to 0.093 s.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.edges: list[Edge] = []
         self._adj: list[set[int]] = [set() for _ in range(n)]
+        self._bits: list[int] = [0] * n
         self._pair_edges: dict[Pair, list[int]] = {}
 
     def __len__(self) -> int:
@@ -258,8 +277,11 @@ class Bc4FreeBuilder:
         for p in combinations(e, 2):
             bucket = self._pair_edges.setdefault(p, [])
             if not bucket:
-                self._adj[p[0]].add(p[1])
-                self._adj[p[1]].add(p[0])
+                u, v = p
+                self._adj[u].add(v)
+                self._adj[v].add(u)
+                self._bits[u] |= 1 << v
+                self._bits[v] |= 1 << u
             bucket.append(idx)
 
     def add(self, triple: Sequence[int]) -> None:
@@ -277,22 +299,30 @@ class Bc4FreeBuilder:
             bucket.pop()
             if not bucket:
                 del self._pair_edges[p]
-                self._adj[p[0]].discard(p[1])
-                self._adj[p[1]].discard(p[0])
+                u, v = p
+                self._adj[u].discard(v)
+                self._adj[v].discard(u)
+                self._bits[u] &= ~(1 << v)
+                self._bits[v] &= ~(1 << u)
 
     def _closes_c4(self, x: int, y: int) -> bool:
         """Is there a Berge 3-path y -> w -> z -> x over the current edges?"""
-        adj = self._adj
+        bits = self._bits
         p2e = self._pair_edges
-        adj_x = adj[x]
-        for w in adj[y]:
+        # z ranges over the common neighbours of x and w other than y
+        bits_x = bits[x] & ~(1 << y)
+        for w in self._adj[y]:
             if w == x:
+                continue
+            common = bits_x & bits[w]
+            if not common:
                 continue
             A = p2e[(y, w) if y < w else (w, y)]
             forced_a = A[0] if len(A) == 1 else -1
-            for z in adj_x & adj[w]:
-                if z == y:
-                    continue
+            while common:
+                low = common & -common
+                common ^= low
+                z = low.bit_length() - 1
                 C = p2e[(z, x) if z < x else (x, z)]
                 forced_c = C[0] if len(C) == 1 else -1
                 for b in p2e[(w, z) if w < z else (z, w)]:

@@ -15,6 +15,11 @@ from typing import Iterable
 Edge = tuple[int, int, int]
 Pair = tuple[int, int]
 
+# Largest header n that from_text accepts. Per-vertex tables cost O(n) before
+# any edge is read, so a 10-byte header must not allocate without limit; the
+# largest construction (construct --q 64) has n = 12,483.
+MAX_VERTICES = 100_000
+
 
 class HypergraphError(ValueError):
     """The data does not describe a valid 3-uniform hypergraph."""
@@ -122,6 +127,8 @@ class Hypergraph:
                     raise ParseError("header values must be integers", lineno) from None
                 if n < 0 or m < 0:
                     raise ParseError("header values must be non-negative", lineno)
+                if n > MAX_VERTICES:
+                    raise ParseError(f"vertex count {n} exceeds {MAX_VERTICES}", lineno)
                 header = (n, m)
                 continue
             if len(edges) == header[1]:

@@ -206,6 +206,7 @@ class TestBc4FreeBuilder:
             assert builder.try_add(e)
         edges = list(builder.edges)
         adj = [set(s) for s in builder._adj]
+        bits = list(builder._bits)
         pair_edges = {p: list(b) for p, b in builder._pair_edges.items()}
 
         def no_pop():
@@ -215,6 +216,7 @@ class TestBc4FreeBuilder:
         assert not builder.try_add((1, 2, 3))
         assert builder.edges == edges
         assert builder._adj == adj
+        assert builder._bits == bits
         assert builder._pair_edges == pair_edges
 
     def test_duplicate_edge_rejected(self):
@@ -238,6 +240,7 @@ class TestBc4FreeBuilder:
                 method(triple)
         assert builder.edges == []
         assert builder._adj == [set()] * 5
+        assert builder._bits == [0] * 5
         assert builder._pair_edges == {}
 
     def test_pop_restores_state(self):
@@ -245,6 +248,50 @@ class TestBc4FreeBuilder:
         for e in ((0, 1, 2), (0, 1, 3), (2, 3, 4)):
             assert builder.try_add(e)
         before = builder.to_hypergraph()
+        bits = list(builder._bits)
         builder.add((1, 4, 5))
         builder.pop()
         assert builder.to_hypergraph() == before
+        assert builder._bits == bits
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(min_value=4, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(("try_add", "add", "pop")),
+                    st.sampled_from(list(combinations(range(n), 3))),
+                ),
+                max_size=40,
+            ),
+        )
+    ))
+    def test_lifo_steps_keep_bits_and_verdicts(self, case):
+        # try_add, add and pop interleaved and popped last-in-first-out, as in
+        # branch-and-bound; add may keep a closing edge, after which try_add
+        # verdicts no longer hold, so free[i] tracks (by the oracle alone)
+        # whether the first i + 1 kept edges are BC4-free
+        n, steps = case
+        builder = Bc4FreeBuilder(n)
+        free: list[bool] = []
+        for op, e in steps:
+            if op == "pop":
+                if builder.edges:
+                    builder.pop()
+                    free.pop()
+            elif e not in builder.edges:
+                kept = list(builder.edges)
+                closes = any(
+                    _four_edges_support_c4((e, *three)) for three in combinations(kept, 3)
+                )
+                if op == "add":
+                    builder.add(e)
+                    free.append((not free or free[-1]) and not closes)
+                else:
+                    accepted = builder.try_add(e)
+                    if not free or free[-1]:
+                        assert accepted == (not closes)
+                    if accepted:
+                        free.append(not free or free[-1])
+            assert builder._bits == [sum(1 << u for u in adj) for adj in builder._adj]

@@ -2,6 +2,10 @@ import pytest
 
 from conftest import run_cli
 
+from bergec4 import cli
+from bergec4.berge import find_berge_cycle
+from bergec4.hypergraph import MAX_VERTICES, Hypergraph
+
 K4_MINUS = "4 3\n0 1 2\n0 1 3\n0 2 3\n"
 K4_FULL = "4 4\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
 SINGLE = "3 1\n0 1 2\n"
@@ -66,6 +70,40 @@ class TestCheckCommand:
 
     def test_length_one_is_usage_error(self, k4m_file):
         assert run_cli("check", k4m_file, "--length", "1").returncode == 2
+
+    def test_length_four_decided_by_builder(self, k4m_file, k4_file, monkeypatch, capsys):
+        def no_sweep(h, length):
+            raise AssertionError("a free input must not be swept")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "find_berge_cycle", no_sweep)
+            assert cli.main(["check", k4m_file]) == 0
+        assert "result\tfree" in capsys.readouterr().out
+
+        # a cycle still gets the sweep's canonical witness
+        assert cli.main(["check", k4_file]) == 0
+        w = find_berge_cycle(Hypergraph.from_text(K4_FULL), 4)
+        out = capsys.readouterr().out
+        assert f"vertices\t{','.join(map(str, w.vertices))}\n" in out
+        assert f"edge_indices\t{','.join(map(str, w.edge_indices))}\n" in out
+
+        swept = []
+        monkeypatch.setattr(cli, "find_berge_cycle", lambda h, length: swept.append(length))
+        assert cli.main(["check", k4m_file, "--length", "5"]) == 0
+        assert swept == [5]
+
+    @pytest.mark.parametrize("command", ["check", "census"])
+    def test_huge_header_n_is_usage_error(self, tmp_path, command):
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000 0\n")
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 2
+        assert "line 1" in proc.stderr
+
+    def test_largest_header_n_accepted(self, tmp_path):
+        path = tmp_path / "largest.txt"
+        path.write_text(f"{MAX_VERTICES} 0\n")
+        assert "result\tfree" in run_cli("check", str(path), check=True).stdout
 
 
 class TestBlocksCommand:

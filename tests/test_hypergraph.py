@@ -4,6 +4,7 @@ from conftest import random_hypergraph
 from oracles import naive_count_three_paths
 
 from bergec4.hypergraph import (
+    MAX_VERTICES,
     Hypergraph,
     HypergraphError,
     ParseError,
@@ -186,6 +187,10 @@ class TestTextFormat:
             Hypergraph.from_text("")
         with pytest.raises(ParseError):
             Hypergraph.from_text("3\n")
+        with pytest.raises(ParseError, match="line 2"):
+            Hypergraph.from_text(f"# comment\n{MAX_VERTICES + 1} 0\n")
+        # the bound guards parsed input only; API callers build what they ask for
+        assert Hypergraph(MAX_VERTICES + 1, []).n == MAX_VERTICES + 1
 
     def test_digest_is_stable(self, k4_minus):
         again = Hypergraph(4, [(0, 2, 3), (0, 1, 3), (0, 1, 2)])

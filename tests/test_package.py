@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import bergec4
 
 
@@ -43,3 +45,11 @@ def test_no_unused_imports():
             if name not in used
         )
     assert found == []
+
+
+def test_distribution_metadata_matches_package():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project["name"] == "bergec4"
+    assert project["version"] == bergec4.__version__
