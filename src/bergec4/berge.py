@@ -12,7 +12,7 @@ and through it census, check, construct and verify) comes from
 Bc4FreeBuilder's pinned-edge check, which needs no cycle enumeration and no
 generic matching. The builder keeps each neighbourhood twice, as a set and
 as an int bitset: the set to iterate the first inner vertex, the bitset to
-intersect two neighbourhoods in one machine-word operation. is_bc4_free
+intersect two neighbourhoods in one big-integer AND. is_bc4_free
 skips the builder for fewer than four edges, since a Berge C4 needs four.
 """
 
@@ -248,9 +248,9 @@ class Bc4FreeBuilder:
     is cheaper than peeling bits from an int, and finds the z candidates as
     the bitset _bits[x] & _bits[w], which is usually 0 and then skips w
     without a set allocation. Dropping either representation measured
-    slower: bits alone (w peeled from _bits[y]) took is_bc4_free on the q=16
-    construction from 0.036 s to 0.063 s, and sets alone, with an isdisjoint
-    pre-test, to 0.093 s.
+    slower on a 2-vCPU VM: bits alone (w peeled from _bits[y]) took
+    is_bc4_free on the q=16 construction from 0.036 s to 0.063 s, and sets
+    alone, with an isdisjoint pre-test, to 0.093 s.
     """
 
     def __init__(self, n: int):
