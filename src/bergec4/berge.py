@@ -12,8 +12,8 @@ and through it census, check, construct and verify) comes from
 Bc4FreeBuilder's pinned-edge check, which needs no cycle enumeration and no
 generic matching. The builder keeps each neighbourhood twice, as a set and
 as an int bitset: the set to iterate the first inner vertex, the bitset to
-intersect two neighbourhoods in one big-integer AND. is_bc4_free
-skips the builder for fewer than four edges, since a Berge C4 needs four.
+intersect two neighbourhoods in one big-integer AND. The bitsets assume
+small vertex ids, which Hypergraph.from_text bounds by MAX_VERTICES.
 """
 
 from __future__ import annotations
@@ -207,13 +207,9 @@ def is_bc4_free(h: Hypergraph) -> bool:
 
     This is the incremental check of Bc4FreeBuilder: the edges are inserted
     one at a time and the first rejection decides, since a hypergraph is
-    BC4-free iff every prefix insertion is accepted. Fewer than four edges
-    are free without building anything, so a large header n with few edges
-    costs nothing. It returns no witness; find_berge_cycle(h, 4) gives the
-    canonical one.
+    BC4-free iff every prefix insertion is accepted. It returns no witness;
+    find_berge_cycle(h, 4) gives the canonical one.
     """
-    if h.edge_count < 4:
-        return True
     builder = Bc4FreeBuilder(h.n)
     return all(builder.try_add(e) for e in h.edges)
 
@@ -251,6 +247,16 @@ class Bc4FreeBuilder:
     slower on a 2-vCPU VM: bits alone (w peeled from _bits[y]) took
     is_bc4_free on the q=16 construction from 0.036 s to 0.063 s, and sets
     alone, with an isdisjoint pre-test, to 0.093 s.
+
+    The bitsets pay off for small vertex ids, not for few edges: an int
+    whose top bit is u takes about u/30 machine words, so every AND costs
+    O(n) and the bitsets take up to n^2/8 bytes, where a set intersection
+    costs O(min degree). Against sets alone, is_bc4_free on the q = 27, 49
+    and 64 constructions (n = 2,271, 7,353, 12,483) went from 1.16, 17.9
+    and 57.3 s to 0.27, 3.7 and 15.0 s; on n // 3 disjoint triples
+    (2i, 2i+1, n-1-i) it went from 0.017 s / 28 MB to 0.052 s / 52 MB peak
+    at n = 16,384 and from 0.21 s / 73 MB to 1.8 s / 967 MB at n = 100,000,
+    which is why Hypergraph.from_text refuses n above MAX_VERTICES.
     """
 
     def __init__(self, n: int):

@@ -15,11 +15,13 @@ from typing import Iterable
 Edge = tuple[int, int, int]
 Pair = tuple[int, int]
 
-# Largest header n that from_text accepts. The analysis commands build
-# per-vertex tables, so n alone sets their cost: the 10-byte input "1000000 0"
-# took census 6.8 s and 470 MB. The largest construction (construct --q 64)
-# has n = 12,483.
-MAX_VERTICES = 100_000
+# Largest header n that from_text accepts: the first power of two above the
+# largest construction (construct --q 64, n = 12,483). The analysis commands
+# build per-vertex tables, so n alone sets their cost: the 10-byte input
+# "1000000 0" took census 6.8 s and 470 MB. Bc4FreeBuilder's bitsets take up
+# to n^2/8 bytes, 32 MB here; at n = 100,000 a free 600 KB input of disjoint
+# triples made check peak at 967 MB.
+MAX_VERTICES = 16_384
 
 
 class HypergraphError(ValueError):

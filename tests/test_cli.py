@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from conftest import run_cli
+from conftest import SRC_DIR, run_cli
 
 from bergec4 import cli
 from bergec4.berge import find_berge_cycle
@@ -104,6 +108,31 @@ class TestCheckCommand:
         path = tmp_path / "largest.txt"
         path.write_text(f"{MAX_VERTICES} 0\n")
         assert "result\tfree" in run_cli("check", str(path), check=True).stdout
+
+    def test_largest_sparse_input_memory_bounded(self, tmp_path):
+        # Free disjoint triples, each with one vertex id near n: every
+        # builder bitset is about n bits wide, so its total grows like n^2.
+        n = MAX_VERTICES
+        lines = [f"{n} {n // 3}"] + [f"{2 * i} {2 * i + 1} {n - 1 - i}" for i in range(n // 3)]
+        path = tmp_path / "sparse.txt"
+        path.write_text("\n".join(lines) + "\n")
+        script = (
+            "import resource, sys\n"
+            "from bergec4 import cli\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "rc = cli.main(['check', sys.argv[1]])\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print('rss_growth_kb', after - before)\n"
+            "sys.exit(rc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "result\tfree" in proc.stdout
+        growth_kb = int(proc.stdout.rsplit("rss_growth_kb ", 1)[1])
+        assert growth_kb < 128 * 1024
 
 
 class TestBlocksCommand:
