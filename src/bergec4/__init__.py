@@ -35,11 +35,9 @@ from bergec4.blocks import (
     block_degrees,
     decompose,
     excess_degree_within,
-    full_degree_profile,
 )
 from bergec4.census import (
     CensusReport,
-    ClaimCheck,
     FourCycleRecord,
     census,
     is_good_path,
@@ -52,6 +50,7 @@ from bergec4.bounds import (
     HypothesisError,
     InequalityCheck,
     binom2,
+    check_inequality,
     edge_ratio,
     upper_bound,
     verify_chain,

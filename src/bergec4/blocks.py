@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from bergec4.hypergraph import DegreeProfile, Edge, Hypergraph, degree_profile
+from bergec4.hypergraph import Edge, Hypergraph
 
 
 class BlockType(enum.Enum):
@@ -141,14 +141,6 @@ def block_degrees(h: Hypergraph, decomposition: BlockDecomposition) -> tuple[int
         for v in block.vertex_set:
             out[v] += 1
     return tuple(out)
-
-
-def full_degree_profile(h: Hypergraph, decomposition: BlockDecomposition | None = None) -> DegreeProfile:
-    """Degree profile with the block-degree column attached."""
-    if decomposition is None:
-        decomposition = decompose(h)
-    base = degree_profile(h)
-    return DegreeProfile(base.hyper, base.shadow, base.excess, block_degrees(h, decomposition))
 
 
 def excess_degree_within(h: Hypergraph, block: Block, v: int) -> int:

@@ -42,7 +42,7 @@ class InequalityCheck:
     passed: bool
 
 
-def _check(label: str, lhs, rhs, relation: str) -> InequalityCheck:
+def check_inequality(label: str, lhs, rhs, relation: str) -> InequalityCheck:
     lhs, rhs = Fraction(lhs), Fraction(rhs)
     ok = lhs <= rhs if relation == "<=" else lhs >= rhs
     return InequalityCheck(label, lhs, rhs, relation, ok)
@@ -136,10 +136,8 @@ class EdgeBound:
         """Decimal rendering, round-to-nearest (ties, only possible for
         rational values, round half up)."""
         scale = 10**places
-        if self.is_rational():
-            return decimal_str(_round_half_up(self.as_fraction(), places), places)
-        digits = self._scaled_floor(scale * 10)
-        rounded = (digits + 5) // 10  # irrational: never exactly at half
+        # floor((floor(10*v*scale) + 5) / 10) = floor(v*scale + 1/2), exactly
+        rounded = (self._scaled_floor(10 * scale) + 5) // 10
         return decimal_str(Fraction(rounded, scale), places)
 
 
@@ -160,11 +158,6 @@ def combined_inequality_holds(n: int, m: Fraction | int) -> bool:
     """The combined inequality, via the expanded quadratic (exact)."""
     m = Fraction(m)
     return 10 * m * m <= 25 * n * m + Fraction(n * n * (n - 1))
-
-
-def _round_half_up(x: Fraction, places: int) -> Fraction:
-    scale = 10**places
-    return Fraction((x * scale * 2 + 1) // 2, scale)
 
 
 def decimal_str(x: Fraction, places: int | None = None) -> str:
@@ -262,19 +255,19 @@ def verify_chain(h: Hypergraph) -> BoundReport:
 
     Refuses (HypothesisError) when the input has an isolated vertex or
     contains a Berge C4; the chain is only claimed under those hypotheses.
+    The isolated-vertex message names at most ten ids.
     The BC4 verdict comes from is_bc4_free (the builder's pinned-edge
     check); only a refused input pays for find_berge_cycle(h, 4), which
     supplies the canonical witness carried by the error.
     """
     if h.n < 3:
         raise ValueError(f"chain verification requires n >= 3, got {h.n}")
-    profile = degree_profile(h)
-    isolated = [v for v in range(h.n) if profile.hyper[v] == 0]
+    isolated = h.isolated_vertices()
     if isolated:
-        raise HypothesisError(
-            "isolated_vertices",
-            f"hypergraph has isolated vertices {isolated}",
-        )
+        # name at most ten ids, so the refusal stays small on any input
+        many = len(isolated) > 10
+        what = f"{len(isolated)} isolated vertices, the first 10" if many else "isolated vertices"
+        raise HypothesisError("isolated_vertices", f"hypergraph has {what} {list(isolated[:10])}")
     if not is_bc4_free(h):
         witness = find_berge_cycle(h, 4)
         raise HypothesisError(
@@ -283,25 +276,22 @@ def verify_chain(h: Hypergraph) -> BoundReport:
             witness,
         )
     n, m = h.n, h.edge_count
+    profile = degree_profile(h)
     db = block_degrees(h, decompose(h))
     three_paths = sum(binom2(d) for d in profile.shadow)
     db_binom = sum(binom2(d) for d in db)
-    report = BoundReport(
+    return BoundReport(
         n=n,
         edge_count=m,
-        three_path_bound=_check(
+        three_path_bound=check_inequality(
             "three_path_bound", three_paths, 2 * binom2(n) - 4 * db_binom + 21 * m, "<="
         ),
-        excess_total=_check("excess_total", sum(profile.excess), m, ">="),
-        block_total=_check("block_total", sum(db), m, ">="),
-        jensen_shadow=_check("jensen_shadow", n * binom2(Fraction(4 * m, n)), three_paths, "<="),
-        jensen_block=_check("jensen_block", n * binom2(Fraction(m, n)), db_binom, "<="),
-        combined=_check(
-            "combined",
-            n * binom2(Fraction(4 * m, n)) + 4 * n * binom2(Fraction(m, n)),
-            2 * binom2(n) + 21 * m,
-            "<=",
+        excess_total=check_inequality("excess_total", sum(profile.excess), m, ">="),
+        block_total=check_inequality("block_total", sum(db), m, ">="),
+        jensen_shadow=check_inequality(
+            "jensen_shadow", n * binom2(Fraction(4 * m, n)), three_paths, "<="
         ),
+        jensen_block=check_inequality("jensen_block", n * binom2(Fraction(m, n)), db_binom, "<="),
+        combined=check_inequality("combined", *combined_inequality_sides(n, m), "<="),
         upper_bound_n=EdgeBound(n),
     )
-    return report

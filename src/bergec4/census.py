@@ -19,6 +19,7 @@ from itertools import combinations
 
 from bergec4.berge import _canonical_walks, is_bc4_free
 from bergec4.blocks import block_degrees, decompose
+from bergec4.bounds import InequalityCheck, check_inequality
 from bergec4.hypergraph import (
     Hypergraph,
     ShadowGraph,
@@ -32,27 +33,19 @@ _SCOPES = ("induced", "global")
 
 @dataclass(frozen=True)
 class FourCycleRecord:
-    """One shadow 4-cycle in canonical cyclic order, with its hyperedge data."""
+    """One rare shadow 4-cycle in canonical cyclic order, with its representative edges."""
 
     vertices: tuple[int, int, int, int]
     representative_edges: tuple[int, ...]
-    rare: bool
-
-
-@dataclass(frozen=True)
-class ClaimCheck:
-    label: str
-    lhs: int
-    rhs: int
-    passed: bool
 
 
 @dataclass(frozen=True)
 class CensusReport:
     """Counts and witnesses for the 3-path / 4-cycle census of one hypergraph.
 
-    bc4_free is is_bc4_free(h). Claim checks are computed on every
-    input; their pass flags are only meaningful when bc4_free is True.
+    bc4_free is is_bc4_free(h). The four claims are "<=" InequalityChecks
+    built by check_inequality, as in verify_chain; they are computed on every
+    input, and their pass flags are only meaningful when bc4_free is True.
     rare_cycles are ordered by (v0, v1, v3, v2) of their canonical vertices.
     """
 
@@ -68,12 +61,12 @@ class CensusReport:
     rare_cycles: tuple[FourCycleRecord, ...]
     bc4_free: bool
     diagonal_scope: str
-    per_pair_bound: ClaimCheck
-    rare_bound: ClaimCheck
-    good_bound: ClaimCheck
-    nongood_bound: ClaimCheck
+    per_pair_bound: InequalityCheck
+    rare_bound: InequalityCheck
+    good_bound: InequalityCheck
+    nongood_bound: InequalityCheck
 
-    def claims(self) -> tuple[ClaimCheck, ...]:
+    def claims(self) -> tuple[InequalityCheck, ...]:
         return (self.per_pair_bound, self.rare_bound, self.good_bound, self.nongood_bound)
 
 
@@ -149,11 +142,11 @@ def is_good_path(h: Hypergraph, x1: int, x2: int, x3: int, diagonal_scope: str =
 
 
 def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
-    """Full 3-path and 4-cycle census with the four claim checks.
+    """Full 3-path and 4-cycle census with the four claims as InequalityChecks.
 
     3-paths are enumerated once each (unordered), 4-cycles once each up to
-    rotation and reflection; the 3-path total is cross-checked against the
-    middle-vertex degree identity.
+    rotation and reflection, recording only the rare ones; the 3-path total
+    is cross-checked against the middle-vertex degree identity.
     """
     _require_scope(diagonal_scope)
     g = shadow(h)
@@ -176,7 +169,7 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
         k = len(reps)
         rep_histogram[k] = rep_histogram.get(k, 0) + 1
         if _rare(h, cycle, reps, p2e, diagonal_scope):
-            rare_records.append(FourCycleRecord(cycle, reps, True))
+            rare_records.append(FourCycleRecord(cycle, reps))
             a, b, c, d = cycle
             for x1, x2, x3 in ((a, b, c), (b, c, d), (c, d, a), (d, a, b)):
                 rare_paths.add((min(x1, x3), x2, max(x1, x3)))
@@ -226,8 +219,8 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
         rare_cycles=tuple(rare_records),
         bc4_free=free,
         diagonal_scope=diagonal_scope,
-        per_pair_bound=ClaimCheck("good_paths_per_pair", max_per_pair, 2, max_per_pair <= 2),
-        rare_bound=ClaimCheck("rare_cycles", rare_count, 6 * m, rare_count <= 6 * m),
-        good_bound=ClaimCheck("good_paths_total", good, good_rhs, good <= good_rhs),
-        nongood_bound=ClaimCheck("nongood_paths", nongood, 21 * m, nongood <= 21 * m),
+        per_pair_bound=check_inequality("good_paths_per_pair", max_per_pair, 2, "<="),
+        rare_bound=check_inequality("rare_cycles", rare_count, 6 * m, "<="),
+        good_bound=check_inequality("good_paths_total", good, good_rhs, "<="),
+        nongood_bound=check_inequality("nongood_paths", nongood, 21 * m, "<="),
     )

@@ -18,7 +18,7 @@ from bergec4.blocks import block_degrees, decompose
 from bergec4.bounds import HypothesisError, verify_chain
 from bergec4.census import census
 from bergec4.construct import lower_bound_construction, random_bc4free
-from bergec4.hypergraph import Hypergraph, ParseError, degree_profile, shadow
+from bergec4.hypergraph import Hypergraph, degree_profile, shadow
 from bergec4.search import ex_table, format_ex_table
 
 SCHEMA = "bergec4.report.v1"
@@ -141,10 +141,10 @@ def cmd_census(args) -> int:
 
 def cmd_verify(args) -> int:
     h = _load(args.input)
+    lines = _header("verify", h.digest())
     try:
         report = verify_chain(h)
     except HypothesisError as exc:
-        lines = _header("verify", h.digest())
         lines.append(f"refusal\t{exc.reason}")
         if exc.witness is not None:
             lines.extend(_witness_lines(h, exc.witness))
@@ -152,7 +152,6 @@ def cmd_verify(args) -> int:
             lines.append(f"detail\t{exc}")
         print("\n".join(lines))
         return EXIT_REFUSED
-    lines = _header("verify", h.digest())
     lines.append(f"n\t{report.n}")
     lines.append(f"edge_count\t{report.edge_count}")
     for c in report.checks():
@@ -243,10 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

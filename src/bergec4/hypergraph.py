@@ -232,16 +232,15 @@ class ShadowGraph:
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """Per-vertex degrees: hyperedge, shadow, excess, and optionally block.
+    """Per-vertex degrees: hyperedge, shadow and excess.
 
-    excess[v] = shadow[v] - hyper[v]; block is None until a block
-    decomposition is attached.
+    excess[v] = shadow[v] - hyper[v]. Block degrees have one route of their
+    own, blocks.block_degrees(h, blocks.decompose(h)).
     """
 
     hyper: tuple[int, ...]
     shadow: tuple[int, ...]
     excess: tuple[int, ...]
-    block: tuple[int, ...] | None = None
 
 
 def shadow(h: Hypergraph) -> ShadowGraph:

@@ -10,9 +10,8 @@ from bergec4.blocks import (
     block_degrees,
     decompose,
     excess_degree_within,
-    full_degree_profile,
 )
-from bergec4.hypergraph import Hypergraph
+from bergec4.hypergraph import Hypergraph, degree_profile
 
 
 class TestDecompose:
@@ -135,9 +134,8 @@ class TestBlockDegrees:
             assert sum(block_degrees(h, d)) == sum(b.vertex_count for b in d.blocks)
 
     def test_full_profile_attaches_block_column(self, k4_minus):
-        p = full_degree_profile(k4_minus)
-        assert p.block == (1, 1, 1, 1)
-        assert p.excess == (0, 1, 1, 1)
+        assert block_degrees(k4_minus, decompose(k4_minus)) == (1, 1, 1, 1)
+        assert degree_profile(k4_minus).excess == (0, 1, 1, 1)
 
 
 class TestExcessWithin:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import floor, isqrt
 
 import pytest
 
@@ -79,6 +80,26 @@ class TestUpperBound:
             want = float(upper_bound(n))
             got = float(upper_bound(n).decimal(6))
             assert abs(want - got) < 1e-5
+
+    def test_decimal_ties_round_half_up(self):
+        # rational bounds can sit exactly half way between two renderings;
+        # compare with round-half-up of the exact value, formatted here
+        ties = 0
+        for n in range(3, 20_001):
+            s = isqrt(40 * n + 585)
+            if s * s != 40 * n + 585:
+                continue
+            value = Fraction(n * (25 + s), 20)
+            for places in range(4):
+                scale = 10**places
+                scaled = value * scale
+                ties += scaled.denominator == 2
+                q = floor(scaled + Fraction(1, 2))
+                want = str(q // scale) + (f".{q % scale:0{places}d}" if places else "")
+                assert upper_bound(n).decimal(places) == want, (n, places)
+        assert ties == 21
+        assert upper_bound(91).as_fraction() == Fraction(819, 2)
+        assert upper_bound(91).decimal(0) == "410"
 
     def test_strictly_monotone(self):
         # consecutive bounds differ by more than 1, so coarse enclosures decide
@@ -190,6 +211,15 @@ class TestVerifyChain:
         with pytest.raises(HypothesisError) as info:
             verify_chain(Hypergraph(5, [(0, 1, 2)]))
         assert info.value.reason == "isolated_vertices"
+
+    def test_refusals_skip_degree_profile(self, k4_full, monkeypatch):
+        def no_profile(h):
+            raise AssertionError("degree_profile built for a refused input")
+
+        monkeypatch.setattr(bounds, "degree_profile", no_profile)
+        for h in (k4_full, Hypergraph(5, [(0, 1, 2)])):
+            with pytest.raises(HypothesisError):
+                verify_chain(h)
 
     def test_passes_on_generated_instances(self):
         for seed in range(15):

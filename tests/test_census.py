@@ -10,8 +10,8 @@ from oracles import (
 )
 
 from bergec4.berge import is_bc4_free
+from bergec4.bounds import InequalityCheck
 from bergec4.census import (
-    ClaimCheck,
     census,
     is_good_path,
     is_rare_cycle,
@@ -176,7 +176,7 @@ class TestCensus:
         assert rep.representative_histogram == {4: 3}
 
 
-def _claim(c: ClaimCheck) -> tuple[int, int, bool]:
+def _claim(c: InequalityCheck) -> tuple[int, int, bool]:
     return c.lhs, c.rhs, c.passed
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from conftest import SRC_DIR, run_cli
 
 from bergec4 import cli
 from bergec4.berge import find_berge_cycle
+from bergec4.construct import lower_bound_construction
 from bergec4.hypergraph import MAX_VERTICES, Hypergraph
 
 K4_MINUS = "4 3\n0 1 2\n0 1 3\n0 2 3\n"
@@ -203,6 +205,24 @@ class TestVerifyCommand:
         assert proc.returncode == 3
         assert "refusal\tisolated_vertices" in proc.stdout
 
+    def test_few_isolated_vertices_all_named(self, tmp_path, capsys):
+        path = tmp_path / "iso.txt"
+        path.write_text("5 1\n0 1 2\n")
+        assert cli.main(["verify", str(path)]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "detail\thypergraph has isolated vertices [3, 4]"
+
+    def test_many_isolated_vertices_refusal_bounded(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text(f"{MAX_VERTICES} 0\n")
+        assert cli.main(["verify", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 1024
+        assert out.splitlines()[-1] == (
+            f"detail\thypergraph has {MAX_VERTICES} isolated vertices,"
+            " the first 10 [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]"
+        )
+
 
 class TestGeneratorCommands:
     def test_construct_q2(self):
@@ -290,3 +310,29 @@ class TestDeterminism:
         c = run_cli("random", "--n", "10", "--m", "8", "--seed", "5", check=True).stdout
         d = run_cli("random", "--n", "10", "--m", "8", "--seed", "5", check=True).stdout
         assert c == d
+
+
+# sha256 of stdout and the exit code, recorded before the census claims
+# became InequalityChecks; any byte change to these reports fails here
+PINNED_REPORTS = [
+    ("q7", ("census",), 0, "a891679158c5f6311881203b856e38dd08b243dbb3d8601ebe5688aa9a6bc9de"),
+    ("q7", ("census", "--diagonal-scope", "global"), 0, "9b0840c015399408a3d976734298413716e1dcfa81b93865c9b94cb93ab4ba7f"),
+    ("q7", ("verify",), 0, "5941fd01d7c441b397ab0fd1c67b90823fd05d804596169a61243f1c1617580e"),
+    ("q7", ("blocks",), 0, "e943a7d06e405a51956cbf60a6e12444de76ee4106bbedb153b3b53833b57483"),
+    ("q7", ("shadow",), 0, "196a6fd01942bb7c0f91cb63338353aa008ef458fcbcb04e1f6b85e4b0a872f3"),
+    ("k4_minus", ("census",), 0, "add2ca1caaf3170db0d214245e18beb88f592b12140e6071ce27ad1beb04b2d3"),
+    ("k4_minus", ("census", "--diagonal-scope", "global"), 0, "abb537a92b56c60b7df5183a9ad3f38e6fcbb1feb94094b3cdcf6a550eac1190"),
+    ("k4_minus", ("verify",), 0, "2d3df8551465e7c1eed83051379d393b44f7338320716e4c12702ae3eb386553"),
+    ("k4_minus", ("blocks",), 0, "61c96b6a48b5b0753aa62965718fb056bdc2671dc7d9c2cc2f7f6f7e5b9c10f9"),
+    ("k4_minus", ("shadow",), 0, "cbc0a1c7d092a5c6a10fa97cc2fc7ede9fc8d5b4d62d4eba8a237c87d3078b40"),
+    ("k4_full", ("verify",), 3, "7e3a6f0da61fdbc52d24f3613eba6822679948f297a974000dda7b60f19c1cdb"),
+]
+
+
+@pytest.mark.parametrize("name, command, code, digest", PINNED_REPORTS)
+def test_report_bytes_pinned(tmp_path, capsys, name, command, code, digest):
+    texts = {"q7": lower_bound_construction(7).to_text(), "k4_minus": K4_MINUS, "k4_full": K4_FULL}
+    path = tmp_path / f"{name}.txt"
+    path.write_text(texts[name])
+    assert cli.main([command[0], str(path), *command[1:]]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -92,7 +92,6 @@ class TestDegrees:
         assert p.hyper == (1, 1, 1)
         assert p.shadow == (2, 2, 2)
         assert p.excess == (1, 1, 1)
-        assert p.block is None
 
     def test_k4_minus(self, k4_minus):
         p = degree_profile(k4_minus)

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,34 @@ def test_no_unused_imports():
             for name, line in _imported_names(tree).items()
             if name not in used
         )
+    assert found == []
+
+
+def _referenced_names(node: ast.AST) -> list[str]:
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.append(sub.name)
+    return names
+
+
+def test_no_dead_private_helpers():
+    # a module-level _helper must be used somewhere outside its own body
+    package = Path(bergec4.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
+    uses = Counter(name for tree in trees for name in _referenced_names(tree))
+    found = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and uses[node.name] == _referenced_names(node).count(node.name)
+    ]
     assert found == []
 
 
