@@ -10,12 +10,13 @@ exactly as a quadratic surd.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 from fractions import Fraction
-from math import isqrt
+from math import isfinite, isqrt
 
 from bergec4.berge import BergeCycleWitness, find_berge_cycle, is_bc4_free
 from bergec4.blocks import block_degrees, decompose
-from bergec4.hypergraph import Hypergraph, degree_profile
+from bergec4.hypergraph import Hypergraph, count_three_paths, degree_profile, shadow
 
 
 class HypothesisError(ValueError):
@@ -48,12 +49,14 @@ def check_inequality(label: str, lhs, rhs, relation: str) -> InequalityCheck:
     return InequalityCheck(label, lhs, rhs, relation, ok)
 
 
+@total_ordering
 class EdgeBound:
     """Largest E with n*C(4E/n,2) + 4n*C(E/n,2) <= 2*C(n,2) + 21E, kept exact.
 
     The value is n(25 + sqrt(D))/20 with D = 40n + 585. Comparisons against
-    rationals, the integer floor, and decimal rendering all go through integer
-    square roots, so no floating point is involved.
+    rationals, the integer floor, the enclosure and decimal rendering all go
+    through _scaled_floor (floor(value * s) by an integer square root), so no
+    floating point is involved.
     """
 
     __slots__ = ("n", "discriminant")
@@ -78,37 +81,23 @@ class EdgeBound:
     def compare(self, other: Fraction | int) -> int:
         """Sign of (self - other): -1, 0, or +1, exactly."""
         q = Fraction(other)
-        # self >= q  <=>  sqrt(D) >= 20q/n - 25
-        rhs = 20 * q / self.n - 25
-        if rhs <= 0:
-            return 1  # sqrt(D) > 0 >= rhs, and equality is impossible there
-        lhs_sq = self.discriminant * rhs.denominator**2
-        rhs_sq = rhs.numerator**2
-        if lhs_sq > rhs_sq:
-            return 1
-        if lhs_sq < rhs_sq:
-            return -1
-        return 0
+        # low = floor(value * b) for q = a/b; value * b lies in [low, low + 1)
+        low = self._scaled_floor(q.denominator)
+        if low != q.numerator:
+            return 1 if low > q.numerator else -1
+        return 0 if self.is_rational() and self.as_fraction() == q else 1
 
     def __float__(self) -> float:
         return self.n * (25 + self.discriminant**0.5) / 20
 
-    def __le__(self, other) -> bool:
-        return self.compare(other) <= 0
-
     def __lt__(self, other) -> bool:
         return self.compare(other) < 0
-
-    def __ge__(self, other) -> bool:
-        return self.compare(other) >= 0
-
-    def __gt__(self, other) -> bool:
-        return self.compare(other) > 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EdgeBound):
             return self.n == other.n
-        if isinstance(other, (int, Fraction)):
+        # finite floats too: total_ordering derives <= and > through ==
+        if isinstance(other, (int, Fraction)) or isinstance(other, float) and isfinite(other):
             return self.compare(other) == 0
         return NotImplemented
 
@@ -168,17 +157,10 @@ def decimal_str(x: Fraction, places: int | None = None) -> str:
     sign = "-" if x < 0 else ""
     x = abs(x)
     den = x.denominator
-    k = 0
-    while den % 2 == 0:
-        den //= 2
-        k += 1
-    j = 0
-    while den % 5 == 0:
-        den //= 5
-        j += 1
-    if den != 1:
+    # 2^k * 5^j divides 10^max(k, j), and max(k, j) is below its bit length
+    digits = next((d for d in range(den.bit_length()) if 10**d % den == 0), None)
+    if digits is None:
         raise ValueError(f"{x} has no finite decimal expansion")
-    digits = max(k, j)
     if places is not None:
         if places < digits:
             raise ValueError(f"{x} needs {digits} decimal places, got {places}")
@@ -195,8 +177,9 @@ def decimal_str(x: Fraction, places: int | None = None) -> str:
 def edge_ratio(n: int, m: int) -> Fraction:
     """m / n^(3/2) rounded to nearest at 12 significant digits (ties round up).
 
-    Exact: the value is sqrt(m^2 n)/n^2 and all rounding goes through integer
-    square roots.
+    Exact: the value is sqrt(m^2 n)/n^2, its decimal exponent is found by
+    integer comparisons (exact for any n >= 1 and m >= 0), and the rounding
+    goes through an integer square root.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -204,22 +187,18 @@ def edge_ratio(n: int, m: int) -> Fraction:
         raise ValueError(f"m must be >= 0, got {m}")
     if m == 0:
         return Fraction(0)
-    big = m * m * n
-    # leading decimal exponent via a generous fixed-point probe
-    probe_places = 30
-    probe = isqrt(big * 10 ** (2 * probe_places)) // (n * n)
-    exponent = len(str(probe)) - 1 - probe_places
-    shift = exponent - 11  # 12 significant digits
-    if shift <= 0:
-        a = big * 10 ** (-2 * shift)
-        b = n * n
-    else:
-        a = big
-        b = n * n * 10**shift
-    mantissa = (isqrt(4 * a) + b) // (2 * b)  # round half up on sqrt(a)/b
-    if shift <= 0:
-        return Fraction(mantissa, 10 ** (-shift))
-    return Fraction(mantissa * 10**shift)
+    # decimal exponent k of a/b = m^2/n^3 = value^2: 10^k <= a/b < 10^(k+1)
+    a, b = m * m, n**3
+    k = (a.bit_length() - b.bit_length()) * 30103 // 100000  # log10(2) ~ 0.30103
+    while a * 10 ** max(-k, 0) < b * 10 ** max(k, 0):
+        k -= 1
+    while a * 10 ** max(-k - 1, 0) >= b * 10 ** max(k + 1, 0):
+        k += 1
+    shift = k // 2 - 11  # 12 significant digits
+    up, down = 10 ** max(-shift, 0), n * n * 10 ** max(shift, 0)
+    # round half up on sqrt(m^2 n) * up / down
+    mantissa = (isqrt(4 * m * m * n * up * up) + down) // (2 * down)
+    return mantissa * Fraction(10) ** shift
 
 
 @dataclass(frozen=True)
@@ -278,7 +257,7 @@ def verify_chain(h: Hypergraph) -> BoundReport:
     n, m = h.n, h.edge_count
     profile = degree_profile(h)
     db = block_degrees(h, decompose(h))
-    three_paths = sum(binom2(d) for d in profile.shadow)
+    three_paths = count_three_paths(shadow(h))
     db_binom = sum(binom2(d) for d in db)
     return BoundReport(
         n=n,

@@ -101,6 +101,35 @@ class TestUpperBound:
         assert upper_bound(91).as_fraction() == Fraction(819, 2)
         assert upper_bound(91).decimal(0) == "410"
 
+    def test_ordering_at_rational_bounds(self):
+        # compare's equality branch: value * b == a only for a rational bound
+        rational = 0
+        eps = Fraction(1, 10**15)
+        for n in range(3, 20_001):
+            bound = upper_bound(n)
+            if not bound.is_rational():
+                continue
+            rational += 1
+            f = bound.as_fraction()
+            assert bound == f and not bound < f, n
+            assert bound < f + eps and bound > f - eps, n
+        assert rational == 86
+
+    def test_ordering_matches_expanded_quadratic(self):
+        # bound >= m exactly when m satisfies the combined inequality (m >= 0)
+        for n in range(3, 2_001):
+            bound = upper_bound(n)
+            f = bound.floor()
+            for m in (f, f + 1, *bound.enclosure(12)):
+                assert (bound >= m) == combined_inequality_holds(n, m), (n, m)
+
+    def test_float_ordering_at_rational_bound(self):
+        bound = upper_bound(16)  # exactly 48
+        assert bound == 48.0 and bound <= 48.0 and bound >= 48.0
+        assert not bound < 48.0 and not bound > 48.0
+        assert 48.0 <= bound and not 48.0 < bound
+        assert bound != float("nan") and not bound == float("inf")
+
     def test_strictly_monotone(self):
         # consecutive bounds differ by more than 1, so coarse enclosures decide
         prev_hi = None
@@ -147,6 +176,19 @@ class TestEdgeRatio:
         r = edge_ratio(3, 1)  # 1/sqrt(27) = 0.19245008972987...
         assert r == Fraction(19245008973, 10**11)
 
+    def test_half_way_tie_rounds_up(self):
+        # 1234567890125 / 10^6 = 1234567.890125 exactly, 13 significant digits
+        assert edge_ratio(10**4, 1234567890125) == Fraction(123456789013, 10**5)
+
+    def test_rounds_above_twelve_digits(self):
+        # value 12345678901250 has 14 digits, so the last two are rounded away
+        assert edge_ratio(1, 12345678901250) == 12345678901300
+
+    def test_tiny_values_keep_twelve_digits(self):
+        # 1/sqrt(10^63) = 3.16227766016837...e-32
+        assert edge_ratio(10**21, 1) == Fraction(316227766017, 10**43)
+        assert edge_ratio(10**20, 1) == Fraction(1, 10**30)
+
 
 class TestDecimalStr:
     def test_plain(self):
@@ -162,6 +204,18 @@ class TestDecimalStr:
     def test_rejects_non_decimal(self):
         with pytest.raises(ValueError):
             decimal_str(Fraction(1, 3))
+
+    def test_too_few_places(self):
+        with pytest.raises(ValueError, match="^3/8 needs 3 decimal places, got 1$"):
+            decimal_str(Fraction(3, 8), 1)
+
+    def test_long_power_denominators(self):
+        assert decimal_str(Fraction(1, 2**40)) == f"0.{5**40:040d}"
+        assert decimal_str(Fraction(1, 5**17)) == f"0.{2**17:017d}"
+
+    def test_rejects_mixed_denominator(self):
+        with pytest.raises(ValueError, match="no finite decimal expansion"):
+            decimal_str(Fraction(1, 3 * 2**10))
 
 
 class TestJensenSteps:

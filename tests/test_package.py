@@ -76,6 +76,44 @@ def test_no_dead_private_helpers():
     assert found == []
 
 
+FLOAT_CALLS = {"float", "round"}
+FLOAT_MATH = {"sqrt", "log", "log2", "log10", "exp"}
+
+
+def _float_arithmetic(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Constant) and isinstance(node.value, float):
+        return f"float literal {node.value!r}"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in FLOAT_CALLS:
+        return f"call to {node.func.id}"
+    name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+    if name in FLOAT_MATH:
+        return f"float math {name}"
+    return None
+
+
+def test_exact_arithmetic_only():
+    # every number the package reports is exact; EdgeBound.__float__ is the one
+    # deliberate conversion to floating point
+    package = Path(bergec4.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(sub)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "EdgeBound"
+            for method in cls.body
+            if isinstance(method, ast.FunctionDef) and method.name == "__float__"
+            for sub in ast.walk(method)
+        }
+        found.extend(
+            f"{path.name}:{node.lineno} {what}"
+            for node in ast.walk(tree)
+            if id(node) not in allowed and (what := _float_arithmetic(node))
+        )
+    assert found == []
+
+
 def test_distribution_metadata_matches_package():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).parent.parent / "pyproject.toml"
