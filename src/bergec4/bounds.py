@@ -102,7 +102,8 @@ class EdgeBound:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("EdgeBound", self.n))
+        # equal numbers hash alike: a rational bound hashes as its value
+        return hash(self.as_fraction()) if self.is_rational() else hash(("EdgeBound", self.n))
 
     def __repr__(self) -> str:
         return f"EdgeBound(n={self.n}, value={self.n}*(25+sqrt({self.discriminant}))/20)"

@@ -8,14 +8,44 @@ hyperedges may reach outside the cycle is available behind diagonal_scope
 good when its vertex set is not a hyperedge and no vertex x closes a rare
 4-cycle x,x1,x2,x3.
 
-The census sweeps the shadow 4-cycles once; the BC4 verdict comes from
-is_bc4_free, the package's one production detector.
+The census counts rather than walks. Write c(x, z) = |N(x) & N(z)| for the
+shadow codegree, S for the vertex set of a 4-cycle and k for its number of
+representative edges; those are the hyperedges inside S, so k depends on S
+alone.
+
+- Codegree count. The 3-paths with ends x < z are the c(x, z) middles, so
+  the shadow has (1/2) sum C(c(x, z), 2) 4-cycles, each met once from either
+  diagonal. |p2e[xz]| of those middles close a hyperedge; the others are good
+  unless the path lies on a rare cycle.
+- Shared-pair histogram. Two 3-subsets of a 4-set share exactly one pair, so
+  an S holding the hyperedges {x,y,c} and {x,y,d} spans K4 or K4 minus cd in
+  the shadow: 1 + 2[c ~ d] cycles, all with the same k >= 2. The pair loop
+  meets S once per two of its edges and counts it from its two lowest-index
+  edges.
+- Rare classes. A cycle's diagonals are a perfect matching of S. With k = 2
+  the diagonal {x, y} is covered twice, so only the other two cycles of a
+  K4 set can be rare. With k >= 3 every perfect matching holds a pair
+  covered twice, so no cycle is rare. A cycle with k = 1 is rare in the
+  induced scope and checked in the global one.
+- One-representative cycles. sum_k k hist[k] = sum over edges e of
+  sum_{xy in e} (c(x, y) - 1): a fourth vertex next to two vertices of e
+  closes one cycle on e, one next to all three closes three. Less the cycles
+  of e's sets with k >= 2, that is e's count of k = 1 cycles, and only edges
+  with a positive count are searched for them.
+- hist[0] = four_cycles - sum_{k >= 1} hist[k]. A cycle without
+  representatives is a Berge C4, so this is 0 on free inputs. Only when it is
+  positive does the census walk the 4-cycles, to list the unrepresented ones.
+
+The BC4 verdict comes from is_bc4_free, the package's one production detector.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import mul
 
 from bergec4.berge import _canonical_walks, is_bc4_free
 from bergec4.blocks import block_degrees, decompose
@@ -86,20 +116,26 @@ def _validate_cycle(g: ShadowGraph, cycle: tuple[int, int, int, int]) -> None:
             raise ValueError(f"{cycle} is not a 4-cycle of the shadow")
 
 
+def _representatives(h: Hypergraph, quad: tuple[int, int, int, int]) -> tuple[int, ...]:
+    """Indices of the hyperedges inside the sorted 4-set quad, ascending."""
+    # h.edges is sorted, so bisection finds each present triple's index
+    return tuple(bisect_left(h.edges, t) for t in combinations(quad, 3) if t in h.edge_set)
+
+
 def representative_edges(h: Hypergraph, cycle: tuple[int, int, int, int]) -> tuple[int, ...]:
     """Indices of hyperedges whose three vertices all lie on the cycle."""
     _validate_cycle(shadow(h), cycle)
-    on_cycle = set(cycle)
-    return tuple(i for i, e in enumerate(h.edges) if on_cycle.issuperset(e))
+    return _representatives(h, tuple(sorted(cycle)))
 
 
 def _rare(
     h: Hypergraph,
-    cycle: tuple[int, int, int, int],
+    cycle: tuple[int, ...],
     reps: tuple[int, ...],
-    p2e: dict[tuple[int, int], list[int]],
+    p2e: dict[tuple[int, int], list[int]] | None,
     scope: str,
 ) -> bool:
+    """p2e is read only by the global scope and may be None for the induced one."""
     diagonals = (
         (min(cycle[0], cycle[2]), max(cycle[0], cycle[2])),
         (min(cycle[1], cycle[3]), max(cycle[1], cycle[3])),
@@ -117,7 +153,8 @@ def _rare(
 def is_rare_cycle(h: Hypergraph, cycle: tuple[int, int, int, int], diagonal_scope: str = "induced") -> bool:
     """True iff no two hyperedges (per the scope) share a diagonal pair of the cycle."""
     _require_scope(diagonal_scope)
-    return _rare(h, cycle, representative_edges(h, cycle), pair_to_edges(h), diagonal_scope)
+    p2e = pair_to_edges(h) if diagonal_scope == "global" else None
+    return _rare(h, cycle, representative_edges(h, cycle), p2e, diagonal_scope)
 
 
 def is_good_path(h: Hypergraph, x1: int, x2: int, x3: int, diagonal_scope: str = "induced") -> bool:
@@ -131,49 +168,137 @@ def is_good_path(h: Hypergraph, x1: int, x2: int, x3: int, diagonal_scope: str =
         raise ValueError(f"({x1}, {x2}, {x3}) is not a 3-path of the shadow")
     if tuple(sorted((x1, x2, x3))) in h.edge_set:
         return False
-    p2e = pair_to_edges(h)
+    p2e = pair_to_edges(h) if diagonal_scope == "global" else None
     for x in sorted(g.adj[x1] & g.adj[x3]):
         if x in (x1, x2, x3):
             continue
         cycle = (x, x1, x2, x3)
-        if _rare(h, cycle, representative_edges(h, cycle), p2e, diagonal_scope):
+        if _rare(h, cycle, _representatives(h, tuple(sorted(cycle))), p2e, diagonal_scope):
             return False
     return True
+
+
+def _cycles_on(
+    adj: tuple[frozenset[int], ...], quad: tuple[int, int, int, int]
+) -> list[tuple[int, int, int, int]]:
+    """The shadow 4-cycles on the sorted 4-set quad, canonical (v0 least, v1 < v3)."""
+    v0, rest = quad[0], quad[1:]
+    cycles = []
+    for v2 in rest:
+        v1, v3 = (v for v in rest if v != v2)
+        if v1 in adj[v0] and v2 in adj[v1] and v3 in adj[v2] and v0 in adj[v3]:
+            cycles.append((v0, v1, v2, v3))
+    return cycles
+
+
+def _codegree_pass(
+    g: ShadowGraph, p2e: dict[tuple[int, int], list[int]], m: int
+) -> tuple[dict[tuple[int, int], int], list[int], int, int]:
+    """Per pair x < z, the middles c(x, z) that close no hyperedge, where positive.
+
+    Also returns, per edge index, the number of 4-cycles it represents, the
+    3-path total sum c(x, z) and the 4-cycle count. Codegrees are counted one
+    low end x at a time, so only pairs with a positive count enter the dict:
+    one that also held the others would outgrow its hash table on the q = 32
+    construction.
+    """
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    open_middles: dict[tuple[int, int], int] = {}
+    through = [0] * m  # per edge e: sum over pairs xy in e of c(x, y) - 1
+    total = 0
+    squares = 0
+    for x in range(g.n):
+        codeg: Counter[int] = Counter()
+        for y in nbrs[x]:
+            ny = nbrs[y]
+            codeg.update(ny[bisect_right(ny, x) :])
+        counts = codeg.values()
+        total += sum(counts)
+        squares += sum(map(mul, counts, counts))
+        nx = nbrs[x]
+        for z in nx[bisect_right(nx, x) :]:
+            on_pair = p2e[(x, z)]
+            c = codeg[z]
+            for i in on_pair:
+                through[i] += c - 1
+            if c == len(on_pair):
+                del codeg[z]
+            else:
+                codeg[z] = c - len(on_pair)
+        open_middles.update(zip(zip(repeat(x), codeg), counts))
+    return open_middles, through, total, (squares - total) // 4
+
+
+def _represented_sets(
+    h: Hypergraph, adj: tuple[frozenset[int], ...], p2e: dict[tuple[int, int], list[int]], through: list[int]
+) -> tuple[Counter[int], list[tuple[tuple[int, int, int, int], tuple[int, ...]]]]:
+    """The histogram for k >= 1, and the 4-sets whose cycles may be rare, with their edges."""
+    edges = h.edges
+    histogram: Counter[int] = Counter()
+    inside = [0] * len(edges)  # per edge: cycles on its 4-sets holding two or more edges
+    candidates = []
+    for (x, y), on_pair in p2e.items():
+        if len(on_pair) < 2:
+            continue
+        thirds = [sum(edges[i]) - x - y for i in on_pair]
+        for (i, c), (j, d) in combinations(zip(on_pair, thirds), 2):
+            if d not in adj[c]:
+                # K4 minus cd: one cycle, its diagonal {x, y} covered twice
+                histogram[2] += 1
+                inside[i] += 1
+                inside[j] += 1
+                continue
+            quad = tuple(sorted((x, y, c, d)))
+            reps = _representatives(h, quad)
+            if reps[:2] != (i, j):
+                continue
+            histogram[len(reps)] += 3
+            for r in reps:
+                inside[r] += 3
+            if len(reps) == 2:
+                candidates.append((quad, reps))
+    for i, (a, b, c) in enumerate(edges):
+        ones = through[i] - inside[i]
+        if not ones:
+            continue
+        histogram[1] += ones
+        for w in (adj[a] & adj[b] | adj[a] & adj[c] | adj[b] & adj[c]) - {a, b, c}:
+            quad = tuple(sorted((a, b, c, w)))
+            if len(reps := _representatives(h, quad)) == 1:
+                candidates.append((quad, reps))
+    return histogram, candidates
 
 
 def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
     """Full 3-path and 4-cycle census with the four claims as InequalityChecks.
 
-    3-paths are enumerated once each (unordered), 4-cycles once each up to
-    rotation and reflection, recording only the rare ones; the 3-path total
-    is cross-checked against the middle-vertex degree identity.
+    Counts come from shadow codegrees and the shared-pair histogram (see the
+    module docstring); only the cycles that can be rare are listed. The
+    3-path total is cross-checked against the middle-vertex degree identity.
     """
     _require_scope(diagonal_scope)
     g = shadow(h)
+    adj = g.adj
     p2e = pair_to_edges(h)
     free = is_bc4_free(h)
     m = h.edge_count
-    edge_index = {e: i for i, e in enumerate(h.edges)}
 
-    rep_histogram: dict[int, int] = {}
-    rare_records: list[FourCycleRecord] = []
-    rare_paths: set[tuple[int, int, int]] = set()
-    four_cycles = 0
-    for cycle in _canonical_walks(g.adj, 4, True):
-        four_cycles += 1
-        reps = tuple(
-            i
-            for t in combinations(sorted(cycle), 3)
-            if (i := edge_index.get(t)) is not None
-        )
-        k = len(reps)
-        rep_histogram[k] = rep_histogram.get(k, 0) + 1
-        if _rare(h, cycle, reps, p2e, diagonal_scope):
-            rare_records.append(FourCycleRecord(cycle, reps))
-            a, b, c, d = cycle
-            for x1, x2, x3 in ((a, b, c), (b, c, d), (c, d, a), (d, a, b)):
-                rare_paths.add((min(x1, x3), x2, max(x1, x3)))
-    unrepresented = sum(c for k, c in rep_histogram.items() if not 1 <= k <= 3)
+    per_pair, through, total, four_cycles = _codegree_pass(g, p2e, m)
+    if total != count_three_paths(g):
+        raise RuntimeError("3-path census disagrees with the degree identity")
+    histogram, candidates = _represented_sets(h, adj, p2e, through)
+    rare_records = [
+        FourCycleRecord(cycle, reps)
+        for quad, reps in candidates
+        for cycle in _cycles_on(adj, quad)
+        if _rare(h, cycle, reps, p2e, diagonal_scope)
+    ]
+    histogram[0] = four_cycles - sum(histogram.values())
+    if histogram[0]:
+        for cycle in _canonical_walks(adj, 4, True):
+            if not _representatives(h, tuple(sorted(cycle))) and _rare(h, cycle, (), p2e, diagonal_scope):
+                rare_records.append(FourCycleRecord(cycle, ()))
+    unrepresented = histogram[0] + histogram[4]
     if free and unrepresented:
         # a cycle with no representative edge would itself yield a Berge C4,
         # and four representative edges form a K4^(3), which contains one
@@ -183,23 +308,19 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
         )
     rare_records.sort(key=lambda r: (r.vertices[0], r.vertices[1], r.vertices[3], r.vertices[2]))
 
-    total = 0
-    good = 0
-    per_pair: dict[tuple[int, int], int] = {}
-    for x2 in range(g.n):
-        nbrs = g.neighbors(x2)
-        for i, x1 in enumerate(nbrs):
-            for x3 in nbrs[i + 1 :]:
-                total += 1
-                if tuple(sorted((x1, x2, x3))) in h.edge_set:
-                    continue
-                if (x1, x2, x3) in rare_paths:
-                    continue
-                good += 1
-                per_pair[(x1, x3)] = per_pair.get((x1, x3), 0) + 1
-
-    if total != count_three_paths(g):
-        raise RuntimeError("3-path census disagrees with the degree identity")
+    # a non-edge 3-path on a rare cycle is not good, but per_pair still counts it
+    rare_paths = set()
+    for a, b, c, d in (r.vertices for r in rare_records):
+        for x1, x2, x3 in ((a, b, c), (b, c, d), (c, d, a), (d, a, b)):
+            rare_paths.add((min(x1, x3), x2, max(x1, x3)))
+    rare_open = [p for p in rare_paths if tuple(sorted(p)) not in h.edge_set]
+    for x1, _, x3 in rare_open:
+        left = per_pair[(x1, x3)] - 1
+        if left:
+            per_pair[(x1, x3)] = left
+        else:
+            del per_pair[(x1, x3)]
+    good = total - 3 * m - len(rare_open)
     nongood = total - good
     rare_count = len(rare_records)
 
@@ -214,7 +335,7 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
         nongood_3paths=nongood,
         rare_4cycles=rare_count,
         four_cycle_count=four_cycles,
-        representative_histogram=dict(sorted(rep_histogram.items())),
+        representative_histogram={k: v for k, v in sorted(histogram.items()) if v},
         per_pair_good=per_pair,
         rare_cycles=tuple(rare_records),
         bc4_free=free,

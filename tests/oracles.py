@@ -1,15 +1,22 @@
 """Independent brute-force oracles used to validate the library.
 
-Everything here recomputes results straight from the definitions with no
-shared machinery: Berge cycles by exhaustive ordered-tuple search, 3-paths by
-triple loops, rare 4-cycles from scratch, and the edge bound by bisection of
-the exact inequality.
+Everything here but walker_census recomputes results straight from the
+definitions with no shared machinery: Berge cycles by exhaustive ordered-tuple
+search, 3-paths by triple loops, rare 4-cycles from scratch, and the edge
+bound by bisection of the exact inequality. walker_census is the census that
+walks every 4-cycle and 3-path; it shares the canonical walker, the BC4
+verdict and the block degrees with the package, and checks the census's
+counting against listing at sizes the naive oracles cannot reach.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from bergec4.hypergraph import Hypergraph, ShadowGraph
+from bergec4.berge import _canonical_walks, is_bc4_free
+from bergec4.blocks import block_degrees, decompose
+from bergec4.bounds import check_inequality
+from bergec4.census import CensusReport, FourCycleRecord
+from bergec4.hypergraph import Hypergraph, ShadowGraph, pair_to_edges, shadow
 
 
 def naive_berge_cycle_exists(h: Hypergraph, length: int = 4) -> bool:
@@ -109,3 +116,77 @@ def bisect_upper_bound(n: int, width: Fraction = Fraction(1, 10**9)) -> tuple[Fr
         else:
             hi = mid
     return lo, hi
+
+
+def walker_census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
+    """The census by walking every shadow 4-cycle and every 3-path.
+
+    This is the census before it counted codegrees: it lists each 4-cycle
+    with the canonical walker, finds its representative edges and rarity
+    directly, and marks each 3-path good or not one at a time.
+    """
+    g = shadow(h)
+    p2e = pair_to_edges(h)
+    m = h.edge_count
+    edge_index = {e: i for i, e in enumerate(h.edges)}
+
+    def rare(cycle, reps) -> bool:
+        for u, v in ((cycle[0], cycle[2]), (cycle[1], cycle[3])):
+            diag = (min(u, v), max(u, v))
+            if diagonal_scope == "induced":
+                covering = [i for i in reps if set(diag) <= set(h.edges[i])]
+            else:
+                covering = p2e.get(diag, [])
+            if len(covering) >= 2:
+                return False
+        return True
+
+    histogram: dict[int, int] = {}
+    records: list[FourCycleRecord] = []
+    rare_paths: set[tuple[int, int, int]] = set()
+    four_cycles = 0
+    for cycle in _canonical_walks(g.adj, 4, True):
+        four_cycles += 1
+        reps = tuple(i for t in combinations(sorted(cycle), 3) if (i := edge_index.get(t)) is not None)
+        histogram[len(reps)] = histogram.get(len(reps), 0) + 1
+        if rare(cycle, reps):
+            records.append(FourCycleRecord(cycle, reps))
+            a, b, c, d = cycle
+            for x1, x2, x3 in ((a, b, c), (b, c, d), (c, d, a), (d, a, b)):
+                rare_paths.add((min(x1, x3), x2, max(x1, x3)))
+    records.sort(key=lambda r: (r.vertices[0], r.vertices[1], r.vertices[3], r.vertices[2]))
+
+    total = 0
+    good = 0
+    per_pair: dict[tuple[int, int], int] = {}
+    for x2 in range(g.n):
+        nbrs = g.neighbors(x2)
+        for i, x1 in enumerate(nbrs):
+            for x3 in nbrs[i + 1 :]:
+                total += 1
+                if tuple(sorted((x1, x2, x3))) in h.edge_set or (x1, x2, x3) in rare_paths:
+                    continue
+                good += 1
+                per_pair[(x1, x3)] = per_pair.get((x1, x3), 0) + 1
+    nongood = total - good
+
+    db = block_degrees(h, decompose(h))
+    good_rhs = 2 * (h.n * (h.n - 1) // 2) - 4 * sum(d * (d - 1) // 2 for d in db)
+    return CensusReport(
+        n=h.n,
+        edge_count=m,
+        total_3paths=total,
+        good_3paths=good,
+        nongood_3paths=nongood,
+        rare_4cycles=len(records),
+        four_cycle_count=four_cycles,
+        representative_histogram=dict(sorted(histogram.items())),
+        per_pair_good=per_pair,
+        rare_cycles=tuple(records),
+        bc4_free=is_bc4_free(h),
+        diagonal_scope=diagonal_scope,
+        per_pair_bound=check_inequality("good_paths_per_pair", max(per_pair.values(), default=0), 2, "<="),
+        rare_bound=check_inequality("rare_cycles", len(records), 6 * m, "<="),
+        good_bound=check_inequality("good_paths_total", good, good_rhs, "<="),
+        nongood_bound=check_inequality("nongood_paths", nongood, 21 * m, "<="),
+    )

@@ -130,6 +130,29 @@ class TestUpperBound:
         assert 48.0 <= bound and not 48.0 < bound
         assert bound != float("nan") and not bound == float("inf")
 
+    def test_hash_agrees_with_equality(self):
+        # a bound equal to a number must hash like it, or sets and dicts miss it
+        rational = floats = 0
+        for n in range(3, 20_001):
+            bound = upper_bound(n)
+            if not bound.is_rational():
+                continue
+            rational += 1
+            f = bound.as_fraction()
+            values = [f]
+            if f.denominator == 1:
+                values.append(f.numerator)
+            if Fraction(float(f)) == f:
+                floats += 1
+                values.append(float(f))
+            for v in values:
+                assert bound == v and hash(bound) == hash(v), (n, v)
+                assert v in {bound} and bound in {v: n}, (n, v)
+        assert rational == 86 and floats > 0
+        assert 48 in {upper_bound(16)} and upper_bound(16) in {48: 1}
+        # an irrational bound equals only the bound of the same n, and hashes alike
+        assert upper_bound(17) in {EdgeBound(17)} and upper_bound(17) not in {upper_bound(18)}
+
     def test_strictly_monotone(self):
         # consecutive bounds differ by more than 1, so coarse enclosures decide
         prev_hi = None

@@ -1,4 +1,10 @@
+import importlib
+import random
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hypergraph
 from oracles import (
@@ -7,6 +13,7 @@ from oracles import (
     naive_is_good,
     naive_is_rare,
     naive_rare_cycles,
+    walker_census,
 )
 
 from bergec4.berge import is_bc4_free
@@ -17,7 +24,15 @@ from bergec4.census import (
     is_rare_cycle,
     representative_edges,
 )
+from bergec4.construct import lower_bound_construction, random_bc4free
 from bergec4.hypergraph import Hypergraph, count_three_paths, shadow
+
+# the package re-exports the function census, which shadows the module name
+census_module = importlib.import_module("bergec4.census")
+SCOPES = ("induced", "global")
+# four edges, each meeting the cycle 0,1,2,3 in one of its sides: a 4-cycle
+# with no representative edge, so a Berge C4
+UNREPRESENTED_C4 = ((0, 1, 4), (1, 2, 5), (2, 3, 6), (0, 3, 7))
 
 
 class TestRepresentativeEdges:
@@ -211,3 +226,102 @@ class TestClaimChecks:
             rep = census(h)
             assert rep.bc4_free
             assert all(c.passed for c in rep.claims()), rep
+
+
+def _assert_matches_walker(h: Hypergraph) -> None:
+    for scope in SCOPES:
+        rep, oracle = census(h, scope), walker_census(h, scope)
+        for field in rep.__dataclass_fields__:
+            assert getattr(rep, field) == getattr(oracle, field), (field, scope, h.edges)
+
+
+def _cyclic_q16() -> Hypergraph:
+    # the q = 16 construction plus one point triple {91, a, b}: a and b share
+    # a line with 91, so the triple closes Berge C4s through that line's pair
+    base = lower_bound_construction(16)
+    a, b = sorted(random.Random(0).sample(range(92, 16 * 16 + 16 + 1), 2))
+    assert (91, a, b) not in base.edge_set
+    return Hypergraph(base.n, base.edges + ((91, a, b),))
+
+
+def triples_of(n: int):
+    return st.sampled_from(list(combinations(range(n), 3)))
+
+
+small = settings(derandomize=True, max_examples=60, deadline=None)
+any_graphs = st.integers(4, 9).flatmap(
+    lambda n: st.builds(Hypergraph, st.just(n), st.lists(triples_of(n), unique=True, max_size=14))
+)
+free_graphs = st.builds(random_bc4free, st.integers(4, 14), st.integers(0, 40), st.integers(0, 10**6))
+# extra edges never lie inside {0, 1, 2, 3}, so the cycle 0,1,2,3 keeps no representative
+unrepresented_graphs = st.integers(8, 10).flatmap(
+    lambda n: st.builds(
+        lambda extra: Hypergraph(n, UNREPRESENTED_C4 + tuple(extra)),
+        st.lists(
+            triples_of(n).filter(lambda t: t not in UNREPRESENTED_C4 and t[2] > 3),
+            unique=True,
+            max_size=8,
+        ),
+    )
+)
+
+
+class TestWalkerOracle:
+    """The counting census against the census that walks every cycle and path."""
+
+    def test_small_constructions(self, construction_family):
+        for q, h in construction_family.items():
+            if q <= 11:
+                _assert_matches_walker(h)
+
+    def test_cyclic_q16(self):
+        h = _cyclic_q16()
+        assert not is_bc4_free(h)
+        _assert_matches_walker(h)
+
+    @small
+    @given(any_graphs)
+    def test_random_inputs(self, h):
+        _assert_matches_walker(h)
+
+    @small
+    @given(free_graphs)
+    def test_free_inputs(self, h):
+        assert is_bc4_free(h)
+        _assert_matches_walker(h)
+
+    @small
+    @given(unrepresented_graphs)
+    def test_unrepresented_cycle_inputs(self, h):
+        assert census(h).representative_histogram.get(0, 0) >= 1
+        _assert_matches_walker(h)
+
+
+class WalkerEntered(Exception):
+    pass
+
+
+class TestCensusRoute:
+    """The census walks the 4-cycles only when some cycle has no representative."""
+
+    @pytest.fixture(autouse=True)
+    def no_walker(self, monkeypatch):
+        def refuse(*args):
+            raise WalkerEntered
+
+        monkeypatch.setattr(census_module, "_canonical_walks", refuse)
+
+    def test_construction_counts_without_walking(self):
+        h = lower_bound_construction(7)
+        for scope in SCOPES:
+            assert census(h, scope).bc4_free
+
+    def test_represented_non_free_counts_without_walking(self, k4_full):
+        h = Hypergraph(6, k4_full.edges + ((0, 4, 5), (1, 4, 5)))
+        for scope in SCOPES:
+            rep = census(h, scope)
+            assert not rep.bc4_free and 0 not in rep.representative_histogram
+
+    def test_unrepresented_cycle_enters_walker(self):
+        with pytest.raises(WalkerEntered):
+            census(Hypergraph(8, UNREPRESENTED_C4))
