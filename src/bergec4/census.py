@@ -17,6 +17,12 @@ alone.
   the shadow has (1/2) sum C(c(x, z), 2) 4-cycles, each met once from either
   diagonal. |p2e[xz]| of those middles close a hyperedge; the others are good
   unless the path lies on a rare cycle.
+- Good-path histogram. The claims need each pair's good-path count only
+  through pairs[k], the number of pairs with k good paths: the largest k
+  and sum_k k pairs[k]. The codegree pass counts each pair's open middles,
+  c(x, z) - |p2e[xz]|, into it. A pair that r non-edge paths on rare cycles
+  touch has that count recomputed from adj and p2e and moves from k to
+  k - r; pairs[0] is left out of the report.
 - Shared-pair histogram. Two 3-subsets of a 4-set share exactly one pair, so
   an S holding the hyperedges {x,y,c} and {x,y,d} spans K4 or K4 minus cd in
   the shadow: 1 + 2[c ~ d] cycles, all with the same k >= 2. The pair loop
@@ -44,7 +50,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations
 from operator import mul
 
 from bergec4.berge import _canonical_walks, is_bc4_free
@@ -77,6 +83,9 @@ class CensusReport:
     built by check_inequality, as in verify_chain; they are computed on every
     input, and their pass flags are only meaningful when bc4_free is True.
     rare_cycles are ordered by (v0, v1, v3, v2) of their canonical vertices.
+    per_pair_good_histogram maps k >= 1 to the number of pairs x1 < x3 with
+    exactly k good 3-paths x1, x2, x3, sorted by k; per_pair_bound.lhs is
+    its largest k (0 when empty) and sum_k k * pairs is good_3paths.
     """
 
     n: int
@@ -87,7 +96,7 @@ class CensusReport:
     rare_4cycles: int
     four_cycle_count: int
     representative_histogram: dict[int, int]
-    per_pair_good: dict[tuple[int, int], int]
+    per_pair_good_histogram: dict[int, int]
     rare_cycles: tuple[FourCycleRecord, ...]
     bc4_free: bool
     diagonal_scope: str
@@ -193,17 +202,16 @@ def _cycles_on(
 
 def _codegree_pass(
     g: ShadowGraph, p2e: dict[tuple[int, int], list[int]], m: int
-) -> tuple[dict[tuple[int, int], int], list[int], int, int]:
-    """Per pair x < z, the middles c(x, z) that close no hyperedge, where positive.
+) -> tuple[Counter[int], list[int], int, int]:
+    """Pairs x < z counted by their number k >= 1 of middles closing no hyperedge.
 
     Also returns, per edge index, the number of 4-cycles it represents, the
     3-path total sum c(x, z) and the 4-cycle count. Codegrees are counted one
-    low end x at a time, so only pairs with a positive count enter the dict:
-    one that also held the others would outgrow its hash table on the q = 32
-    construction.
+    low end x at a time and only their values are kept, since the claims read
+    the counts and never the pairs.
     """
     nbrs = [g.neighbors(v) for v in range(g.n)]
-    open_middles: dict[tuple[int, int], int] = {}
+    open_middles: Counter[int] = Counter()
     through = [0] * m  # per edge e: sum over pairs xy in e of c(x, y) - 1
     total = 0
     squares = 0
@@ -225,7 +233,7 @@ def _codegree_pass(
                 del codeg[z]
             else:
                 codeg[z] = c - len(on_pair)
-        open_middles.update(zip(zip(repeat(x), codeg), counts))
+        open_middles.update(codeg.values())
     return open_middles, through, total, (squares - total) // 4
 
 
@@ -283,7 +291,7 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
     free = is_bc4_free(h)
     m = h.edge_count
 
-    per_pair, through, total, four_cycles = _codegree_pass(g, p2e, m)
+    pair_hist, through, total, four_cycles = _codegree_pass(g, p2e, m)
     if total != count_three_paths(g):
         raise RuntimeError("3-path census disagrees with the degree identity")
     histogram, candidates = _represented_sets(h, adj, p2e, through)
@@ -308,25 +316,25 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
         )
     rare_records.sort(key=lambda r: (r.vertices[0], r.vertices[1], r.vertices[3], r.vertices[2]))
 
-    # a non-edge 3-path on a rare cycle is not good, but per_pair still counts it
+    # a non-edge 3-path on a rare cycle is not good, but pair_hist still
+    # counts it: recompute each touched pair's count and move the pair down
     rare_paths = set()
     for a, b, c, d in (r.vertices for r in rare_records):
         for x1, x2, x3 in ((a, b, c), (b, c, d), (c, d, a), (d, a, b)):
             rare_paths.add((min(x1, x3), x2, max(x1, x3)))
-    rare_open = [p for p in rare_paths if tuple(sorted(p)) not in h.edge_set]
-    for x1, _, x3 in rare_open:
-        left = per_pair[(x1, x3)] - 1
-        if left:
-            per_pair[(x1, x3)] = left
-        else:
-            del per_pair[(x1, x3)]
-    good = total - 3 * m - len(rare_open)
+    rare_open = Counter((p[0], p[2]) for p in rare_paths if tuple(sorted(p)) not in h.edge_set)
+    for (x1, x3), r in rare_open.items():
+        before = len(adj[x1] & adj[x3]) - len(p2e.get((x1, x3), ()))
+        pair_hist[before] -= 1
+        pair_hist[before - r] += 1
+    good = total - 3 * m - rare_open.total()
     nongood = total - good
     rare_count = len(rare_records)
 
+    good_hist = {k: pairs for k, pairs in sorted(pair_hist.items()) if k and pairs}
+
     db = block_degrees(h, decompose(h))
     good_rhs = 2 * (h.n * (h.n - 1) // 2) - 4 * sum(d * (d - 1) // 2 for d in db)
-    max_per_pair = max(per_pair.values(), default=0)
     return CensusReport(
         n=h.n,
         edge_count=m,
@@ -336,11 +344,11 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
         rare_4cycles=rare_count,
         four_cycle_count=four_cycles,
         representative_histogram={k: v for k, v in sorted(histogram.items()) if v},
-        per_pair_good=per_pair,
+        per_pair_good_histogram=good_hist,
         rare_cycles=tuple(rare_records),
         bc4_free=free,
         diagonal_scope=diagonal_scope,
-        per_pair_bound=check_inequality("good_paths_per_pair", max_per_pair, 2, "<="),
+        per_pair_bound=check_inequality("good_paths_per_pair", max(good_hist, default=0), 2, "<="),
         rare_bound=check_inequality("rare_cycles", rare_count, 6 * m, "<="),
         good_bound=check_inequality("good_paths_total", good, good_rhs, "<="),
         nongood_bound=check_inequality("nongood_paths", nongood, 21 * m, "<="),

@@ -21,6 +21,11 @@ from bergec4.berge import Bc4FreeBuilder
 from bergec4.bounds import decimal_str, edge_ratio, upper_bound
 from bergec4.hypergraph import Edge, Hypergraph
 
+# every n from 7 up builds all C(n, 3) triples and runs the greedy seed over
+# them before any node budget applies, so larger n is refused before any
+# search runs; 12 is one past the n = 11 stretch target in ROADMAP.md
+SEARCH_MAX_N = 12
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -241,9 +246,12 @@ def branch_and_bound_ex(n: int, node_budget: int | None = None, threads: int = 1
 
 
 def ex_table(n_max: int, budget: int | None = 200_000, threads: int = 1) -> list[SearchResult]:
-    """Extremal values for n = 3..n_max: exhaustive where allowed, else pruned."""
-    if n_max < 3:
-        raise ValueError(f"n_max must be >= 3, got {n_max}")
+    """Extremal values for n = 3..n_max: exhaustive where allowed, else pruned.
+
+    Raises ValueError for n_max outside [3, SEARCH_MAX_N].
+    """
+    if not 3 <= n_max <= SEARCH_MAX_N:
+        raise ValueError(f"n_max must be in [3, {SEARCH_MAX_N}], got {n_max}")
     _check_search_args(budget, threads)
     results = []
     for n in range(3, n_max + 1):

@@ -9,6 +9,7 @@ verdict and the block degrees with the package, and checks the census's
 counting against listing at sizes the naive oracles cannot reach.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -181,7 +182,7 @@ def walker_census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusRepor
         rare_4cycles=len(records),
         four_cycle_count=four_cycles,
         representative_histogram=dict(sorted(histogram.items())),
-        per_pair_good=per_pair,
+        per_pair_good_histogram=dict(sorted(Counter(per_pair.values()).items())),
         rare_cycles=tuple(records),
         bc4_free=is_bc4_free(h),
         diagonal_scope=diagonal_scope,

@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -137,7 +138,7 @@ class TestCensus:
             rep = census(h)
             assert rep.total_3paths == rep.good_3paths + rep.nongood_3paths
             assert rep.total_3paths == count_three_paths(shadow(h))
-            assert sum(rep.per_pair_good.values()) == rep.good_3paths
+            assert sum(k * pairs for k, pairs in rep.per_pair_good_histogram.items()) == rep.good_3paths
 
     def test_rare_count_matches_naive(self):
         for seed in range(20):
@@ -189,6 +190,19 @@ class TestCensus:
         rep = census(k4_full)
         assert not rep.bc4_free
         assert rep.representative_histogram == {4: 3}
+
+    def test_q16_traced_peak_is_bounded(self):
+        # a fresh construction, so the shadow and pair index are built inside
+        # the traced call (about 7 MB); a per-pair table adds some 20 MB
+        h = lower_bound_construction(16)
+        tracemalloc.start()
+        try:
+            rep = census(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.bc4_free
+        assert peak < 12_000_000, peak
 
 
 def _claim(c: InequalityCheck) -> tuple[int, int, bool]:
@@ -295,6 +309,39 @@ class TestWalkerOracle:
     def test_unrepresented_cycle_inputs(self, h):
         assert census(h).representative_histogram.get(0, 0) >= 1
         _assert_matches_walker(h)
+
+
+class TestRarePathRemoval:
+    """Rare non-edge paths come off only the pairs they touch, in both scopes."""
+
+    def test_pair_count_drops_to_zero(self):
+        # free; each of the four rare cycles takes every open middle of the
+        # pairs it touches, e.g. 2,4,3 and 2,1,3 leave {2, 3} with none
+        h = Hypergraph(5, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
+        for scope in SCOPES:
+            rep = census(h, scope)
+            assert rep.rare_4cycles == 4 and rep.good_3paths == 0
+            assert rep.per_pair_good_histogram == {}
+        _assert_matches_walker(h)
+
+    @pytest.mark.parametrize(
+        "edges, scope, histogram",
+        [
+            # the unrepresented rare cycle 1,2,4,3 takes two of the three
+            # open middles of {2, 3} and of {1, 4}, leaving middle 0 to each
+            (((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4)), "induced", {1: 2}),
+            (((0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4)), "global", {1: 2}),
+            # represented rare cycles only: {1, 3} and {1, 4} drop from 2 to
+            # 1, while {0, 1}, {2, 3} and {2, 4} drop from 2 to 0
+            (((0, 1, 2), (0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 3, 4)), "global", {1: 5, 2: 1}),
+        ],
+    )
+    def test_pair_count_drops_but_stays_positive(self, edges, scope, histogram):
+        h = Hypergraph(5, edges)
+        rep = census(h, scope)
+        assert rep.rare_4cycles >= 1
+        assert rep.per_pair_good_histogram == histogram
+        assert rep == walker_census(h, scope)
 
 
 class WalkerEntered(Exception):

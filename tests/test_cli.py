@@ -273,6 +273,13 @@ class TestSearchCommand:
         row7 = next(l for l in out.splitlines() if l.startswith("7\t"))
         assert "\tfalse\t" in row7
 
+    def test_huge_n_max_is_usage_error(self):
+        # refused before the C(n, 3) triples of any pruned row are built
+        proc = run_cli("search", "--n-max", "1000")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "n_max must be in" in proc.stderr
+
     def test_negative_budget_is_usage_error(self):
         proc = run_cli("search", "--n-max", "7", "--budget", "-5")
         assert proc.returncode == 2

@@ -8,7 +8,8 @@ from oracles import naive_berge_cycle_exists
 from bergec4.berge import is_bc4_free
 from bergec4.bounds import upper_bound
 from bergec4.hypergraph import Hypergraph
-from bergec4.search import branch_and_bound_ex, brute_force_ex, ex_table, format_ex_table
+from bergec4 import search as search_module
+from bergec4.search import SEARCH_MAX_N, branch_and_bound_ex, brute_force_ex, ex_table, format_ex_table
 
 GOLDEN = Path(__file__).parent / "golden" / "ex_table_n6.tsv"
 
@@ -149,3 +150,15 @@ class TestExTable:
     def test_rejects_bad_n_max(self):
         with pytest.raises(ValueError):
             ex_table(2)
+
+    def test_huge_n_max_refused_before_any_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("search ran")
+
+        monkeypatch.setattr(search_module, "branch_and_bound_ex", refuse)
+        monkeypatch.setattr(search_module, "brute_force_ex", refuse)
+        for n_max in (SEARCH_MAX_N + 1, 1000):
+            with pytest.raises(ValueError, match="n_max must be in"):
+                ex_table(n_max)
+        with pytest.raises(AssertionError, match="search ran"):
+            ex_table(SEARCH_MAX_N)
