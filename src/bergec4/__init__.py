@@ -1,9 +1,9 @@
 """Analysis toolkit for 3-uniform hypergraphs and Berge 4-cycles.
 
-Provides the core hypergraph/shadow machinery, Berge path and cycle
-detection, block decomposition, the 3-path / rare-4-cycle census, the
-exact inequality chain with its edge-count bound, dense BC4-free
-constructions, and exact extremal search at desk scale.
+Provides the core hypergraph/shadow machinery, Berge cycle detection,
+block decomposition, the 3-path / rare-4-cycle census, the exact
+inequality chain with its edge-count bound, dense BC4-free constructions,
+and exact extremal search at desk scale.
 """
 
 from bergec4.hypergraph import (
@@ -20,13 +20,10 @@ from bergec4.hypergraph import (
 from bergec4.berge import (
     Bc4FreeBuilder,
     BergeCycleWitness,
-    BergePathWitness,
     WitnessError,
     find_berge_cycle,
-    find_berge_path,
     is_bc4_free,
     verify_cycle_witness,
-    verify_path_witness,
 )
 from bergec4.blocks import (
     Block,

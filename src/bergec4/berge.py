@@ -1,12 +1,11 @@
-"""Berge path and cycle detection via shadow walks and distinct representatives.
+"""Berge cycle detection via shadow walks and distinct representatives.
 
 A Berge cycle of length L is L distinct vertices and L distinct hyperedges
 with each consecutive vertex pair (cyclically) inside the corresponding
-hyperedge; a Berge path of length L uses L+1 vertices and L hyperedges.
-One walker enumerates candidate vertex sequences, cycles and paths alike,
-from the 2-shadow in a fixed canonical order, and for each sequence the
-existence of distinct representative hyperedges is decided by bipartite
-maximum matching, so the returned witness is reproducible. That search
+hyperedge. One walker enumerates the candidate vertex cycles of the
+2-shadow in a fixed canonical order, and for each cycle the existence of
+distinct representative hyperedges is decided by bipartite maximum
+matching, so the returned witness is reproducible. That search
 serves witnesses and general lengths only. Every BC4 verdict (is_bc4_free,
 and through it census, check, construct and verify) comes from
 Bc4FreeBuilder's pinned-edge check, which needs no cycle enumeration and no
@@ -48,20 +47,13 @@ class BergeCycleWitness:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class BergePathWitness:
-    """Vertex sequence v_0..v_L plus, per step, the covering edge index."""
+def verify_cycle_witness(h: Hypergraph, witness: BergeCycleWitness) -> bool:
+    """True iff the witness is a valid Berge cycle of h.
 
-    vertices: tuple[int, ...]
-    edge_indices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.edge_indices)
-
-
-def _valid_walk(h: Hypergraph, vs: Sequence[int], es: Sequence[int], closed: bool) -> bool:
-    """Do vs and es form a Berge cycle (closed) or path (open) of h?"""
+    Out-of-range vertex or edge ids raise WitnessError; any other violation
+    (repeats, a pair not inside its edge, length < 2) returns False.
+    """
+    vs, es = witness.vertices, witness.edge_indices
     for v in vs:
         if not 0 <= v < h.n:
             raise WitnessError(f"vertex id {v} out of range [0, {h.n})")
@@ -69,29 +61,15 @@ def _valid_walk(h: Hypergraph, vs: Sequence[int], es: Sequence[int], closed: boo
         if not 0 <= i < h.edge_count:
             raise WitnessError(f"edge index {i} out of range [0, {h.edge_count})")
     k = len(es)
-    if k < (2 if closed else 1) or len(vs) != (k if closed else k + 1):
+    if k < 2 or len(vs) != k:
         return False
-    if len(set(vs)) != len(vs) or len(set(es)) != k:
+    if len(set(vs)) != k or len(set(es)) != k:
         return False
     for i in range(k):
         edge = h.edges[es[i]]
-        if vs[i] not in edge or vs[(i + 1) % len(vs)] not in edge:
+        if vs[i] not in edge or vs[(i + 1) % k] not in edge:
             return False
     return True
-
-
-def verify_cycle_witness(h: Hypergraph, witness: BergeCycleWitness) -> bool:
-    """True iff the witness is a valid Berge cycle of h.
-
-    Out-of-range vertex or edge ids raise WitnessError; any other violation
-    (repeats, a pair not inside its edge, length < 2) returns False.
-    """
-    return _valid_walk(h, witness.vertices, witness.edge_indices, True)
-
-
-def verify_path_witness(h: Hypergraph, witness: BergePathWitness) -> bool:
-    """True iff the witness is a valid Berge path of h (see verify_cycle_witness)."""
-    return _valid_walk(h, witness.vertices, witness.edge_indices, False)
 
 
 def _distinct_representatives(candidates: Sequence[Sequence[int]]) -> list[int] | None:
@@ -126,34 +104,29 @@ def _distinct_representatives(candidates: Sequence[Sequence[int]]) -> list[int] 
     return out
 
 
-def _canonical_walks(adj: Sequence[frozenset[int]], k: int, closed: bool) -> Iterator[tuple[int, ...]]:
-    """Yield the shadow cycles or paths with k steps, in lexicographic order.
+def _canonical_cycles(adj: Sequence[frozenset[int]], k: int) -> Iterator[tuple[int, ...]]:
+    """Yield the shadow cycles on k distinct vertices, in lexicographic order.
 
-    A closed walk is a cycle on k distinct vertices, v_0 the least and the
-    reflection fixed by v_1 < v_last; k = 2 gives a doubled pair (a, b),
-    a < b. An open walk is a path on k+1 distinct vertices with v_0 < v_last.
+    v_0 is the least vertex and the reflection is fixed by v_1 < v_last;
+    k = 2 gives a doubled pair (a, b), a < b.
     """
     n = len(adj)
-    last = k - 1 if closed else k
-    seq = [0] * (last + 1)
+    last = k - 1
+    seq = [0] * k
     in_use = [False] * n
 
     def extend(depth: int) -> Iterator[tuple[int, ...]]:
         v0 = seq[0]
         prev = seq[depth - 1]
         if depth == last:
-            if closed:
-                ends, low = adj[prev] & adj[v0], seq[1] if last > 1 else v0
-            else:
-                ends, low = adj[prev], v0
-            for v in sorted(ends):
+            low = seq[1] if last > 1 else v0
+            for v in sorted(adj[prev] & adj[v0]):
                 if v > low and not in_use[v]:
                     seq[depth] = v
                     yield tuple(seq)
             return
-        low = v0 if closed else -1
         for v in sorted(adj[prev]):
-            if v > low and not in_use[v]:
+            if v > v0 and not in_use[v]:
                 seq[depth] = v
                 in_use[v] = True
                 yield from extend(depth + 1)
@@ -166,40 +139,25 @@ def _canonical_walks(adj: Sequence[frozenset[int]], k: int, closed: bool) -> Ite
         in_use[v0] = False
 
 
-def _first_witness(h: Hypergraph, k: int, closed: bool) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """First canonical walk with distinct representative edges, and those edges."""
-    if h.edge_count < k:
-        return None
-    g = shadow(h)
-    p2e = pair_to_edges(h)
-    for walk in _canonical_walks(g.adj, k, closed):
-        # step i covers the pair (walk[i], walk[i+1]), cyclically when closed
-        following = walk[1:] + walk[:1] if closed else walk[1:]
-        cands = [p2e[(a, b) if a < b else (b, a)] for a, b in zip(walk, following)]
-        assignment = _distinct_representatives(cands)
-        if assignment is not None:
-            return walk, tuple(assignment)
-    return None
-
-
 def find_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
     """First Berge cycle of the given length under canonical enumeration.
 
-    Returns None when none exists. Any hypergraph with fewer than `length`
-    edges has no Berge cycle of that length.
+    Returns None when none exists. A hypergraph with fewer than `length`
+    edges or fewer than `length` vertices has no Berge cycle of that length.
     """
     if length < 2:
         raise ValueError(f"cycle length must be >= 2, got {length}")
-    found = _first_witness(h, length, True)
-    return None if found is None else BergeCycleWitness(*found)
-
-
-def find_berge_path(h: Hypergraph, length: int) -> BergePathWitness | None:
-    """First Berge path of the given length under canonical enumeration."""
-    if length < 1:
-        raise ValueError(f"path length must be >= 1, got {length}")
-    found = _first_witness(h, length, False)
-    return None if found is None else BergePathWitness(*found)
+    if h.edge_count < length or h.n < length:
+        return None
+    g = shadow(h)
+    p2e = pair_to_edges(h)
+    for cycle in _canonical_cycles(g.adj, length):
+        # position i covers the pair (cycle[i], cycle[i+1]), cyclically
+        cands = [p2e[(a, b) if a < b else (b, a)] for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        assignment = _distinct_representatives(cands)
+        if assignment is not None:
+            return BergeCycleWitness(cycle, tuple(assignment))
+    return None
 
 
 def is_bc4_free(h: Hypergraph) -> bool:

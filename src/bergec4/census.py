@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
 
-from bergec4.berge import _canonical_walks, is_bc4_free
+from bergec4.berge import _canonical_cycles, is_bc4_free
 from bergec4.blocks import block_degrees, decompose
 from bergec4.bounds import InequalityCheck, check_inequality
 from bergec4.hypergraph import (
@@ -303,7 +303,7 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
     ]
     histogram[0] = four_cycles - sum(histogram.values())
     if histogram[0]:
-        for cycle in _canonical_walks(adj, 4, True):
+        for cycle in _canonical_cycles(adj, 4):
             if not _representatives(h, tuple(sorted(cycle))) and _rare(h, cycle, (), p2e, diagonal_scope):
                 rare_records.append(FourCycleRecord(cycle, ()))
     unrepresented = histogram[0] + histogram[4]

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 import bergec4
-from bergec4.berge import BergeCycleWitness, BergePathWitness, find_berge_cycle, is_bc4_free
+from bergec4.berge import BergeCycleWitness, find_berge_cycle, is_bc4_free
 from bergec4.blocks import block_degrees, decompose
 from bergec4.bounds import HypothesisError, verify_chain
 from bergec4.census import census
@@ -50,7 +50,7 @@ def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _witness_lines(h: Hypergraph, w: BergeCycleWitness | BergePathWitness) -> list[str]:
+def _witness_lines(h: Hypergraph, w: BergeCycleWitness) -> list[str]:
     lines = [
         f"vertices\t{_csv(w.vertices)}",
         f"edge_indices\t{_csv(w.edge_indices)}",

@@ -1,7 +1,7 @@
 """Dense BC4-free constructions and a seeded random instance generator.
 
-The dense family clones one side of a C4-free bipartite incidence graph: for
-every vertex v on the cloned side a fresh v' is created and every graph edge
+The dense family clones the right side of a C4-free bipartite incidence
+graph: for every right vertex v a fresh v' is created and every graph edge
 uv becomes the hyperedge {u, v, v'}. With the point/line incidence graph of
 PG(2, q) this gives n = 3(q^2+q+1) vertices and (q+1)(q^2+q+1) edges.
 """
@@ -174,24 +174,16 @@ def projective_plane_incidence(q: int) -> BipartiteGraph:
     return g
 
 
-def expand_to_hypergraph(g: BipartiteGraph, cloned_side: str = "right") -> Hypergraph:
-    """Clone one side: every graph edge uv becomes the hyperedge {u, v, v'}.
+def expand_to_hypergraph(g: BipartiteGraph) -> Hypergraph:
+    """Clone the right side: every graph edge uv becomes the hyperedge {u, v, v'}.
 
-    Vertex layout: the uncloned side keeps ids 0..K-1, cloned-side originals
-    follow, then their clones in the same order. The result has
-    |other side| + 2*|cloned side| vertices and |E(g)| edges.
+    Vertex layout: the L left vertices keep ids 0..L-1, the R right
+    originals take L..L+R-1 and their clones L+R..L+2R-1 in the same order.
+    The result has L + 2R vertices and |E(g)| edges.
     """
-    if cloned_side not in ("left", "right"):
-        raise ValueError(f"cloned_side must be 'left' or 'right', got {cloned_side!r}")
-    if cloned_side == "right":
-        keep, cloned = g.left_count, g.right_count
-        pairs = g.edges
-    else:
-        keep, cloned = g.right_count, g.left_count
-        pairs = tuple((v, u) for u, v in g.edges)
-    n = keep + 2 * cloned
-    edges = [(u, keep + v, keep + cloned + v) for u, v in pairs]
-    return Hypergraph(n, edges)
+    left, right = g.left_count, g.right_count
+    edges = [(u, left + v, left + right + v) for u, v in g.edges]
+    return Hypergraph(left + 2 * right, edges)
 
 
 def lower_bound_construction(q: int) -> Hypergraph:
@@ -201,7 +193,7 @@ def lower_bound_construction(q: int) -> Hypergraph:
     at generation time for q <= 16.
     """
     g = projective_plane_incidence(q)
-    h = expand_to_hypergraph(g, "right")
+    h = expand_to_hypergraph(g)
     count = q * q + q + 1
     if h.n != 3 * count or h.edge_count != (q + 1) * count:
         raise RuntimeError(f"construction for q={q} has n={h.n}, m={h.edge_count}")

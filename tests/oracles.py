@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from bergec4.berge import _canonical_walks, is_bc4_free
+from bergec4.berge import _canonical_cycles, is_bc4_free
 from bergec4.blocks import block_degrees, decompose
 from bergec4.bounds import check_inequality
 from bergec4.census import CensusReport, FourCycleRecord
@@ -146,7 +146,7 @@ def walker_census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusRepor
     records: list[FourCycleRecord] = []
     rare_paths: set[tuple[int, int, int]] = set()
     four_cycles = 0
-    for cycle in _canonical_walks(g.adj, 4, True):
+    for cycle in _canonical_cycles(g.adj, 4):
         four_cycles += 1
         reps = tuple(i for t in combinations(sorted(cycle), 3) if (i := edge_index.get(t)) is not None)
         histogram[len(reps)] = histogram.get(len(reps), 0) + 1

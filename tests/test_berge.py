@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from conftest import random_hypergraph
 from oracles import naive_berge_cycle_exists
 
+import bergec4.berge as berge_module
 from bergec4.berge import (
     Bc4FreeBuilder,
     BergeCycleWitness,
-    BergePathWitness,
     WitnessError,
     find_berge_cycle,
-    find_berge_path,
     is_bc4_free,
     verify_cycle_witness,
-    verify_path_witness,
 )
 from bergec4.hypergraph import Hypergraph
 from bergec4.search import _four_edges_support_c4
@@ -51,10 +49,6 @@ class TestVerifyWitness:
     def test_too_short_is_false(self, k4_minus):
         assert not verify_cycle_witness(k4_minus, BergeCycleWitness((0,), (0,)))
 
-    def test_path_witness(self, single_edge):
-        assert verify_path_witness(single_edge, BergePathWitness((0, 1), (0,)))
-        assert not verify_path_witness(single_edge, BergePathWitness((0, 0), (0,)))
-
 
 class TestFindBergeCycle:
     def test_k4_has_c4(self, k4_full):
@@ -87,6 +81,15 @@ class TestFindBergeCycle:
         with pytest.raises(ValueError):
             find_berge_cycle(k4_full, 1)
 
+    def test_length_above_n_returns_without_walking(self, monkeypatch):
+        # a cycle of length L needs L distinct vertices; 16 edges on 6 vertices
+        def refuse(*args):
+            raise AssertionError("walker entered")
+
+        monkeypatch.setattr(berge_module, "_canonical_cycles", refuse)
+        h = Hypergraph(6, list(combinations(range(6), 3))[:16])
+        assert find_berge_cycle(h, 7) is None
+
     def test_canonical_first_witness_is_stable(self, k4_full):
         a = find_berge_cycle(k4_full, 4)
         b = find_berge_cycle(k4_full, 4)
@@ -95,48 +98,17 @@ class TestFindBergeCycle:
 
 
 def test_canonical_witnesses_are_pinned():
-    # first witnesses of both finders under the canonical walk order
+    # first cycle witnesses under the canonical walk order
     lines = []
     for seed in range(40):
         h = random_hypergraph(8, 2 + seed % 8, seed)
-        for kind, finder, lengths in (
-            ("cycle", find_berge_cycle, range(2, 6)),
-            ("path", find_berge_path, range(1, 5)),
-        ):
-            for length in lengths:
-                w = finder(h, length)
-                found = "none" if w is None else f"{w.vertices} {w.edge_indices}"
-                lines.append(f"{seed} {kind} {length} {found}")
+        for length in range(2, 6):
+            w = find_berge_cycle(h, length)
+            found = "none" if w is None else f"{w.vertices} {w.edge_indices}"
+            lines.append(f"{seed} cycle {length} {found}")
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
-    assert sum(not line.endswith("none") for line in lines) == 257
-    assert digest == "7528aa54e9bdef8b14458958a2f66bdd62a8672306a19ceed23d3194ec2d70be"
-
-
-class TestFindBergePath:
-    def test_single_edge_length_one(self, single_edge):
-        w = find_berge_path(single_edge, 1)
-        assert w == BergePathWitness((0, 1), (0,))
-
-    def test_two_edges_length_two(self):
-        h = Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
-        w = find_berge_path(h, 2)
-        assert w is not None
-        assert verify_path_witness(h, w)
-
-    def test_single_edge_length_two_is_none(self, single_edge):
-        assert find_berge_path(single_edge, 2) is None
-
-    def test_bad_length(self, single_edge):
-        with pytest.raises(ValueError):
-            find_berge_path(single_edge, 0)
-
-    def test_found_paths_always_verify(self):
-        for seed in range(20):
-            h = random_hypergraph(8, 8, seed)
-            for length in (1, 2, 3):
-                w = find_berge_path(h, length)
-                if w is not None:
-                    assert verify_path_witness(h, w)
+    assert sum(not line.endswith("none") for line in lines) == 113
+    assert digest == "5ebdc62b5810f29cabce11103b2f707187dc03afb28283969e8efac01f753c60"
 
 
 class TestIsBc4Free:

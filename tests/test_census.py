@@ -356,7 +356,7 @@ class TestCensusRoute:
         def refuse(*args):
             raise WalkerEntered
 
-        monkeypatch.setattr(census_module, "_canonical_walks", refuse)
+        monkeypatch.setattr(census_module, "_canonical_cycles", refuse)
 
     def test_construction_counts_without_walking(self):
         h = lower_bound_construction(7)

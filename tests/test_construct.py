@@ -78,29 +78,19 @@ def test_field_axioms(q):
 class TestExpand:
     def test_single_edge(self):
         g = BipartiteGraph(1, 1, ((0, 0),))
-        h = expand_to_hypergraph(g, "right")
+        h = expand_to_hypergraph(g)
         assert h == Hypergraph(3, [(0, 1, 2)])
 
     def test_two_edge_path(self):
         g = BipartiteGraph(1, 2, ((0, 0), (0, 1)))
-        h = expand_to_hypergraph(g, "right")
+        h = expand_to_hypergraph(g)
         assert h.n == 5 and h.edge_count == 2
-        assert h == Hypergraph(5, [(0, 1, 3), (0, 2, 4)])
-
-    def test_clone_left(self):
-        g = BipartiteGraph(2, 1, ((0, 0), (1, 0)))
-        h = expand_to_hypergraph(g, "left")
-        # right keeps id 0; left originals 1,2; clones 3,4
         assert h == Hypergraph(5, [(0, 1, 3), (0, 2, 4)])
 
     def test_counts(self):
         g = projective_plane_incidence(2)
-        h = expand_to_hypergraph(g, "right")
+        h = expand_to_hypergraph(g)
         assert h.n == 21 and h.edge_count == 21
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            expand_to_hypergraph(BipartiteGraph(1, 1, ((0, 0),)), "middle")
 
 
 class TestLowerBoundConstruction:

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from bergec4.berge import (
     find_berge_cycle,
-    find_berge_path,
     is_bc4_free,
     verify_cycle_witness,
-    verify_path_witness,
 )
 from bergec4.hypergraph import Hypergraph
 
@@ -36,14 +34,6 @@ def test_cycle_witnesses_verify(h):
     for length in range(2, 6):
         w = find_berge_cycle(h, length)
         assert w is None or (w.length == length and verify_cycle_witness(h, w))
-
-
-@derandomized
-@given(hypergraphs)
-def test_path_witnesses_verify(h):
-    for length in range(1, 5):
-        w = find_berge_path(h, length)
-        assert w is None or (w.length == length and verify_path_witness(h, w))
 
 
 @derandomized
