@@ -37,9 +37,6 @@ from bergec4.census import (
     CensusReport,
     FourCycleRecord,
     census,
-    is_good_path,
-    is_rare_cycle,
-    representative_edges,
 )
 from bergec4.bounds import (
     BoundReport,

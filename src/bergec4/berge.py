@@ -76,7 +76,9 @@ def _distinct_representatives(candidates: Sequence[Sequence[int]]) -> list[int] 
     """Assign a distinct edge index to each position, or None if impossible.
 
     Kuhn's augmenting-path matching; candidate lists are scanned in order,
-    so the assignment is deterministic for sorted inputs.
+    so the assignment is deterministic for sorted inputs. The augmenting
+    search keeps an explicit stack, so a long cycle cannot exhaust the
+    interpreter's recursion limit.
     """
     union: set[int] = set()
     for c in candidates:
@@ -84,20 +86,29 @@ def _distinct_representatives(candidates: Sequence[Sequence[int]]) -> list[int] 
     if len(union) < len(candidates):
         return None
     owner: dict[int, int] = {}
-
-    def assign(pos: int, blocked: set[int]) -> bool:
-        for e in candidates[pos]:
-            if e in blocked:
+    for root in range(len(candidates)):
+        blocked: set[int] = set()
+        # one frame per position on the augmenting path: the position and its
+        # scan of candidates; tried[i] is the edge that frame i is trying
+        frames = [(root, iter(candidates[root]))]
+        tried: list[int] = []
+        while True:
+            for e in frames[-1][1]:
+                if e not in blocked:
+                    blocked.add(e)
+                    break
+            else:
+                frames.pop()
+                if not frames:
+                    return None
+                tried.pop()
                 continue
-            blocked.add(e)
-            if e not in owner or assign(owner[e], blocked):
-                owner[e] = pos
-                return True
-        return False
-
-    for pos in range(len(candidates)):
-        if not assign(pos, set()):
-            return None
+            tried.append(e)
+            if e not in owner:
+                for (pos, _), edge in zip(frames, tried):
+                    owner[edge] = pos
+                break
+            frames.append((owner[e], iter(candidates[owner[e]])))
     out: list[int] = [-1] * len(candidates)
     for e, pos in owner.items():
         out[pos] = e
@@ -108,35 +119,41 @@ def _canonical_cycles(adj: Sequence[frozenset[int]], k: int) -> Iterator[tuple[i
     """Yield the shadow cycles on k distinct vertices, in lexicographic order.
 
     v_0 is the least vertex and the reflection is fixed by v_1 < v_last;
-    k = 2 gives a doubled pair (a, b), a < b.
+    k = 2 gives a doubled pair (a, b), a < b. The walk keeps an explicit
+    stack, so a long cycle cannot exhaust the interpreter's recursion limit.
     """
     n = len(adj)
+    if k == 2:
+        yield from ((a, b) for a in range(n) for b in sorted(adj[a]) if b > a)
+        return
     last = k - 1
     seq = [0] * k
     in_use = [False] * n
-
-    def extend(depth: int) -> Iterator[tuple[int, ...]]:
-        v0 = seq[0]
-        prev = seq[depth - 1]
-        if depth == last:
-            low = seq[1] if last > 1 else v0
-            for v in sorted(adj[prev] & adj[v0]):
-                if v > low and not in_use[v]:
-                    seq[depth] = v
-                    yield tuple(seq)
-            return
-        for v in sorted(adj[prev]):
-            if v > v0 and not in_use[v]:
-                seq[depth] = v
-                in_use[v] = True
-                yield from extend(depth + 1)
-                in_use[v] = False
-
     for v0 in range(n):
         seq[0] = v0
         in_use[v0] = True
-        yield from extend(1)
-        in_use[v0] = False
+        # stack[d - 1] scans the candidates for seq[d], d < last
+        stack = [iter(sorted(adj[v0]))]
+        while stack:
+            depth = len(stack)
+            for v in stack[-1]:
+                if v > v0 and not in_use[v]:
+                    break
+            else:
+                stack.pop()
+                in_use[seq[depth - 1]] = False
+                continue
+            seq[depth] = v
+            if depth + 1 < last:
+                in_use[v] = True
+                stack.append(iter(sorted(adj[v])))
+                continue
+            # the last vertex closes the cycle: a common neighbour of v and v0
+            low = seq[1]
+            for w in sorted(adj[v] & adj[v0]):
+                if w > low and not in_use[w]:
+                    seq[last] = w
+                    yield tuple(seq)
 
 
 def find_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
@@ -247,10 +264,6 @@ class Bc4FreeBuilder:
                 self._bits[u] |= 1 << v
                 self._bits[v] |= 1 << u
             bucket.append(idx)
-
-    def add(self, triple: Sequence[int]) -> None:
-        """Append the edge without any freeness check (ValueError as for try_add)."""
-        self._append(self._new_edge(triple))
 
     def pop(self) -> None:
         """Remove the most recently added edge."""

@@ -109,42 +109,20 @@ class CensusReport:
         return (self.per_pair_bound, self.rare_bound, self.good_bound, self.nongood_bound)
 
 
-def _require_scope(scope: str) -> None:
-    if scope not in _SCOPES:
-        raise ValueError(f"diagonal scope must be one of {_SCOPES}, got {scope!r}")
-
-
-def _validate_cycle(g: ShadowGraph, cycle: tuple[int, int, int, int]) -> None:
-    if len(cycle) != 4 or len(set(cycle)) != 4:
-        raise ValueError(f"{cycle} is not 4 distinct vertices")
-    for v in cycle:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range [0, {g.n})")
-    for i in range(4):
-        if not g.has_edge(cycle[i], cycle[(i + 1) % 4]):
-            raise ValueError(f"{cycle} is not a 4-cycle of the shadow")
-
-
 def _representatives(h: Hypergraph, quad: tuple[int, int, int, int]) -> tuple[int, ...]:
     """Indices of the hyperedges inside the sorted 4-set quad, ascending."""
     # h.edges is sorted, so bisection finds each present triple's index
     return tuple(bisect_left(h.edges, t) for t in combinations(quad, 3) if t in h.edge_set)
 
 
-def representative_edges(h: Hypergraph, cycle: tuple[int, int, int, int]) -> tuple[int, ...]:
-    """Indices of hyperedges whose three vertices all lie on the cycle."""
-    _validate_cycle(shadow(h), cycle)
-    return _representatives(h, tuple(sorted(cycle)))
-
-
 def _rare(
     h: Hypergraph,
     cycle: tuple[int, ...],
     reps: tuple[int, ...],
-    p2e: dict[tuple[int, int], list[int]] | None,
+    p2e: dict[tuple[int, int], list[int]],
     scope: str,
 ) -> bool:
-    """p2e is read only by the global scope and may be None for the induced one."""
+    """No diagonal pair of the cycle lies in two edges: of reps (induced) or of h (global)."""
     diagonals = (
         (min(cycle[0], cycle[2]), max(cycle[0], cycle[2])),
         (min(cycle[1], cycle[3]), max(cycle[1], cycle[3])),
@@ -155,34 +133,6 @@ def _rare(
         else:
             covering = p2e.get(diag, [])
         if len(covering) >= 2:
-            return False
-    return True
-
-
-def is_rare_cycle(h: Hypergraph, cycle: tuple[int, int, int, int], diagonal_scope: str = "induced") -> bool:
-    """True iff no two hyperedges (per the scope) share a diagonal pair of the cycle."""
-    _require_scope(diagonal_scope)
-    p2e = pair_to_edges(h) if diagonal_scope == "global" else None
-    return _rare(h, cycle, representative_edges(h, cycle), p2e, diagonal_scope)
-
-
-def is_good_path(h: Hypergraph, x1: int, x2: int, x3: int, diagonal_scope: str = "induced") -> bool:
-    """True iff {x1,x2,x3} is not a hyperedge and no x closes a rare cycle x,x1,x2,x3."""
-    _require_scope(diagonal_scope)
-    g = shadow(h)
-    for v in (x1, x2, x3):
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range [0, {g.n})")
-    if x1 == x3 or not (g.has_edge(x1, x2) and g.has_edge(x2, x3)):
-        raise ValueError(f"({x1}, {x2}, {x3}) is not a 3-path of the shadow")
-    if tuple(sorted((x1, x2, x3))) in h.edge_set:
-        return False
-    p2e = pair_to_edges(h) if diagonal_scope == "global" else None
-    for x in sorted(g.adj[x1] & g.adj[x3]):
-        if x in (x1, x2, x3):
-            continue
-        cycle = (x, x1, x2, x3)
-        if _rare(h, cycle, _representatives(h, tuple(sorted(cycle))), p2e, diagonal_scope):
             return False
     return True
 
@@ -284,7 +234,8 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
     module docstring); only the cycles that can be rare are listed. The
     3-path total is cross-checked against the middle-vertex degree identity.
     """
-    _require_scope(diagonal_scope)
+    if diagonal_scope not in _SCOPES:
+        raise ValueError(f"diagonal scope must be one of {_SCOPES}, got {diagonal_scope!r}")
     g = shadow(h)
     adj = g.adj
     p2e = pair_to_edges(h)

@@ -181,7 +181,7 @@ def cmd_random(args) -> int:
 
 
 def cmd_search(args) -> int:
-    results = ex_table(args.n_max, budget=args.budget, threads=args.threads)
+    results = ex_table(args.n_max, budget=args.budget)
     lines = _header("search", extra=[f"# n-max {args.n_max}", f"# budget {args.budget}"])
     lines.append(format_ex_table(results).rstrip("\n"))
     print("\n".join(lines))
@@ -231,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exact extremal table")
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(run=cmd_search)
 
     return parser

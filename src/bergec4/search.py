@@ -173,9 +173,7 @@ def _explore_subtree(
     return best, best_edges, nodes, completed
 
 
-def _check_search_args(node_budget: int | None, threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+def _check_budget(node_budget: int | None) -> None:
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
 
@@ -200,7 +198,9 @@ def branch_and_bound_ex(n: int, node_budget: int | None = None, threads: int = 1
     """
     if n < 3:
         raise ValueError(f"branch and bound requires n >= 3, got {n}")
-    _check_search_args(node_budget, threads)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    _check_budget(node_budget)
     start_time = time.perf_counter()
     triples = list(combinations(range(n), 3))
     m = len(triples)
@@ -245,20 +245,20 @@ def branch_and_bound_ex(n: int, node_budget: int | None = None, threads: int = 1
     return SearchResult(n, best_size, witness, completed, nodes_total, time.perf_counter() - start_time)
 
 
-def ex_table(n_max: int, budget: int | None = 200_000, threads: int = 1) -> list[SearchResult]:
+def ex_table(n_max: int, budget: int | None = 200_000) -> list[SearchResult]:
     """Extremal values for n = 3..n_max: exhaustive where allowed, else pruned.
 
     Raises ValueError for n_max outside [3, SEARCH_MAX_N].
     """
     if not 3 <= n_max <= SEARCH_MAX_N:
         raise ValueError(f"n_max must be in [3, {SEARCH_MAX_N}], got {n_max}")
-    _check_search_args(budget, threads)
+    _check_budget(budget)
     results = []
     for n in range(3, n_max + 1):
         if n <= 6:
             results.append(brute_force_ex(n))
         else:
-            results.append(branch_and_bound_ex(n, node_budget=budget, threads=threads))
+            results.append(branch_and_bound_ex(n, node_budget=budget))
     return results
 
 

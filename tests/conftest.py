@@ -58,6 +58,16 @@ def construction_family():
     return {q: lower_bound_construction(q) for q in CONSTRUCTION_ORDERS}
 
 
+def loose_cycle(length: int) -> Hypergraph:
+    """Edges {i, i+1 mod L, L+i}: one Berge cycle of length L on 2L vertices."""
+    return Hypergraph(2 * length, [(i, (i + 1) % length, length + i) for i in range(length)])
+
+
+def tight_cycle(length: int) -> Hypergraph:
+    """Edges {i, i+1, i+2 mod L} on L vertices."""
+    return Hypergraph(length, [(i, (i + 1) % length, (i + 2) % length) for i in range(length)])
+
+
 def random_hypergraph(n: int, m: int, seed: int) -> Hypergraph:
     """Uniform-ish random hypergraph: a seeded sample of m distinct triples."""
     triples = list(combinations(range(n), 3))

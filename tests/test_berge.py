@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hypergraph
+from conftest import loose_cycle, random_hypergraph, tight_cycle
 from oracles import naive_berge_cycle_exists
 
 import bergec4.berge as berge_module
@@ -89,6 +89,13 @@ class TestFindBergeCycle:
         monkeypatch.setattr(berge_module, "_canonical_cycles", refuse)
         h = Hypergraph(6, list(combinations(range(6), 3))[:16])
         assert find_berge_cycle(h, 7) is None
+
+    @pytest.mark.parametrize("make", [loose_cycle, tight_cycle])
+    def test_long_cycle_beyond_recursion_limit(self, make):
+        # one walker step and one augmenting step per cycle vertex
+        h = make(1100)
+        w = find_berge_cycle(h, 1100)
+        assert w is not None and verify_cycle_witness(h, w)
 
     def test_canonical_first_witness_is_stable(self, k4_full):
         a = find_berge_cycle(k4_full, 4)
@@ -196,8 +203,6 @@ class TestBc4FreeBuilder:
         assert builder.try_add((0, 1, 2))
         with pytest.raises(ValueError, match="duplicate"):
             builder.try_add((2, 1, 0))
-        with pytest.raises(ValueError, match="duplicate"):
-            builder.add((0, 1, 2))
         assert builder.edges == [(0, 1, 2)]
         assert builder.to_hypergraph().edge_count == 1
 
@@ -207,9 +212,8 @@ class TestBc4FreeBuilder:
     )
     def test_invalid_triple_rejected(self, triple):
         builder = Bc4FreeBuilder(5)
-        for method in (builder.try_add, builder.add):
-            with pytest.raises(ValueError):
-                method(triple)
+        with pytest.raises(ValueError):
+            builder.try_add(triple)
         assert builder.edges == []
         assert builder._adj == [set()] * 5
         assert builder._bits == [0] * 5
@@ -221,7 +225,9 @@ class TestBc4FreeBuilder:
             assert builder.try_add(e)
         before = builder.to_hypergraph()
         bits = list(builder._bits)
-        builder.add((1, 4, 5))
+        # kept, and it adds the shadow pairs {2, 5} and {3, 5}
+        assert builder.try_add((2, 3, 5))
+        assert builder._bits != bits
         builder.pop()
         assert builder.to_hypergraph() == before
         assert builder._bits == bits
@@ -232,7 +238,7 @@ class TestBc4FreeBuilder:
             st.just(n),
             st.lists(
                 st.tuples(
-                    st.sampled_from(("try_add", "add", "pop")),
+                    st.sampled_from(("try_add", "pop")),
                     st.sampled_from(list(combinations(range(n), 3))),
                 ),
                 max_size=40,
@@ -240,30 +246,17 @@ class TestBc4FreeBuilder:
         )
     ))
     def test_lifo_steps_keep_bits_and_verdicts(self, case):
-        # try_add, add and pop interleaved and popped last-in-first-out, as in
-        # branch-and-bound; add may keep a closing edge, after which try_add
-        # verdicts no longer hold, so free[i] tracks (by the oracle alone)
-        # whether the first i + 1 kept edges are BC4-free
+        # try_add and pop interleaved and popped last-in-first-out, as in
+        # branch-and-bound; every verdict matches the four-edge oracle
         n, steps = case
         builder = Bc4FreeBuilder(n)
-        free: list[bool] = []
         for op, e in steps:
             if op == "pop":
                 if builder.edges:
                     builder.pop()
-                    free.pop()
             elif e not in builder.edges:
-                kept = list(builder.edges)
                 closes = any(
-                    _four_edges_support_c4((e, *three)) for three in combinations(kept, 3)
+                    _four_edges_support_c4((e, *three)) for three in combinations(builder.edges, 3)
                 )
-                if op == "add":
-                    builder.add(e)
-                    free.append((not free or free[-1]) and not closes)
-                else:
-                    accepted = builder.try_add(e)
-                    if not free or free[-1]:
-                        assert accepted == (not closes)
-                    if accepted:
-                        free.append(not free or free[-1])
+                assert builder.try_add(e) == (not closes)
             assert builder._bits == [sum(1 << u for u in adj) for adj in builder._adj]

@@ -12,19 +12,13 @@ from oracles import (
     naive_berge_cycle_exists,
     naive_four_cycles,
     naive_is_good,
-    naive_is_rare,
     naive_rare_cycles,
     walker_census,
 )
 
 from bergec4.berge import is_bc4_free
 from bergec4.bounds import InequalityCheck
-from bergec4.census import (
-    census,
-    is_good_path,
-    is_rare_cycle,
-    representative_edges,
-)
+from bergec4.census import census
 from bergec4.construct import lower_bound_construction, random_bc4free
 from bergec4.hypergraph import Hypergraph, count_three_paths, shadow
 
@@ -34,85 +28,6 @@ SCOPES = ("induced", "global")
 # four edges, each meeting the cycle 0,1,2,3 in one of its sides: a 4-cycle
 # with no representative edge, so a Berge C4
 UNREPRESENTED_C4 = ((0, 1, 4), (1, 2, 5), (2, 3, 6), (0, 3, 7))
-
-
-class TestRepresentativeEdges:
-    def test_single_inside_edge(self, three_edge_chain):
-        assert representative_edges(three_edge_chain, (1, 2, 3, 4)) == (0,)
-
-    def test_k4_minus_all_three(self, k4_minus):
-        assert representative_edges(k4_minus, (0, 1, 2, 3)) == (0, 1, 2)
-
-    def test_non_cycle_rejected(self, k4_minus):
-        with pytest.raises(ValueError):
-            representative_edges(k4_minus, (0, 1, 2, 2))
-        with pytest.raises(ValueError):
-            representative_edges(three := Hypergraph(5, [(0, 1, 2)]), (0, 1, 2, 3))
-        with pytest.raises(ValueError):
-            representative_edges(k4_minus, (0, 1, 2, 9))
-
-
-class TestIsRareCycle:
-    def test_single_representative_is_rare(self, three_edge_chain):
-        assert is_rare_cycle(three_edge_chain, (1, 2, 3, 4))
-
-    def test_k4_minus_cycles_not_rare(self, k4_minus):
-        for cycle in ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)):
-            assert not is_rare_cycle(k4_minus, cycle)
-
-    def test_shared_pair_as_diagonal_not_rare(self):
-        # edges {0,2,1} and {0,2,3} share {0,2}: cycle (0,1,2,3) has it as diagonal
-        h = Hypergraph(4, [(0, 1, 2), (0, 2, 3)])
-        assert not is_rare_cycle(h, (0, 1, 2, 3))
-
-    def test_scope_changes_outcome(self):
-        # diagonal {0,2} covered twice, once by an edge leaving the cycle
-        h = Hypergraph(7, [(0, 1, 2), (0, 2, 4), (2, 3, 5), (0, 3, 6)])
-        assert is_rare_cycle(h, (0, 1, 2, 3), "induced")
-        assert not is_rare_cycle(h, (0, 1, 2, 3), "global")
-
-    def test_bad_scope(self, k4_minus):
-        with pytest.raises(ValueError):
-            is_rare_cycle(k4_minus, (0, 1, 2, 3), "sideways")
-
-    def test_matches_naive_on_randoms(self):
-        for seed in range(20):
-            h = random_hypergraph(8, 10, seed)
-            g = shadow(h)
-            for cycle in naive_four_cycles(g):
-                for scope in ("induced", "global"):
-                    assert is_rare_cycle(h, cycle, scope) == naive_is_rare(h, cycle, scope)
-
-
-class TestIsGoodPath:
-    def test_hyperedge_triple_is_not_good(self, single_edge):
-        assert not is_good_path(single_edge, 0, 1, 2)
-
-    def test_k4_minus_missing_triple_is_good(self, k4_minus):
-        assert is_good_path(k4_minus, 1, 2, 3)
-
-    def test_rare_extension_kills_path(self, three_edge_chain):
-        assert not is_good_path(three_edge_chain, 2, 3, 4)
-
-    def test_non_path_rejected(self, k4_minus):
-        with pytest.raises(ValueError):
-            is_good_path(k4_minus, 0, 1, 0)
-        h = Hypergraph(5, [(0, 1, 2)])
-        with pytest.raises(ValueError):
-            is_good_path(h, 0, 1, 4)
-
-    def test_matches_naive_on_randoms(self):
-        for seed in range(15):
-            h = random_hypergraph(8, 9, seed)
-            g = shadow(h)
-            for x2 in range(h.n):
-                nbrs = g.neighbors(x2)
-                for i, x1 in enumerate(nbrs):
-                    for x3 in nbrs[i + 1 :]:
-                        for scope in ("induced", "global"):
-                            assert is_good_path(h, x1, x2, x3, scope) == naive_is_good(
-                                h, g, x1, x2, x3, scope
-                            )
 
 
 class TestCensus:
@@ -164,19 +79,28 @@ class TestCensus:
             (2, 3, 5, 4),
         ]
 
-    def test_goodness_matches_standalone_op(self):
+    def test_goodness_matches_naive(self):
         for seed in range(10):
             h = random_hypergraph(8, 9, seed)
             g = shadow(h)
-            rep = census(h)
-            recomputed = 0
-            for x2 in range(h.n):
-                nbrs = g.neighbors(x2)
-                for i, x1 in enumerate(nbrs):
-                    for x3 in nbrs[i + 1 :]:
-                        if is_good_path(h, x1, x2, x3):
-                            recomputed += 1
-            assert recomputed == rep.good_3paths
+            for scope in SCOPES:
+                recomputed = 0
+                for x2 in range(h.n):
+                    nbrs = g.neighbors(x2)
+                    for i, x1 in enumerate(nbrs):
+                        for x3 in nbrs[i + 1 :]:
+                            recomputed += naive_is_good(h, g, x1, x2, x3, scope)
+                assert recomputed == census(h, scope).good_3paths
+
+    def test_scope_changes_outcome(self):
+        # diagonal {0,2} covered twice, once by an edge leaving the cycle
+        h = Hypergraph(7, [(0, 1, 2), (0, 2, 4), (2, 3, 5), (0, 3, 6)])
+        assert (0, 1, 2, 3) in [rec.vertices for rec in census(h, "induced").rare_cycles]
+        assert (0, 1, 2, 3) not in [rec.vertices for rec in census(h, "global").rare_cycles]
+
+    def test_bad_scope(self, k4_minus):
+        with pytest.raises(ValueError):
+            census(k4_minus, diagonal_scope="sideways")
 
     def test_representative_range_on_free_inputs(self):
         from bergec4.construct import random_bc4free

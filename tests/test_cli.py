@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import SRC_DIR, run_cli
+from conftest import SRC_DIR, loose_cycle, run_cli
 
 from bergec4 import cli
 from bergec4.berge import find_berge_cycle
@@ -72,6 +72,12 @@ class TestCheckCommand:
 
     def test_length_flag(self, k4m_file):
         out = run_cli("check", k4m_file, "--length", "2", check=True).stdout
+        assert "result\tcycle" in out
+
+    def test_long_cycle_found(self, tmp_path):
+        path = tmp_path / "loose.txt"
+        path.write_text(loose_cycle(1100).to_text())
+        out = run_cli("check", str(path), "--length", "1100", check=True).stdout
         assert "result\tcycle" in out
 
     def test_length_one_is_usage_error(self, k4m_file):
@@ -285,7 +291,7 @@ class TestSearchCommand:
         assert proc.returncode == 2
         assert "budget" in proc.stderr
 
-    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--budget", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--budget", "-1")])
     def test_bad_setting_refused_without_pruned_rows(self, flag, value):
         # n <= 6 rows never reach branch-and-bound, yet the setting is checked
         proc = run_cli("search", "--n-max", "6", flag, value)
