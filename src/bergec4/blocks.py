@@ -81,12 +81,12 @@ def _leaf_positions(edges: Sequence[Edge]) -> list[int]:
 
 
 def _is_type1(edges: Sequence[Edge]) -> bool:
+    # an edge meeting the anchor in a pair has one vertex outside it, and two
+    # such edges meet outside the anchor iff those vertices coincide
     sets = [frozenset(e) for e in edges]
     for anchor in sets:
-        others = [f for f in sets if f != anchor]
-        if any(len(anchor & f) != 2 for f in others):
-            continue
-        if all(f1 & f2 <= anchor for f1, f2 in combinations(others, 2)):
+        outside = [f - anchor for f in sets if f != anchor]
+        if all(len(o) == 1 for o in outside) and len(set(outside)) == len(outside):
             return True
     return False
 
@@ -122,8 +122,10 @@ def decompose(h: Hypergraph) -> BlockDecomposition:
         groups.setdefault(uf.find(i), []).append(i)
     blocks: list[Block] = []
     edge_to_block = [0] * h.edge_count
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        indices = tuple(sorted(groups[root]))
+    # groups was filled in increasing i: its keys come in order of each
+    # block's least edge, and each list is already sorted
+    for members in groups.values():
+        indices = tuple(members)
         member_edges = [h.edges[i] for i in indices]
         vertex_set = frozenset(v for e in member_edges for v in e)
         leaves = tuple(indices[pos] for pos in _leaf_positions(member_edges))

@@ -4,14 +4,14 @@ Two independent routes. The exhaustive route (n <= 6) enumerates every
 BC4-free edge set, extending free sets one triple at a time with only the
 four-edge definition check below; it never visits an edge subset that
 contains a Berge C4. The other route is a pruned depth-first
-branch-and-bound on Bc4FreeBuilder. Correctness never depends on pruning;
-every prune rule carries its justifying lemma and is covered by
-oracle-equivalence tests against the exhaustive route.
+branch-and-bound on Bc4FreeBuilder, walked as one loop over an explicit
+stack. Correctness never depends on pruning; every prune rule carries its
+justifying lemma and is covered by oracle-equivalence tests against the
+exhaustive route.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -32,8 +32,9 @@ class SearchResult:
     """Outcome for one n; optimal is False when a node budget cut the search.
 
     nodes_explored counts the BC4-free edge sets for brute_force_ex (the
-    empty set included) and the depth-first calls, pruned ones included,
-    for branch_and_bound_ex.
+    empty set included) and the depth-first nodes, pruned ones included,
+    for branch_and_bound_ex. A run cut by a node budget also counts the
+    node that hit the budget, so it reports budget + 1 nodes.
     """
 
     n: int
@@ -112,10 +113,6 @@ def brute_force_ex(n: int) -> SearchResult:
     return SearchResult(n, len(best), witness, True, free_sets, time.perf_counter() - start)
 
 
-class _Budget(Exception):
-    pass
-
-
 def _greedy(n: int, triples: list[Edge]) -> list[Edge]:
     builder = Bc4FreeBuilder(n)
     for t in triples:
@@ -134,10 +131,12 @@ def _explore_subtree(
 ) -> tuple[int, list[Edge] | None, int, bool]:
     """DFS over include/exclude decisions from `start`, after forcing `prefix`.
 
-    Returns (best size found, witness when it beats seed_best, nodes,
-    completed). The incumbent is local to the subtree (seeded with
-    seed_best), never shared with sibling subtrees, so the visited node set
-    is a pure function of the arguments and thread counts cannot change it.
+    The DFS is one loop over an explicit stack, include child before
+    exclude child, so its depth needs no raised recursion limit. Returns
+    (best size found, witness when it beats seed_best, nodes, completed).
+    The incumbent is local to the subtree (seeded with seed_best), never
+    shared with sibling subtrees, so the visited node set is a pure function
+    of the arguments and thread counts cannot change it.
     """
     m = len(triples)
     builder = Bc4FreeBuilder(n)
@@ -147,30 +146,26 @@ def _explore_subtree(
     best = seed_best
     best_edges: list[Edge] | None = None
     nodes = 0
-
-    def dfs(i: int) -> None:
-        nonlocal best, best_edges, nodes
+    # one flag per depth below start: is that depth in its include child?
+    included: list[bool] = []
+    while True:
         nodes += 1
         if budget is not None and nodes > budget:
-            raise _Budget
+            return best, best_edges, nodes, False
+        i = start + len(included)
         size = len(builder)
-        if best >= cap or size + (m - i) <= best:
-            return
-        if i == m:
-            best = size
-            best_edges = list(builder.edges)
-            return
-        if builder.try_add(triples[i]):
-            dfs(i + 1)
-            builder.pop()
-        dfs(i + 1)
-
-    completed = True
-    try:
-        dfs(start)
-    except _Budget:
-        completed = False
-    return best, best_edges, nodes, completed
+        if best < cap and size + (m - i) > best:
+            if i < m:
+                included.append(builder.try_add(triples[i]))
+                continue
+            best, best_edges = size, list(builder.edges)
+        # backtrack to the deepest depth still in its include child
+        while included and not included[-1]:
+            included.pop()
+        if not included:
+            return best, best_edges, nodes, True
+        builder.pop()
+        included[-1] = False
 
 
 def _check_budget(node_budget: int | None) -> None:
@@ -204,7 +199,6 @@ def branch_and_bound_ex(n: int, node_budget: int | None = None, threads: int = 1
     start_time = time.perf_counter()
     triples = list(combinations(range(n), 3))
     m = len(triples)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * m + 1000))
     cap = upper_bound(n).floor()
     greedy_edges = _greedy(n, triples)
     best_size = len(greedy_edges)

@@ -2,11 +2,12 @@
 
 Everything here but walker_census recomputes results straight from the
 definitions with no shared machinery: Berge cycles by exhaustive ordered-tuple
-search, 3-paths by triple loops, rare 4-cycles from scratch, and the edge
-bound by bisection of the exact inequality. walker_census is the census that
-walks every 4-cycle and 3-path; it shares the canonical walker, the BC4
-verdict and the block degrees with the package, and checks the census's
-counting against listing at sizes the naive oracles cannot reach.
+search, 3-paths by triple loops, rare 4-cycles from scratch, type-1 blocks
+by pairwise intersections, and the edge bound by bisection of the exact
+inequality. walker_census is the census that walks every 4-cycle and
+3-path; it shares the canonical walker, the BC4 verdict and the block
+degrees with the package, and checks the census's counting against listing
+at sizes the naive oracles cannot reach.
 """
 
 from collections import Counter
@@ -93,6 +94,19 @@ def naive_is_good(h: Hypergraph, g: ShadowGraph, x1: int, x2: int, x3: int, scop
             if naive_is_rare(h, cycle, scope):
                 return False
     return True
+
+
+def naive_is_type1(edges) -> bool:
+    """Some edge meets every other edge in a pair and contains every pairwise
+    intersection of the others."""
+    sets = [frozenset(e) for e in edges]
+    for anchor in sets:
+        others = [f for f in sets if f != anchor]
+        if any(len(anchor & f) != 2 for f in others):
+            continue
+        if all(f1 & f2 <= anchor for f1, f2 in combinations(others, 2)):
+            return True
+    return False
 
 
 def _combined_sides(n: int, e: Fraction) -> tuple[Fraction, Fraction]:

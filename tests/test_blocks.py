@@ -1,10 +1,13 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hypergraph
+from oracles import naive_is_type1
 
-from bergec4.berge import is_bc4_free
+from bergec4.berge import Bc4FreeBuilder, is_bc4_free
 from bergec4.blocks import (
     BlockType,
     block_degrees,
@@ -116,6 +119,57 @@ class TestClassify:
             h = random_bc4free(11, 12, seed)
             for b in decompose(h).blocks:
                 assert b.classification in (BlockType.TYPE1, BlockType.TYPE2)
+
+
+def _naive_classification(h, block):
+    edges = [h.edges[i] for i in block.edge_indices]
+    if len(edges) == 3 and block.vertex_count == 4:
+        return BlockType.TYPE2
+    return BlockType.TYPE1 if naive_is_type1(edges) else BlockType.OTHER
+
+
+def _free_prefix(n, order):
+    builder = Bc4FreeBuilder(n)
+    for e in order:
+        builder.try_add(e)
+    return builder.to_hypergraph()
+
+
+any_hypergraphs = st.integers(min_value=3, max_value=7).flatmap(
+    lambda n: st.builds(
+        Hypergraph,
+        st.just(n),
+        st.lists(st.sampled_from(list(combinations(range(n), 3))), unique=True, max_size=10),
+    )
+)
+free_hypergraphs = st.integers(min_value=4, max_value=9).flatmap(
+    lambda n: st.permutations(list(combinations(range(n), 3))).map(
+        lambda order, n=n: _free_prefix(n, order)
+    )
+)
+
+
+class TestClassifyAgainstOracle:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(any_hypergraphs)
+    def test_matches_pairwise_definition(self, h):
+        for b in decompose(h).blocks:
+            assert b.classification is _naive_classification(h, b)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(free_hypergraphs)
+    def test_matches_pairwise_definition_when_free(self, h):
+        assert is_bc4_free(h)
+        for b in decompose(h).blocks:
+            assert b.classification is _naive_classification(h, b)
+            assert b.classification is not BlockType.OTHER
+
+    def test_matches_pairwise_definition_on_constructions(self, construction_family):
+        for q, h in construction_family.items():
+            if q > 11:
+                continue
+            for b in decompose(h).blocks:
+                assert b.classification is _naive_classification(h, b)
 
 
 class TestBlockDegrees:

@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -12,6 +13,9 @@ from bergec4 import search as search_module
 from bergec4.search import SEARCH_MAX_N, branch_and_bound_ex, brute_force_ex, ex_table, format_ex_table
 
 GOLDEN = Path(__file__).parent / "golden" / "ex_table_n6.tsv"
+# the greedy seed at n = 7, and the n = 7 optimum found by the full search
+SUNFLOWER_7 = tuple((0, 1, v) for v in range(2, 7))
+TWO_K4_MINUS_7 = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6))
 
 
 class TestBruteForce:
@@ -77,6 +81,30 @@ class TestBranchAndBound:
         assert r.witness.edges == (
             (0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6),
         )
+
+    @pytest.mark.parametrize(
+        "n, budget, expected, witness",
+        [
+            (7, 0, (5, 0, False), SUNFLOWER_7),
+            (7, 1, (5, 2, False), SUNFLOWER_7),
+            (7, 7, (5, 8, False), SUNFLOWER_7),
+            (7, 500, (5, 501, False), SUNFLOWER_7),
+            (7, 5000, (6, 5001, False), TWO_K4_MINUS_7),
+            (8, 200_000, (6, 200_001, False), tuple((0, 1, v) for v in range(2, 8))),
+        ],
+    )
+    def test_budgeted_results_are_pinned(self, n, budget, expected, witness):
+        # a cut run also counts the node that hit the budget
+        r = branch_and_bound_ex(n, node_budget=budget)
+        assert (r.max_edges, r.nodes_explored, r.optimal) == expected
+        assert r.witness.edges == witness
+
+    def test_deep_search_leaves_recursion_limit_alone(self):
+        # m = C(20, 3) = 1,140 triples: a DFS deeper than the default limit
+        before = sys.getrecursionlimit()
+        r = branch_and_bound_ex(20, node_budget=2000)
+        assert (r.max_edges, r.nodes_explored, r.optimal) == (18, 2001, False)
+        assert sys.getrecursionlimit() == before
 
     def test_zero_budget_returns_greedy_lower_bound(self):
         r = branch_and_bound_ex(7, node_budget=0)
