@@ -322,5 +322,13 @@ class Bc4FreeBuilder:
         self._append(e)
         return True
 
+    def accepts(self, triple: Sequence[int]) -> bool:
+        """Would try_add keep this triple? The same check, with nothing mutated.
+
+        Raises ValueError exactly where try_add does.
+        """
+        a, b, c = self._new_edge(triple)
+        return not (self._closes_c4(a, b) or self._closes_c4(a, c) or self._closes_c4(b, c))
+
     def to_hypergraph(self) -> Hypergraph:
         return Hypergraph(self.n, self.edges)

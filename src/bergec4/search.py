@@ -3,11 +3,14 @@
 Two independent routes. The exhaustive route (n <= 6) enumerates every
 BC4-free edge set, extending free sets one triple at a time with only the
 four-edge definition check below; it never visits an edge subset that
-contains a Berge C4. The other route is a pruned depth-first
-branch-and-bound on Bc4FreeBuilder, walked as one loop over an explicit
-stack. Correctness never depends on pruning; every prune rule carries its
-justifying lemma and is covered by oracle-equivalence tests against the
-exhaustive route.
+contains a Berge C4. The other route is a depth-first branch-and-bound on
+Bc4FreeBuilder, walked as one loop over an explicit stack. It pins two
+edges of largest intersection as the root of each of three root classes,
+keeps per node the list of triples that can still join the current set,
+and prunes a node whose size plus candidate count cannot beat the
+incumbent. Correctness never depends on pruning; every prune rule carries
+its justifying lemma (branch_and_bound_ex) and is covered by
+oracle-equivalence tests against brute force.
 """
 
 from __future__ import annotations
@@ -32,9 +35,12 @@ class SearchResult:
     """Outcome for one n; optimal is False when a node budget cut the search.
 
     nodes_explored counts the BC4-free edge sets for brute_force_ex (the
-    empty set included) and the depth-first nodes, pruned ones included,
-    for branch_and_bound_ex. A run cut by a node budget also counts the
-    node that hit the budget, so it reports budget + 1 nodes.
+    empty set included). For branch_and_bound_ex it counts the edge sets
+    the search visits: the pinned pair at the root of each root class, and
+    every set reached by including one candidate, whether it is then
+    expanded or pruned. A run cut by a node budget also counts the node
+    that hit the budget, so it reports budget + 1 nodes, or budget when it
+    ran out exactly between two root classes.
     """
 
     n: int
@@ -120,52 +126,98 @@ def _greedy(n: int, triples: list[Edge]) -> list[Edge]:
     return list(builder.edges)
 
 
-def _explore_subtree(
+# the pinned pair of every root class: _ROOT_EDGE and a second edge meeting
+# it in exactly i vertices, for the largest intersection i of the class
+_ROOT_EDGE: Edge = (0, 1, 2)
+_SECOND_EDGES: tuple[tuple[int, Edge], ...] = ((2, (0, 1, 3)), (1, (0, 3, 4)), (0, (3, 4, 5)))
+
+
+def _root_classes(n: int) -> list[tuple[int, Edge]]:
+    """(i, f_i) for each root class whose second pinned edge fits in n vertices."""
+    return [(i, f) for i, f in _SECOND_EDGES if f[2] < n]
+
+
+def _meet(u: Edge, t: Edge) -> int:
+    """How many vertices the triples u and t share."""
+    return (u[0] in t) + (u[1] in t) + (u[2] in t)
+
+
+def _explore_class(
     n: int,
     triples: list[Edge],
-    prefix: list[Edge],
-    start: int,
+    limit: int,
+    second: Edge,
     seed_best: int,
     cap: int,
     budget: int | None,
 ) -> tuple[int, list[Edge] | None, int, bool]:
-    """DFS over include/exclude decisions from `start`, after forcing `prefix`.
+    """Candidate-filtered DFS over the edge sets of one root class.
 
-    The DFS is one loop over an explicit stack, include child before
-    exclude child, so its depth needs no raised recursion limit. Returns
-    (best size found, witness when it beats seed_best, nodes, completed).
-    The incumbent is local to the subtree (seeded with seed_best), never
-    shared with sibling subtrees, so the visited node set is a pure function
-    of the arguments and thread counts cannot change it.
+    The class holds _ROOT_EDGE and `second`, and every two of its edges meet
+    in at most `limit` vertices. A node is an edge set S, held by the
+    builder, with its candidates: the triples that the builder accepts next
+    to S, that meet each edge of S in at most `limit` vertices and, below
+    the root, that come after the last candidate included. The
+    children of S include one candidate each, in list order, and a child's
+    candidates are the parent's candidates after the included one, filtered
+    against it. Both filter conditions are monotone (a triple blocked by S
+    is blocked by every superset of S), so the filtered list holds every
+    triple that can still join S, and a node with size + len(candidates)
+    <= best cannot beat the incumbent. The DFS is one loop over an explicit
+    stack of (candidates, next position) frames.
+
+    Returns (best size found, witness when it beats seed_best, nodes,
+    completed). The incumbent is local to the class (seeded with
+    seed_best), never shared with sibling classes, so the visited node set
+    is a pure function of the arguments and thread counts cannot change it.
     """
-    m = len(triples)
     builder = Bc4FreeBuilder(n)
-    for e in prefix:
+    for e in (_ROOT_EDGE, second):
         if not builder.try_add(e):
-            raise RuntimeError(f"subtree prefix {prefix} is not BC4-free")
+            raise RuntimeError(f"root class edge {e} is not BC4-free")
+    # a pinned edge meets itself in 3 > limit vertices, so neither is a candidate
+    candidates = [
+        t
+        for t in triples
+        if _meet(t, _ROOT_EDGE) <= limit and _meet(t, second) <= limit and builder.accepts(t)
+    ]
     best = seed_best
     best_edges: list[Edge] | None = None
     nodes = 0
-    # one flag per depth below start: is that depth in its include child?
-    included: list[bool] = []
+    # one frame per edge set on the current path: its candidates and the
+    # position of the next one to include
+    frames: list[list[Edge]] = []
+    positions: list[int] = []
     while True:
+        # visit the node the builder holds, whose candidates are `candidates`
         nodes += 1
         if budget is not None and nodes > budget:
             return best, best_edges, nodes, False
-        i = start + len(included)
         size = len(builder)
-        if best < cap and size + (m - i) > best:
-            if i < m:
-                included.append(builder.try_add(triples[i]))
-                continue
+        if size > best:
             best, best_edges = size, list(builder.edges)
-        # backtrack to the deepest depth still in its include child
-        while included and not included[-1]:
-            included.pop()
-        if not included:
+        if size + len(candidates) > best:
+            frames.append(candidates)
+            positions.append(0)
+        elif frames:
+            # a pruned node below the root: undo the include that made it
+            builder.pop()
+        # backtrack to the deepest frame with a child still worth visiting
+        while frames:
+            candidates, k = frames[-1], positions[-1]
+            if best < cap and len(builder) + len(candidates) - k > best:
+                break
+            frames.pop()
+            positions.pop()
+            if frames:
+                builder.pop()
+        else:
             return best, best_edges, nodes, True
-        builder.pop()
-        included[-1] = False
+        t = candidates[k]
+        positions[-1] = k + 1
+        # t passed accepts against this same set, so try_add keeps it
+        builder.try_add(t)
+        candidates = [u for u in candidates[k + 1:] if _meet(u, t) <= limit and builder.accepts(u)]
 
 
 def _check_budget(node_budget: int | None) -> None:
@@ -174,22 +226,32 @@ def _check_budget(node_budget: int | None) -> None:
 
 
 def branch_and_bound_ex(n: int, node_budget: int | None = None, threads: int = 1) -> SearchResult:
-    """Pruned depth-first search over triples in lexicographic order.
+    """Candidate-filtered depth-first search, one subtree per root class.
 
     Prune rules, each with its lemma:
-    - remaining-count: with r triples left, the current set can grow by at
-      most r, so branches with size + r <= incumbent are dead;
+    - root classes (max-intersection pinning): take any maximizer with at
+      least 2 edges, let i be the largest number of vertices two of its
+      edges share, and relabel the vertices so that two such edges become
+      (0,1,2) and f_i, where f_2 = (0,1,3), f_1 = (0,3,4) and
+      f_0 = (3,4,5). The result is an isomorphic maximizer holding both,
+      with every two edges meeting in at most i vertices. So the search
+      runs one subtree per i, with that pair pinned and that intersection
+      limit, and skips a class whose f_i does not fit in n vertices. A
+      maximizer with 0 or 1 edges is matched by the greedy seed;
+    - candidate bound: a node's candidates are the only triples that can
+      still join it, because a triple the builder rejects next to S, or
+      that meets an edge of S in more than i vertices, is rejected next to
+      every superset of S. So a node with size + len(candidates) <= the
+      incumbent is dead (_explore_class);
     - analytic cap: every BC4-free hypergraph on n vertices satisfies the
       combined chain inequality (bounds module), so no branch can exceed
-      floor(upper_bound(n)) and the search may stop at the cap;
-    - first-edge pinning: relabeling the vertices of any edge of a nonempty
-      maximizer to 0,1,2 yields an isomorphic maximizer whose
-      lexicographically least edge is {0,1,2}, so the root edge is forced.
+      floor(upper_bound(n)) and the search may stop at the cap.
 
-    Exploration is canonical and incumbents are never shared across
-    top-level subtrees, so the result (witness and node count) is identical
-    for any thread count; a finite node budget forces sequential execution
-    so that nodes are charged in canonical order.
+    Exploration is canonical and incumbents are never shared across root
+    classes (each starts from the greedy size), so the result (witness and
+    node count) is identical for any thread count; a finite node budget
+    forces sequential execution so that nodes are charged in canonical
+    order.
     """
     if n < 3:
         raise ValueError(f"branch and bound requires n >= 3, got {n}")
@@ -198,7 +260,6 @@ def branch_and_bound_ex(n: int, node_budget: int | None = None, threads: int = 1
     _check_budget(node_budget)
     start_time = time.perf_counter()
     triples = list(combinations(range(n), 3))
-    m = len(triples)
     cap = upper_bound(n).floor()
     greedy_edges = _greedy(n, triples)
     best_size = len(greedy_edges)
@@ -206,25 +267,24 @@ def branch_and_bound_ex(n: int, node_budget: int | None = None, threads: int = 1
     nodes_total = 0
     completed = True
 
-    # the pinned root {0,1,2} plus each choice of second included triple
-    subtrees = [(j, [triples[0], triples[j]]) for j in range(1, m)]
+    classes = _root_classes(n)
     run_parallel = threads > 1 and node_budget is None
 
     if run_parallel:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [
-                pool.submit(_explore_subtree, n, triples, prefix, j + 1, best_size, cap, None)
-                for j, prefix in subtrees
+                pool.submit(_explore_class, n, triples, limit, second, best_size, cap, None)
+                for limit, second in classes
             ]
             outcomes = [f.result() for f in futures]
     else:
         outcomes = []
         remaining = node_budget
-        for j, prefix in subtrees:
+        for limit, second in classes:
             if remaining is not None and remaining <= 0:
                 completed = False
                 break
-            out = _explore_subtree(n, triples, prefix, j + 1, best_size, cap, remaining)
+            out = _explore_class(n, triples, limit, second, best_size, cap, remaining)
             outcomes.append(out)
             if remaining is not None:
                 remaining -= out[2]

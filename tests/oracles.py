@@ -3,16 +3,17 @@
 Everything here but walker_census recomputes results straight from the
 definitions with no shared machinery: Berge cycles by exhaustive ordered-tuple
 search, 3-paths by triple loops, rare 4-cycles from scratch, type-1 blocks
-by pairwise intersections, and the edge bound by bisection of the exact
-inequality. walker_census is the census that walks every 4-cycle and
-3-path; it shares the canonical walker, the BC4 verdict and the block
-degrees with the package, and checks the census's counting against listing
-at sizes the naive oracles cannot reach.
+by pairwise intersections, the edge bound by bisection of the exact
+inequality, and the best edge set of each search root class by exhaustive
+extension with a four-edge cycle test of its own. walker_census is the
+census that walks every 4-cycle and 3-path; it shares the canonical walker,
+the BC4 verdict and the block degrees with the package, and checks the
+census's counting against listing at sizes the naive oracles cannot reach.
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from bergec4.berge import _canonical_cycles, is_bc4_free
 from bergec4.blocks import block_degrees, decompose
@@ -107,6 +108,41 @@ def naive_is_type1(edges) -> bool:
         if all(f1 & f2 <= anchor for f1, f2 in combinations(others, 2)):
             return True
     return False
+
+
+def _four_edges_carry_c4(quad) -> bool:
+    """Some cyclic order of the four edges with distinct vertices in consecutive meets."""
+    for a, b, c, d in permutations([set(e) for e in quad]):
+        for picks in product(a & b, b & c, c & d, d & a):
+            if len(set(picks)) == 4:
+                return True
+    return False
+
+
+def naive_class_best(n: int, second, limit: int) -> int:
+    """Largest BC4-free edge set on n vertices holding (0, 1, 2) and second,
+    with every two of its edges sharing at most limit vertices.
+
+    Exhaustive: sets grow by triples of increasing index, and a triple joins
+    only if it meets every kept edge in at most limit vertices and no three
+    kept edges carry a Berge C4 with it.
+    """
+    root = (0, 1, 2)
+    allowed = [t for t in combinations(range(n), 3) if t not in (root, second)]
+    best = 0
+
+    def extend(chosen, start):
+        nonlocal best
+        best = max(best, len(chosen))
+        for j in range(start, len(allowed)):
+            t = allowed[j]
+            if all(len(set(t) & set(e)) <= limit for e in chosen) and not any(
+                _four_edges_carry_c4((*three, t)) for three in combinations(chosen, 3)
+            ):
+                extend(chosen + [t], j + 1)
+
+    extend([root, second], 0)
+    return best
 
 
 def _combined_sides(n: int, e: Fraction) -> tuple[Fraction, Fraction]:

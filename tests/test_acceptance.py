@@ -187,7 +187,7 @@ def test_criterion_8_determinism(tmp_path):
         first = run_cli(*args, check=True)
         second = run_cli(*args, check=True)
         assert first.stdout == second.stdout, f"non-deterministic output for {args}"
-    for n in (6, 7):
+    for n in (6, 7, 8):
         base = branch_and_bound_ex(n, threads=1)
         for threads in (2, 8):
             assert branch_and_bound_ex(n, threads=threads) == base

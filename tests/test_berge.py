@@ -260,3 +260,31 @@ class TestBc4FreeBuilder:
                 )
                 assert builder.try_add(e) == (not closes)
             assert builder._bits == [sum(1 << u for u in adj) for adj in builder._adj]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(min_value=4, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.booleans(), st.sampled_from(list(combinations(range(n), 3)))),
+                max_size=40,
+            ),
+        )
+    ))
+    def test_accepts_agrees_with_try_add_and_mutates_nothing(self, case):
+        # each step asks accepts, then either pops or adds the triple
+        n, steps = case
+        builder = Bc4FreeBuilder(n)
+        for pop, e in steps:
+            if e in builder.edges:
+                with pytest.raises(ValueError, match="duplicate"):
+                    builder.accepts(e)
+                continue
+            edges, bits = list(builder.edges), list(builder._bits)
+            pair_edges = {p: list(b) for p, b in builder._pair_edges.items()}
+            verdict = builder.accepts(e)
+            assert (builder.edges, builder._bits, builder._pair_edges) == (edges, bits, pair_edges)
+            if pop and builder.edges:
+                builder.pop()
+            else:
+                assert builder.try_add(e) == verdict

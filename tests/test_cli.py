@@ -274,6 +274,10 @@ class TestSearchCommand:
         assert "3\t1\ttrue" in out
         assert "4\t3\ttrue" in out
 
+    def test_default_budget_proves_n8(self):
+        out = run_cli("search", "--n-max", "8", check=True).stdout
+        assert "\n8\t6\ttrue\t" in out
+
     def test_zero_budget_marks_non_brute_rows(self):
         out = run_cli("search", "--n-max", "7", "--budget", "0", check=True).stdout
         row7 = next(l for l in out.splitlines() if l.startswith("7\t"))

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import naive_berge_cycle_exists
+from oracles import naive_berge_cycle_exists, naive_class_best
 
 from bergec4.berge import is_bc4_free
 from bergec4.bounds import upper_bound
@@ -16,6 +16,8 @@ GOLDEN = Path(__file__).parent / "golden" / "ex_table_n6.tsv"
 # the greedy seed at n = 7, and the n = 7 optimum found by the full search
 SUNFLOWER_7 = tuple((0, 1, v) for v in range(2, 7))
 TWO_K4_MINUS_7 = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6))
+# the second pinned edge of root class i meets (0, 1, 2) in exactly i vertices
+SECOND_EDGES = {2: (0, 1, 3), 1: (0, 3, 4), 0: (3, 4, 5)}
 
 
 class TestBruteForce:
@@ -77,7 +79,7 @@ class TestBranchAndBound:
     def test_n7_result_is_pinned(self):
         # the same builder decisions visit the same nodes in the same order
         r = branch_and_bound_ex(7)
-        assert (r.max_edges, r.nodes_explored, r.optimal) == (6, 31_914, True)
+        assert (r.max_edges, r.nodes_explored, r.optimal) == (6, 223, True)
         assert r.witness.edges == (
             (0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6),
         )
@@ -88,9 +90,9 @@ class TestBranchAndBound:
             (7, 0, (5, 0, False), SUNFLOWER_7),
             (7, 1, (5, 2, False), SUNFLOWER_7),
             (7, 7, (5, 8, False), SUNFLOWER_7),
-            (7, 500, (5, 501, False), SUNFLOWER_7),
-            (7, 5000, (6, 5001, False), TWO_K4_MINUS_7),
-            (8, 200_000, (6, 200_001, False), tuple((0, 1, v) for v in range(2, 8))),
+            (7, 500, (6, 223, True), TWO_K4_MINUS_7),
+            (7, 5000, (6, 223, True), TWO_K4_MINUS_7),
+            (8, 200_000, (6, 3314, True), tuple((0, 1, v) for v in range(2, 8))),
         ],
     )
     def test_budgeted_results_are_pinned(self, n, budget, expected, witness):
@@ -113,21 +115,23 @@ class TestBranchAndBound:
         assert is_bc4_free(r.witness)
 
     def test_budget_cuts_are_deterministic(self):
-        a = branch_and_bound_ex(7, node_budget=500)
-        b = branch_and_bound_ex(7, node_budget=500)
+        # below the 223 nodes of the full n = 7 search, so the run is cut
+        a = branch_and_bound_ex(7, node_budget=200)
+        b = branch_and_bound_ex(7, node_budget=200)
         assert a == b
         assert not a.optimal
 
     def test_thread_counts_do_not_change_results(self):
-        base = branch_and_bound_ex(6, threads=1)
-        for threads in (2, 8):
-            assert branch_and_bound_ex(6, threads=threads) == base
+        for n in (6, 8):
+            base = branch_and_bound_ex(n, threads=1)
+            for threads in (2, 8):
+                assert branch_and_bound_ex(n, threads=threads) == base
 
     def test_budgeted_run_ignores_thread_fanout(self):
         # finite budgets force canonical sequential accounting
-        a = branch_and_bound_ex(7, node_budget=500, threads=4)
-        b = branch_and_bound_ex(7, node_budget=500, threads=1)
-        assert a == b
+        a = branch_and_bound_ex(7, node_budget=200, threads=4)
+        b = branch_and_bound_ex(7, node_budget=200, threads=1)
+        assert a == b and not a.optimal
 
     def test_repeat_runs_identical(self):
         a = branch_and_bound_ex(6)
@@ -141,6 +145,26 @@ class TestBranchAndBound:
             branch_and_bound_ex(5, threads=0)
         with pytest.raises(ValueError):
             branch_and_bound_ex(7, node_budget=-1)
+
+
+class TestRootClasses:
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_class_bests_match_oracle(self, n):
+        # each class's own best (seed 0, no cap) against exhaustive extension
+        # of its pinned pair under its intersection limit, without the builder
+        triples = list(combinations(range(n), 3))
+        got = {
+            i: search_module._explore_class(n, triples, i, f, 0, len(triples), None)[0]
+            for i, f in search_module._root_classes(n)
+        }
+        want = {i: naive_class_best(n, f, i) for i, f in SECOND_EDGES.items() if max(f) < n}
+        assert got == want
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_classes_cover_every_maximizer(self, n):
+        # the root-class lemma: some class holds a maximizer
+        best = max(naive_class_best(n, f, i) for i, f in SECOND_EDGES.items() if max(f) < n)
+        assert best == brute_force_ex(n).max_edges
 
 
 class TestExTable:
