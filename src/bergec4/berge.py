@@ -213,6 +213,14 @@ class Bc4FreeBuilder:
     c in C - {b} exist and differ). A candidate is rejected before anything
     is mutated; only a kept edge is added.
 
+    The same check is exposed three ways: try_add adds a kept triple,
+    accepts only reports the verdict, and closing_pair names the first pair
+    of the triple that closes a C4, so that a caller which only adds edges
+    can remember the pair (random_bc4free). That memo lives in the caller,
+    not here: a builder-wide dead-pair set, cleared on pop, slowed
+    branch_and_bound_ex(8) from 0.11-0.12 to 0.14-0.16 s and is_bc4_free on
+    the q = 16 construction from 0.046-0.057 to 0.064-0.065 s (2-vCPU VM).
+
     Neighbourhoods are kept twice: _adj[v] as a set and _bits[v] as an int
     with bit u set iff {u, v} is a shadow pair, both updated where a pair's
     edge bucket is created or deleted. The scan walks w over the set, which
@@ -329,6 +337,20 @@ class Bc4FreeBuilder:
         """
         a, b, c = self._new_edge(triple)
         return not (self._closes_c4(a, b) or self._closes_c4(a, c) or self._closes_c4(b, c))
+
+    def closing_pair(self, triple: Sequence[int]) -> Pair | None:
+        """The first of ab, ac, bc that closes a Berge C4, or None when accepts is True.
+
+        The verdict on a pair does not depend on the triple's third vertex,
+        and a closing pair stays closing while edges are only added (see
+        random_bc4free). Nothing is mutated; raises ValueError exactly where
+        try_add does.
+        """
+        a, b, c = self._new_edge(triple)
+        for x, y in ((a, b), (a, c), (b, c)):
+            if self._closes_c4(x, y):
+                return x, y
+        return None
 
     def to_hypergraph(self) -> Hypergraph:
         return Hypergraph(self.n, self.edges)

@@ -14,7 +14,7 @@ from math import isqrt
 import random
 
 from bergec4.berge import Bc4FreeBuilder, is_bc4_free
-from bergec4.hypergraph import Hypergraph
+from bergec4.hypergraph import Hypergraph, Pair
 
 # random_bc4free shuffles all C(n, 3) triples, so memory grows as n^3
 # (about 117 MB at n = 200); larger n is refused before anything is built.
@@ -210,16 +210,37 @@ def random_bc4free(n: int, target_m: int, seed: int) -> Hypergraph:
     BC4-free, stopping at target_m or exhaustion. The sample is biased by the
     greedy order; it is a falsification-test generator, not a uniform one.
     Raises ValueError for n outside [3, RANDOM_MAX_N].
+
+    Dead-pair lemma: whether a pair {x, y} closes a Berge C4 depends only on
+    the pair and the current edges, through a Berge 3-path y -> w -> z -> x
+    with distinct representatives (Bc4FreeBuilder). Such a path is still
+    one after more edges are added, so once a pair closes a C4 it closes
+    one for as long as edges are only added. The greedy never pops, so it
+    remembers each pair that Bc4FreeBuilder.closing_pair names and skips
+    every later triple through a remembered pair with three set lookups;
+    the kept edges are the same as with try_add on every triple.
     """
     if not 3 <= n <= RANDOM_MAX_N:
         raise ValueError(f"n must be in [3, {RANDOM_MAX_N}], got {n}")
     if target_m < 0:
         raise ValueError(f"target_m must be >= 0, got {target_m}")
+    builder = Bc4FreeBuilder(n)
+    if target_m == 0:
+        return builder.to_hypergraph()
     triples = list(combinations(range(n), 3))
     random.Random(seed).shuffle(triples)
-    builder = Bc4FreeBuilder(n)
+    dead: set[Pair] = set()
     for t in triples:
+        a, b, c = t
+        if (a, b) in dead or (a, c) in dead or (b, c) in dead:
+            continue
+        pair = builder.closing_pair(t)
+        if pair is not None:
+            dead.add(pair)
+            continue
+        # closing_pair found no closing pair against these same edges, so
+        # try_add keeps t
+        builder.try_add(t)
         if len(builder) >= target_m:
             break
-        builder.try_add(t)
     return builder.to_hypergraph()

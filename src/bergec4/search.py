@@ -1,16 +1,18 @@
 """Exact extremal edge counts for BC4-free hypergraphs at desk scale.
 
-Two independent routes. The exhaustive route (n <= 6) enumerates every
-BC4-free edge set, extending free sets one triple at a time with only the
-four-edge definition check below; it never visits an edge subset that
-contains a Berge C4. The other route is a depth-first branch-and-bound on
-Bc4FreeBuilder, walked as one loop over an explicit stack. It pins two
-edges of largest intersection as the root of each of three root classes,
-keeps per node the list of triples that can still join the current set,
-and prunes a node whose size plus candidate count cannot beat the
-incumbent. Correctness never depends on pruning; every prune rule carries
-its justifying lemma (branch_and_bound_ex) and is covered by
-oracle-equivalence tests against brute force.
+Two independent routes. The production route, behind ex_table and the
+search command, is a depth-first branch-and-bound on Bc4FreeBuilder,
+walked as one loop over an explicit stack. It pins two edges of largest
+intersection as the root of each of three root classes, keeps per node
+the list of triples that can still join the current set, and prunes a
+node whose size plus candidate count cannot beat the incumbent. The
+exhaustive route (brute_force_ex, n <= 6) enumerates every BC4-free edge
+set, extending free sets one triple at a time with only the four-edge
+definition check below; it never visits an edge subset that contains a
+Berge C4. It is the second route the tests hold the first to. Correctness
+never depends on pruning; every prune rule carries its justifying lemma
+(branch_and_bound_ex) and is covered by oracle-equivalence tests against
+brute force.
 """
 
 from __future__ import annotations
@@ -300,20 +302,18 @@ def branch_and_bound_ex(n: int, node_budget: int | None = None, threads: int = 1
 
 
 def ex_table(n_max: int, budget: int | None = 200_000) -> list[SearchResult]:
-    """Extremal values for n = 3..n_max: exhaustive where allowed, else pruned.
+    """Extremal values for n = 3..n_max, all by branch_and_bound_ex.
 
+    Rows n <= 6 run with no node budget: they take at most 40 nodes, so
+    they are proven optimal at every budget, including 0. The budget
+    applies from n = 7 on. brute_force_ex is not called here; it stays the
+    independent second route that the tests check the n <= 6 rows with.
     Raises ValueError for n_max outside [3, SEARCH_MAX_N].
     """
     if not 3 <= n_max <= SEARCH_MAX_N:
         raise ValueError(f"n_max must be in [3, {SEARCH_MAX_N}], got {n_max}")
     _check_budget(budget)
-    results = []
-    for n in range(3, n_max + 1):
-        if n <= 6:
-            results.append(brute_force_ex(n))
-        else:
-            results.append(branch_and_bound_ex(n, node_budget=budget))
-    return results
+    return [branch_and_bound_ex(n, node_budget=None if n <= 6 else budget) for n in range(3, n_max + 1)]
 
 
 def format_ex_table(results: list[SearchResult]) -> str:

@@ -9,13 +9,16 @@ extension with a four-edge cycle test of its own. walker_census is the
 census that walks every 4-cycle and 3-path; it shares the canonical walker,
 the BC4 verdict and the block degrees with the package, and checks the
 census's counting against listing at sizes the naive oracles cannot reach.
+memo_free_greedy likewise shares the builder: it is random_bc4free without
+the dead-pair memo, so it checks the memo, not the builder's verdict.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
+import random
 
-from bergec4.berge import _canonical_cycles, is_bc4_free
+from bergec4.berge import Bc4FreeBuilder, _canonical_cycles, is_bc4_free
 from bergec4.blocks import block_degrees, decompose
 from bergec4.bounds import check_inequality
 from bergec4.census import CensusReport, FourCycleRecord
@@ -108,6 +111,19 @@ def naive_is_type1(edges) -> bool:
         if all(f1 & f2 <= anchor for f1, f2 in combinations(others, 2)):
             return True
     return False
+
+
+def memo_free_greedy(n: int, target_m: int, seed: int) -> Hypergraph:
+    """random_bc4free's greedy with no memo: the same shuffle, then try_add
+    on every triple until target_m edges are kept."""
+    triples = list(combinations(range(n), 3))
+    random.Random(seed).shuffle(triples)
+    builder = Bc4FreeBuilder(n)
+    for t in triples:
+        if len(builder) >= target_m:
+            break
+        builder.try_add(t)
+    return builder.to_hypergraph()
 
 
 def _four_edges_carry_c4(quad) -> bool:

@@ -288,3 +288,59 @@ class TestBc4FreeBuilder:
                 builder.pop()
             else:
                 assert builder.try_add(e) == verdict
+
+
+def _valid_or_not_triples(n: int):
+    # mostly new triples, some duplicates, some invalid ones
+    return st.one_of(
+        st.sampled_from(list(combinations(range(n), 3))),
+        st.tuples(*[st.integers(min_value=-1, max_value=n)] * 3),
+        st.sampled_from([(0, 1), (0, 1, 2, 3), (0, 1, 2.0), (0, 1, "2")]),
+    )
+
+
+class TestClosingPair:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(min_value=4, max_value=9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(_valid_or_not_triples(n), max_size=50))
+    ))
+    def test_agrees_with_accepts_and_try_add(self, case):
+        # None exactly when accepts is True, a returned pair is a pair of the
+        # triple, and ValueError exactly where try_add raises it
+        n, steps = case
+        builder = Bc4FreeBuilder(n)
+        for t in steps:
+            try:
+                pair = builder.closing_pair(t)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    builder.accepts(t)
+                with pytest.raises(ValueError):
+                    builder.try_add(t)
+                continue
+            assert (pair is None) == builder.accepts(t)
+            if pair is not None:
+                assert pair in combinations(sorted(t), 2)
+            assert builder.try_add(t) == (pair is None)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(min_value=4, max_value=10).flatmap(
+        lambda n: st.tuples(st.just(n), st.permutations(list(combinations(range(n), 3))))
+    ))
+    def test_closing_pair_stays_closing_while_edges_are_added(self, case):
+        # after more try_add calls and no pop, every triple through a pair
+        # that once closed a C4 is still rejected
+        n, order = case
+        builder = Bc4FreeBuilder(n)
+        dead = set()
+        for t in order:
+            pair = builder.closing_pair(t)
+            if pair is None:
+                assert builder.try_add(t)
+            else:
+                dead.add(pair)
+            for x, y in dead:
+                for z in range(n):
+                    third = tuple(sorted((x, y, z)))
+                    if z not in (x, y) and third not in builder.edges:
+                        assert not builder.accepts(third)

@@ -2,8 +2,10 @@ import hashlib
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_berge_cycle_exists
+from oracles import memo_free_greedy, naive_berge_cycle_exists
 
 from bergec4.berge import is_bc4_free
 from bergec4.blocks import BlockType, decompose
@@ -165,6 +167,21 @@ class TestRandomBc4Free:
         h = random_bc4free(80, comb(80, 3), seed)
         assert h.edge_count == m
         assert hashlib.sha256(h.to_text().encode()).hexdigest() == digest
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=25).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                # small targets stop partway through the triple stream
+                st.one_of(st.integers(0, 12), st.integers(0, comb(n, 3))),
+                st.integers(min_value=0, max_value=2**32),
+            )
+        )
+    )
+    def test_dead_pair_memo_matches_memo_free_greedy(self, case):
+        n, target_m, seed = case
+        assert random_bc4free(n, target_m, seed) == memo_free_greedy(n, target_m, seed)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -76,6 +76,22 @@ def test_no_dead_private_helpers():
     assert found == []
 
 
+BUILDER_PRIVATE = {"_closes_c4", "_new_edge", "_append", "_adj", "_bits", "_pair_edges"}
+
+
+def test_builder_internals_stay_in_berge():
+    # other modules use Bc4FreeBuilder through try_add, pop, accepts and closing_pair
+    package = Path(bergec4.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "berge.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in BUILDER_PRIVATE
+    ]
+    assert found == []
+
+
 FLOAT_CALLS = {"float", "round"}
 FLOAT_MATH = {"sqrt", "log", "log2", "log10", "exp"}
 

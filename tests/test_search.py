@@ -186,6 +186,16 @@ class TestExTable:
         for r in rows:
             assert r.optimal == (r.n <= 6)
 
+    def test_runs_no_brute_force(self, monkeypatch):
+        # rows n <= 6 come from unbudgeted branch-and-bound; brute force is
+        # only the tests' second route
+        def refuse(n):
+            raise AssertionError("brute force ran")
+
+        monkeypatch.setattr(search_module, "brute_force_ex", refuse)
+        rows = format_ex_table(ex_table(8)).splitlines()
+        assert rows[:5] == GOLDEN.read_text().splitlines()
+
     def test_format_layout(self):
         text = format_ex_table(ex_table(4))
         lines = text.strip().split("\n")
