@@ -20,10 +20,8 @@ from bergec4.hypergraph import (
 from bergec4.berge import (
     Bc4FreeBuilder,
     BergeCycleWitness,
-    WitnessError,
     find_berge_cycle,
     is_bc4_free,
-    verify_cycle_witness,
 )
 from bergec4.blocks import (
     Block,
@@ -31,12 +29,10 @@ from bergec4.blocks import (
     BlockType,
     block_degrees,
     decompose,
-    excess_degree_within,
 )
 from bergec4.census import (
     CensusReport,
     FourCycleRecord,
-    census,
 )
 from bergec4.bounds import (
     BoundReport,

@@ -31,10 +31,6 @@ from bergec4.hypergraph import (
 )
 
 
-class WitnessError(ValueError):
-    """A witness refers to vertex or edge ids outside the hypergraph."""
-
-
 @dataclass(frozen=True)
 class BergeCycleWitness:
     """Cyclic vertex sequence plus, per position, the covering edge index."""
@@ -45,31 +41,6 @@ class BergeCycleWitness:
     @property
     def length(self) -> int:
         return len(self.vertices)
-
-
-def verify_cycle_witness(h: Hypergraph, witness: BergeCycleWitness) -> bool:
-    """True iff the witness is a valid Berge cycle of h.
-
-    Out-of-range vertex or edge ids raise WitnessError; any other violation
-    (repeats, a pair not inside its edge, length < 2) returns False.
-    """
-    vs, es = witness.vertices, witness.edge_indices
-    for v in vs:
-        if not 0 <= v < h.n:
-            raise WitnessError(f"vertex id {v} out of range [0, {h.n})")
-    for i in es:
-        if not 0 <= i < h.edge_count:
-            raise WitnessError(f"edge index {i} out of range [0, {h.edge_count})")
-    k = len(es)
-    if k < 2 or len(vs) != k:
-        return False
-    if len(set(vs)) != k or len(set(es)) != k:
-        return False
-    for i in range(k):
-        edge = h.edges[es[i]]
-        if vs[i] not in edge or vs[(i + 1) % k] not in edge:
-            return False
-    return True
 
 
 def _distinct_representatives(candidates: Sequence[Sequence[int]]) -> list[int] | None:
@@ -213,11 +184,12 @@ class Bc4FreeBuilder:
     c in C - {b} exist and differ). A candidate is rejected before anything
     is mutated; only a kept edge is added.
 
-    The same check is exposed three ways: try_add adds a kept triple,
-    accepts only reports the verdict, and closing_pair names the first pair
-    of the triple that closes a C4, so that a caller which only adds edges
-    can remember the pair (random_bc4free). That memo lives in the caller,
-    not here: a builder-wide dead-pair set, cleared on pop, slowed
+    The same check is exposed two ways: try_add adds a kept triple, and
+    closing_pair mutates nothing and names the first pair of the triple that
+    closes a C4, or None when try_add would keep it. The search's candidate
+    filter only compares it with None; random_bc4free, which only adds
+    edges, remembers the pair. That memo lives in the caller, not here: a
+    builder-wide dead-pair set, cleared on pop, slowed
     branch_and_bound_ex(8) from 0.11-0.12 to 0.14-0.16 s and is_bc4_free on
     the q = 16 construction from 0.046-0.057 to 0.064-0.065 s (2-vCPU VM).
 
@@ -330,26 +302,22 @@ class Bc4FreeBuilder:
         self._append(e)
         return True
 
-    def accepts(self, triple: Sequence[int]) -> bool:
-        """Would try_add keep this triple? The same check, with nothing mutated.
-
-        Raises ValueError exactly where try_add does.
-        """
-        a, b, c = self._new_edge(triple)
-        return not (self._closes_c4(a, b) or self._closes_c4(a, c) or self._closes_c4(b, c))
-
     def closing_pair(self, triple: Sequence[int]) -> Pair | None:
-        """The first of ab, ac, bc that closes a Berge C4, or None when accepts is True.
+        """The first of ab, ac, bc that closes a Berge C4; None when try_add would keep it.
 
         The verdict on a pair does not depend on the triple's third vertex,
         and a closing pair stays closing while edges are only added (see
         random_bc4free). Nothing is mutated; raises ValueError exactly where
-        try_add does.
+        try_add does. The three tests are written out, not looped over a
+        tuple of pairs, so that the call costs what a plain verdict costs.
         """
         a, b, c = self._new_edge(triple)
-        for x, y in ((a, b), (a, c), (b, c)):
-            if self._closes_c4(x, y):
-                return x, y
+        if self._closes_c4(a, b):
+            return a, b
+        if self._closes_c4(a, c):
+            return a, c
+        if self._closes_c4(b, c):
+            return b, c
         return None
 
     def to_hypergraph(self) -> Hypergraph:

@@ -143,17 +143,3 @@ def block_degrees(h: Hypergraph, decomposition: BlockDecomposition) -> tuple[int
         for v in block.vertex_set:
             out[v] += 1
     return tuple(out)
-
-
-def excess_degree_within(h: Hypergraph, block: Block, v: int) -> int:
-    """Excess degree of v in the subhypergraph induced by the block's edges."""
-    if v not in block.vertex_set:
-        raise ValueError(f"vertex {v} is not in the block")
-    deg = 0
-    partners: set[int] = set()
-    for i in block.edge_indices:
-        e = h.edges[i]
-        if v in e:
-            deg += 1
-            partners.update(u for u in e if u != v)
-    return len(partners) - deg

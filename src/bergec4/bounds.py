@@ -144,12 +144,6 @@ def combined_inequality_sides(n: int, m: Fraction | int) -> tuple[Fraction, Frac
     return lhs, rhs
 
 
-def combined_inequality_holds(n: int, m: Fraction | int) -> bool:
-    """The combined inequality, via the expanded quadratic (exact)."""
-    m = Fraction(m)
-    return 10 * m * m <= 25 * n * m + Fraction(n * n * (n - 1))
-
-
 def decimal_str(x: Fraction, places: int | None = None) -> str:
     """Exact decimal string of a fraction whose denominator divides a power of 10.
 

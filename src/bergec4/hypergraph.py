@@ -170,17 +170,6 @@ class Hypergraph:
             covered.update(e)
         return tuple(v for v in range(self.n) if v not in covered)
 
-    def without_isolated_vertices(self) -> "Hypergraph":
-        """Copy with isolated vertices dropped and ids compacted in order."""
-        isolated = set(self.isolated_vertices())
-        if not isolated:
-            return self
-        relabel: dict[int, int] = {}
-        for v in range(self.n):
-            if v not in isolated:
-                relabel[v] = len(relabel)
-        return Hypergraph(len(relabel), [tuple(relabel[v] for v in e) for e in self.edges])
-
 
 class ShadowGraph:
     """Simple graph over the same vertex ids: no loops, no multi-edges."""
@@ -214,9 +203,6 @@ class ShadowGraph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self.adj[v]))
-
-    def has_edge(self, x: int, y: int) -> bool:
-        return y in self.adj[x]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShadowGraph):

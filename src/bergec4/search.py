@@ -17,9 +17,8 @@ brute force.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from bergec4.berge import Bc4FreeBuilder
@@ -50,7 +49,6 @@ class SearchResult:
     witness: Hypergraph
     optimal: bool
     nodes_explored: int
-    elapsed: float = field(compare=False)
 
 
 def _four_edges_support_c4(edges: tuple[Edge, Edge, Edge, Edge]) -> bool:
@@ -98,7 +96,6 @@ def brute_force_ex(n: int) -> SearchResult:
     """
     if not 3 <= n <= 6:
         raise ValueError(f"brute force supports 3 <= n <= 6, got {n}")
-    start = time.perf_counter()
     triples = list(combinations(range(n), 3))
     chosen: list[Edge] = []
     best: list[Edge] = []
@@ -118,7 +115,7 @@ def brute_force_ex(n: int) -> SearchResult:
 
     extend(0)
     witness = Hypergraph(n, best)
-    return SearchResult(n, len(best), witness, True, free_sets, time.perf_counter() - start)
+    return SearchResult(n, len(best), witness, True, free_sets)
 
 
 def _greedy(n: int, triples: list[Edge]) -> list[Edge]:
@@ -157,16 +154,17 @@ def _explore_class(
 
     The class holds _ROOT_EDGE and `second`, and every two of its edges meet
     in at most `limit` vertices. A node is an edge set S, held by the
-    builder, with its candidates: the triples that the builder accepts next
-    to S, that meet each edge of S in at most `limit` vertices and, below
-    the root, that come after the last candidate included. The
-    children of S include one candidate each, in list order, and a child's
-    candidates are the parent's candidates after the included one, filtered
-    against it. Both filter conditions are monotone (a triple blocked by S
-    is blocked by every superset of S), so the filtered list holds every
-    triple that can still join S, and a node with size + len(candidates)
-    <= best cannot beat the incumbent. The DFS is one loop over an explicit
-    stack of (candidates, next position) frames.
+    builder, with its candidates: the triples that the builder would keep
+    next to S (closing_pair is None), that meet each edge of S in at most
+    `limit` vertices and, below the root, that come after the last
+    candidate included. The children of S include one candidate each, in
+    list order, and a child's candidates are the parent's candidates after
+    the included one, filtered against it. Both filter conditions are
+    monotone (a triple blocked by S is blocked by every superset of S), so
+    the filtered list holds every triple that can still join S, and a node
+    with size + len(candidates) <= best cannot beat the incumbent. The DFS
+    is one loop over an explicit stack of (candidates, next position)
+    frames.
 
     Returns (best size found, witness when it beats seed_best, nodes,
     completed). The incumbent is local to the class (seeded with
@@ -181,7 +179,7 @@ def _explore_class(
     candidates = [
         t
         for t in triples
-        if _meet(t, _ROOT_EDGE) <= limit and _meet(t, second) <= limit and builder.accepts(t)
+        if _meet(t, _ROOT_EDGE) <= limit and _meet(t, second) <= limit and builder.closing_pair(t) is None
     ]
     best = seed_best
     best_edges: list[Edge] | None = None
@@ -217,9 +215,11 @@ def _explore_class(
             return best, best_edges, nodes, True
         t = candidates[k]
         positions[-1] = k + 1
-        # t passed accepts against this same set, so try_add keeps it
+        # t had no closing pair against this same set, so try_add keeps it
         builder.try_add(t)
-        candidates = [u for u in candidates[k + 1:] if _meet(u, t) <= limit and builder.accepts(u)]
+        candidates = [
+            u for u in candidates[k + 1:] if _meet(u, t) <= limit and builder.closing_pair(u) is None
+        ]
 
 
 def _check_budget(node_budget: int | None) -> None:
@@ -260,7 +260,6 @@ def branch_and_bound_ex(n: int, node_budget: int | None = None, threads: int = 1
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _check_budget(node_budget)
-    start_time = time.perf_counter()
     triples = list(combinations(range(n), 3))
     cap = upper_bound(n).floor()
     greedy_edges = _greedy(n, triples)
@@ -298,7 +297,7 @@ def branch_and_bound_ex(n: int, node_budget: int | None = None, threads: int = 1
         if edges is not None and size > best_size:
             best_size, best_edges = size, edges
     witness = Hypergraph(n, best_edges)
-    return SearchResult(n, best_size, witness, completed, nodes_total, time.perf_counter() - start_time)
+    return SearchResult(n, best_size, witness, completed, nodes_total)
 
 
 def ex_table(n_max: int, budget: int | None = 200_000) -> list[SearchResult]:

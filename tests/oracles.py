@@ -11,6 +11,12 @@ the BC4 verdict and the block degrees with the package, and checks the
 census's counting against listing at sizes the naive oracles cannot reach.
 memo_free_greedy likewise shares the builder: it is random_bc4free without
 the dead-pair memo, so it checks the memo, not the builder's verdict.
+
+The reference helpers that only the tests need live here too, each from its
+definition: verify_cycle_witness (with WitnessError) checks a Berge cycle
+witness, excess_degree_within is the excess degree inside one block,
+combined_inequality_holds is the chain's combined inequality as an expanded
+quadratic, and without_isolated_vertices compacts a hypergraph's vertex ids.
 """
 
 from collections import Counter
@@ -18,11 +24,72 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 import random
 
-from bergec4.berge import Bc4FreeBuilder, _canonical_cycles, is_bc4_free
-from bergec4.blocks import block_degrees, decompose
+from bergec4.berge import Bc4FreeBuilder, BergeCycleWitness, _canonical_cycles, is_bc4_free
+from bergec4.blocks import Block, block_degrees, decompose
 from bergec4.bounds import check_inequality
 from bergec4.census import CensusReport, FourCycleRecord
 from bergec4.hypergraph import Hypergraph, ShadowGraph, pair_to_edges, shadow
+
+
+class WitnessError(ValueError):
+    """A witness refers to vertex or edge ids outside the hypergraph."""
+
+
+def verify_cycle_witness(h: Hypergraph, witness: BergeCycleWitness) -> bool:
+    """True iff the witness is a valid Berge cycle of h.
+
+    Out-of-range vertex or edge ids raise WitnessError; any other violation
+    (repeats, a pair not inside its edge, length < 2) returns False.
+    """
+    vs, es = witness.vertices, witness.edge_indices
+    for v in vs:
+        if not 0 <= v < h.n:
+            raise WitnessError(f"vertex id {v} out of range [0, {h.n})")
+    for i in es:
+        if not 0 <= i < h.edge_count:
+            raise WitnessError(f"edge index {i} out of range [0, {h.edge_count})")
+    k = len(es)
+    if k < 2 or len(vs) != k:
+        return False
+    if len(set(vs)) != k or len(set(es)) != k:
+        return False
+    for i in range(k):
+        edge = h.edges[es[i]]
+        if vs[i] not in edge or vs[(i + 1) % k] not in edge:
+            return False
+    return True
+
+
+def excess_degree_within(h: Hypergraph, block: Block, v: int) -> int:
+    """Excess degree of v in the subhypergraph induced by the block's edges."""
+    if v not in block.vertex_set:
+        raise ValueError(f"vertex {v} is not in the block")
+    deg = 0
+    partners: set[int] = set()
+    for i in block.edge_indices:
+        e = h.edges[i]
+        if v in e:
+            deg += 1
+            partners.update(u for u in e if u != v)
+    return len(partners) - deg
+
+
+def combined_inequality_holds(n: int, m: Fraction | int) -> bool:
+    """The combined inequality, via the expanded quadratic (exact)."""
+    m = Fraction(m)
+    return 10 * m * m <= 25 * n * m + Fraction(n * n * (n - 1))
+
+
+def without_isolated_vertices(h: Hypergraph) -> Hypergraph:
+    """Copy of h with isolated vertices dropped and ids compacted in order; h itself when none."""
+    isolated = set(h.isolated_vertices())
+    if not isolated:
+        return h
+    relabel: dict[int, int] = {}
+    for v in range(h.n):
+        if v not in isolated:
+            relabel[v] = len(relabel)
+    return Hypergraph(len(relabel), [tuple(relabel[v] for v in e) for e in h.edges])
 
 
 def naive_berge_cycle_exists(h: Hypergraph, length: int = 4) -> bool:
@@ -51,7 +118,7 @@ def naive_count_three_paths(g: ShadowGraph) -> int:
     for u in range(g.n):
         for x in range(g.n):
             for y in range(x + 1, g.n):
-                if x != u != y and g.has_edge(x, u) and g.has_edge(u, y):
+                if x != u != y and u in g.adj[x] and y in g.adj[u]:
                     count += 1
     return count
 
@@ -65,7 +132,7 @@ def naive_four_cycles(g: ShadowGraph) -> list[tuple[int, int, int, int]]:
             c = next(v for v in quad[1:] if v not in (b, d))
             first, last = min(b, d), max(b, d)
             cyc = (a, first, c, last)
-            if all(g.has_edge(cyc[i], cyc[(i + 1) % 4]) for i in range(4)):
+            if all(cyc[(i + 1) % 4] in g.adj[cyc[i]] for i in range(4)):
                 cycles.append(cyc)
     return cycles
 
@@ -94,7 +161,7 @@ def naive_is_good(h: Hypergraph, g: ShadowGraph, x1: int, x2: int, x3: int, scop
         if x in (x1, x2, x3):
             continue
         cycle = (x, x1, x2, x3)
-        if all(g.has_edge(cycle[i], cycle[(i + 1) % 4]) for i in range(4)):
+        if all(cycle[(i + 1) % 4] in g.adj[cycle[i]] for i in range(4)):
             if naive_is_rare(h, cycle, scope):
                 return False
     return True

@@ -6,17 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import loose_cycle, random_hypergraph, tight_cycle
-from oracles import naive_berge_cycle_exists
+from oracles import WitnessError, naive_berge_cycle_exists, verify_cycle_witness
 
 import bergec4.berge as berge_module
-from bergec4.berge import (
-    Bc4FreeBuilder,
-    BergeCycleWitness,
-    WitnessError,
-    find_berge_cycle,
-    is_bc4_free,
-    verify_cycle_witness,
-)
+from bergec4.berge import Bc4FreeBuilder, BergeCycleWitness, find_berge_cycle, is_bc4_free
 from bergec4.hypergraph import Hypergraph
 from bergec4.search import _four_edges_support_c4
 
@@ -271,18 +264,18 @@ class TestBc4FreeBuilder:
             ),
         )
     ))
-    def test_accepts_agrees_with_try_add_and_mutates_nothing(self, case):
-        # each step asks accepts, then either pops or adds the triple
+    def test_closing_pair_mutates_nothing_and_agrees_with_try_add(self, case):
+        # each step asks closing_pair, then either pops or adds the triple
         n, steps = case
         builder = Bc4FreeBuilder(n)
         for pop, e in steps:
             if e in builder.edges:
                 with pytest.raises(ValueError, match="duplicate"):
-                    builder.accepts(e)
+                    builder.closing_pair(e)
                 continue
             edges, bits = list(builder.edges), list(builder._bits)
             pair_edges = {p: list(b) for p, b in builder._pair_edges.items()}
-            verdict = builder.accepts(e)
+            verdict = builder.closing_pair(e) is None
             assert (builder.edges, builder._bits, builder._pair_edges) == (edges, bits, pair_edges)
             if pop and builder.edges:
                 builder.pop()
@@ -304,9 +297,9 @@ class TestClosingPair:
     @given(st.integers(min_value=4, max_value=9).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(_valid_or_not_triples(n), max_size=50))
     ))
-    def test_agrees_with_accepts_and_try_add(self, case):
-        # None exactly when accepts is True, a returned pair is a pair of the
-        # triple, and ValueError exactly where try_add raises it
+    def test_agrees_with_try_add(self, case):
+        # None exactly when try_add keeps the triple, a returned pair is a
+        # pair of the triple, and ValueError exactly where try_add raises it
         n, steps = case
         builder = Bc4FreeBuilder(n)
         for t in steps:
@@ -314,11 +307,8 @@ class TestClosingPair:
                 pair = builder.closing_pair(t)
             except ValueError:
                 with pytest.raises(ValueError):
-                    builder.accepts(t)
-                with pytest.raises(ValueError):
                     builder.try_add(t)
                 continue
-            assert (pair is None) == builder.accepts(t)
             if pair is not None:
                 assert pair in combinations(sorted(t), 2)
             assert builder.try_add(t) == (pair is None)
@@ -343,4 +333,4 @@ class TestClosingPair:
                 for z in range(n):
                     third = tuple(sorted((x, y, z)))
                     if z not in (x, y) and third not in builder.edges:
-                        assert not builder.accepts(third)
+                        assert builder.closing_pair(third) is not None

@@ -5,15 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hypergraph
-from oracles import naive_is_type1
+from oracles import excess_degree_within, naive_is_type1
 
 from bergec4.berge import Bc4FreeBuilder, is_bc4_free
-from bergec4.blocks import (
-    BlockType,
-    block_degrees,
-    decompose,
-    excess_degree_within,
-)
+from bergec4.blocks import BlockType, block_degrees, decompose
 from bergec4.hypergraph import Hypergraph, degree_profile
 
 

@@ -1,4 +1,3 @@
-import importlib
 import random
 import tracemalloc
 from itertools import combinations
@@ -16,14 +15,13 @@ from oracles import (
     walker_census,
 )
 
+import bergec4.census as census_module
 from bergec4.berge import is_bc4_free
 from bergec4.bounds import InequalityCheck
 from bergec4.census import census
 from bergec4.construct import lower_bound_construction, random_bc4free
 from bergec4.hypergraph import Hypergraph, count_three_paths, shadow
 
-# the package re-exports the function census, which shadows the module name
-census_module = importlib.import_module("bergec4.census")
 SCOPES = ("induced", "global")
 # four edges, each meeting the cycle 0,1,2,3 in one of its sides: a 4-cycle
 # with no representative edge, so a Berge C4

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -80,7 +81,7 @@ BUILDER_PRIVATE = {"_closes_c4", "_new_edge", "_append", "_adj", "_bits", "_pair
 
 
 def test_builder_internals_stay_in_berge():
-    # other modules use Bc4FreeBuilder through try_add, pop, accepts and closing_pair
+    # other modules use Bc4FreeBuilder through try_add, pop and closing_pair
     package = Path(bergec4.__file__).parent
     found = [
         f"{path.name}:{node.lineno} {node.attr}"
@@ -127,6 +128,19 @@ def test_exact_arithmetic_only():
             for node in ast.walk(tree)
             if id(node) not in allowed and (what := _float_arithmetic(node))
         )
+    assert found == []
+
+
+def test_module_names_bind_modules():
+    # a package-level re-export must not shadow a submodule of the same name,
+    # or `import bergec4.<name> as m` binds the re-exported object instead
+    package = Path(bergec4.__file__).parent
+    modules = {
+        path.stem: importlib.import_module(f"bergec4.{path.stem}")
+        for path in sorted(package.glob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+    }
+    found = [stem for stem, module in modules.items() if getattr(bergec4, stem) is not module]
     assert found == []
 
 
