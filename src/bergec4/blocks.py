@@ -74,12 +74,6 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _leaf_positions(edges: Sequence[Edge]) -> list[int]:
-    # an edge is a leaf iff it owns a vertex no other edge of the block touches
-    count = Counter(v for e in edges for v in e)
-    return [i for i, e in enumerate(edges) if any(count[v] == 1 for v in e)]
-
-
 def _is_type1(edges: Sequence[Edge]) -> bool:
     # an edge meeting the anchor in a pair has one vertex outside it, and two
     # such edges meet outside the anchor iff those vertices coincide
@@ -91,23 +85,13 @@ def _is_type1(edges: Sequence[Edge]) -> bool:
     return False
 
 
-def _classify_edges(edges: Sequence[Edge]) -> BlockType:
-    vertices = set()
-    for e in edges:
-        vertices.update(e)
-    if len(edges) == 3 and len(vertices) == 4:
-        # three distinct triples inside four vertices: all triples but one
-        return BlockType.TYPE2
-    if _is_type1(edges):
-        return BlockType.TYPE1
-    return BlockType.OTHER
-
-
 def decompose(h: Hypergraph) -> BlockDecomposition:
     """Partition the edges into blocks, classified and with leaf edges marked.
 
     Union-find over edges keyed by their vertex pairs: edges sharing a pair
-    share exactly two vertices, which is the chain relation.
+    share exactly two vertices, which is the chain relation. Per block, one
+    vertex count gives the vertex set (its keys), the leaf edges (holding a
+    vertex counted once) and the TYPE2 test (3 edges on 4 vertices).
     """
     uf = _UnionFind(h.edge_count)
     first_owner: dict[tuple[int, int], int] = {}
@@ -127,12 +111,15 @@ def decompose(h: Hypergraph) -> BlockDecomposition:
     for members in groups.values():
         indices = tuple(members)
         member_edges = [h.edges[i] for i in indices]
-        vertex_set = frozenset(v for e in member_edges for v in e)
-        leaves = tuple(indices[pos] for pos in _leaf_positions(member_edges))
-        block = Block(indices, vertex_set, _classify_edges(member_edges), leaves)
+        count = Counter(v for e in member_edges for v in e)
+        leaves = tuple(i for i, e in zip(indices, member_edges) if any(count[v] == 1 for v in e))
+        if len(indices) == 3 and len(count) == 4:
+            kind = BlockType.TYPE2
+        else:
+            kind = BlockType.TYPE1 if _is_type1(member_edges) else BlockType.OTHER
         for i in indices:
             edge_to_block[i] = len(blocks)
-        blocks.append(block)
+        blocks.append(Block(indices, frozenset(count), kind, leaves))
     return BlockDecomposition(tuple(blocks), tuple(edge_to_block))
 
 

@@ -172,7 +172,7 @@ class Hypergraph:
 
 
 class ShadowGraph:
-    """Simple graph over the same vertex ids: no loops, no multi-edges."""
+    """Simple graph, no loops or multi-edges: adj is its one structure; pairs is read from it."""
 
     __slots__ = ("n", "pairs", "adj")
 
@@ -180,18 +180,18 @@ class ShadowGraph:
         if n < 0:
             raise HypergraphError(f"vertex count must be non-negative, got {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
-        canon: set[Pair] = set()
         for p in pairs:
             t = tuple(sorted(p))
             if len(t) != 2 or t[0] == t[1]:
                 raise HypergraphError(f"pair {tuple(p)!r} is not 2 distinct vertices")
             if t[0] < 0 or t[1] >= n:
                 raise HypergraphError(f"pair {t} out of vertex range [0, {n})")
-            canon.add(t)  # type: ignore[arg-type]
             adj[t[0]].add(t[1])
             adj[t[1]].add(t[0])
         self.n: int = n
-        self.pairs: tuple[Pair, ...] = tuple(sorted(canon))
+        self.pairs: tuple[Pair, ...] = tuple(
+            (x, y) for x, ys in enumerate(adj) for y in sorted(ys) if x < y
+        )
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
 
     @property
@@ -232,13 +232,10 @@ class DegreeProfile:
 def shadow(h: Hypergraph) -> ShadowGraph:
     """The 2-shadow: pair {x, y} is present iff some hyperedge contains both.
 
-    Built once per hypergraph; later calls return the same immutable graph.
+    Built once, passing the edges' pairs straight to ShadowGraph; later calls return it.
     """
     if h._shadow is None:
-        pairs: set[Pair] = set()
-        for e in h.edges:
-            pairs.update(combinations(e, 2))
-        h._shadow = ShadowGraph(h.n, pairs)
+        h._shadow = ShadowGraph(h.n, (p for e in h.edges for p in combinations(e, 2)))
     return h._shadow
 
 

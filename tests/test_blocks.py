@@ -123,6 +123,19 @@ def _naive_classification(h, block):
     return BlockType.TYPE1 if naive_is_type1(edges) else BlockType.OTHER
 
 
+def _assert_leaves_and_vertices_by_definition(h, block):
+    # a leaf owns a vertex that no other edge of its block contains; the
+    # vertex set is the union of the block's edges
+    edges = [h.edges[i] for i in block.edge_indices]
+    leaves = tuple(
+        i
+        for i, e in zip(block.edge_indices, edges)
+        if any(all(v not in f for f in edges if f != e) for v in e)
+    )
+    assert block.leaf_edges == leaves
+    assert block.vertex_set == set().union(*edges)
+
+
 def _free_prefix(n, order):
     builder = Bc4FreeBuilder(n)
     for e in order:
@@ -150,6 +163,7 @@ class TestClassifyAgainstOracle:
     def test_matches_pairwise_definition(self, h):
         for b in decompose(h).blocks:
             assert b.classification is _naive_classification(h, b)
+            _assert_leaves_and_vertices_by_definition(h, b)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(free_hypergraphs)
@@ -158,6 +172,7 @@ class TestClassifyAgainstOracle:
         for b in decompose(h).blocks:
             assert b.classification is _naive_classification(h, b)
             assert b.classification is not BlockType.OTHER
+            _assert_leaves_and_vertices_by_definition(h, b)
 
     def test_matches_pairwise_definition_on_constructions(self, construction_family):
         for q, h in construction_family.items():
@@ -165,6 +180,7 @@ class TestClassifyAgainstOracle:
                 continue
             for b in decompose(h).blocks:
                 assert b.classification is _naive_classification(h, b)
+                _assert_leaves_and_vertices_by_definition(h, b)
 
 
 class TestBlockDegrees:

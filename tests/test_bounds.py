@@ -67,6 +67,11 @@ class TestUpperBound:
         assert bound.floor() == 48
         assert bound.decimal(6) == "48.000000"
 
+    def test_irrational_bound_has_no_fraction(self):
+        assert not upper_bound(17).is_rational()
+        with pytest.raises(ValueError, match="irrational"):
+            upper_bound(17).as_fraction()
+
     def test_comparisons(self):
         bound = upper_bound(4)  # about 10.458938
         assert bound > 10 and bound >= 10
@@ -282,6 +287,10 @@ class TestVerifyChain:
         with pytest.raises(HypothesisError) as info:
             verify_chain(k4_full)
         assert info.value.witness == find_berge_cycle(k4_full, 4)
+
+    def test_rejects_small_n(self):
+        with pytest.raises(ValueError, match="n >= 3"):
+            verify_chain(Hypergraph(2, []))
 
     def test_refuses_isolated_vertices(self):
         with pytest.raises(HypothesisError) as info:

@@ -95,6 +95,19 @@ class TestExpand:
         assert h.n == 21 and h.edge_count == 21
 
 
+class TestBipartiteGraph:
+    def test_complete_two_by_two_is_a_c4(self):
+        assert not is_c4_free(BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0), (1, 1))))
+
+    def test_out_of_range_edge_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            BipartiteGraph(1, 1, ((0, 1),))
+
+    def test_duplicate_edge_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            BipartiteGraph(1, 1, ((0, 0), (0, 0)))
+
+
 class TestLowerBoundConstruction:
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_counts(self, q):

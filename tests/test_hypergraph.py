@@ -86,6 +86,26 @@ class TestShadow:
             assert shadow(Hypergraph.from_text(h.to_text())) == shadow(h)
 
 
+class TestShadowGraphConstructor:
+    def test_reversed_and_repeated_pairs_give_sorted_distinct_pairs(self):
+        g = ShadowGraph(4, [(2, 1), (1, 2), (0, 3), (3, 0), (1, 0)])
+        assert g.pairs == ((0, 1), (0, 3), (1, 2))
+        assert g.adj == (frozenset({1, 3}), frozenset({0, 2}), frozenset({1}), frozenset({0}))
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ((1, 1), "not 2 distinct vertices"),
+            ((0, 1, 2), "not 2 distinct vertices"),
+            ((0, 3), "out of vertex range"),
+            ((-1, 0), "out of vertex range"),
+        ],
+    )
+    def test_invalid_pair_rejected(self, pair, message):
+        with pytest.raises(HypergraphError, match=message):
+            ShadowGraph(3, [(0, 1), pair])
+
+
 class TestDegrees:
     def test_single_edge(self, single_edge):
         p = degree_profile(single_edge)
