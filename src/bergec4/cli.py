@@ -19,7 +19,7 @@ from bergec4.bounds import HypothesisError, verify_chain
 from bergec4.census import census
 from bergec4.construct import lower_bound_construction, random_bc4free
 from bergec4.hypergraph import Hypergraph, degree_profile, shadow
-from bergec4.search import ex_table, format_ex_table
+from bergec4.search import ex_table, format_ex_table, format_stats
 
 SCHEMA = "bergec4.report.v1"
 
@@ -182,6 +182,9 @@ def cmd_random(args) -> int:
 
 def cmd_search(args) -> int:
     results = ex_table(args.n_max, budget=args.budget)
+    if args.stats is not None:
+        with open(args.stats, "w", encoding="utf-8") as fh:
+            fh.write(format_stats(results))
     lines = _header("search", extra=[f"# n-max {args.n_max}", f"# budget {args.budget}"])
     lines.append(format_ex_table(results).rstrip("\n"))
     print("\n".join(lines))
@@ -231,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exact extremal table")
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--stats", metavar="FILE", help="write per-row search counts as JSON lines")
     p.set_defaults(run=cmd_search)
 
     return parser

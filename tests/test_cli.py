@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -277,6 +278,45 @@ class TestSearchCommand:
     def test_default_budget_proves_n8(self):
         out = run_cli("search", "--n-max", "8", check=True).stdout
         assert "\n8\t6\ttrue\t" in out
+
+    def test_default_budget_proves_n10(self):
+        out = run_cli("search", "--n-max", "10", check=True).stdout
+        assert "\n9\t7\ttrue\t" in out
+        assert "\n10\t10\ttrue\t" in out
+
+    def test_stats_file_leaves_stdout_alone(self, tmp_path):
+        path = tmp_path / "stats.jsonl"
+        plain = run_cli("search", "--n-max", "8", check=True).stdout
+        with_stats = run_cli("search", "--n-max", "8", "--stats", str(path), check=True).stdout
+        assert with_stats == plain
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [r["n"] for r in rows] == list(range(3, 9))
+        assert rows[4]["prunes"]["degree"] == 13
+        assert rows[5] == {
+            "n": 8,
+            "nodes": 1089,
+            "includes": 543,
+            "excludes": 543,
+            "prunes": {"candidate_bound": 546, "degree": 0, "cap_stop": 0},
+            "classes": [
+                {"limit": 2, "nodes": 1015, "best": 6},
+                {"limit": 1, "nodes": 73, "best": 6},
+                {"limit": 0, "nodes": 1, "best": 6},
+            ],
+            "budget_hit": False,
+        }
+
+    def test_stats_file_reports_budget_hit(self, tmp_path):
+        path = tmp_path / "stats.jsonl"
+        run_cli("search", "--n-max", "7", "--budget", "10", "--stats", str(path), check=True)
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [r["budget_hit"] for r in rows] == [False] * 4 + [True]
+        assert rows[-1]["nodes"] == 11
+
+    def test_unwritable_stats_file_is_usage_error(self, tmp_path):
+        proc = run_cli("search", "--n-max", "4", "--stats", str(tmp_path / "missing" / "stats.jsonl"))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
 
     def test_zero_budget_marks_non_brute_rows(self):
         out = run_cli("search", "--n-max", "7", "--budget", "0", check=True).stdout

@@ -79,7 +79,7 @@ class TestBranchAndBound:
     def test_n7_result_is_pinned(self):
         # the same builder decisions visit the same nodes in the same order
         r = branch_and_bound_ex(7)
-        assert (r.max_edges, r.nodes_explored, r.optimal) == (6, 223, True)
+        assert (r.max_edges, r.nodes_explored, r.optimal) == (6, 177, True)
         assert r.witness.edges == (
             (0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6),
         )
@@ -90,9 +90,9 @@ class TestBranchAndBound:
             (7, 0, (5, 0, False), SUNFLOWER_7),
             (7, 1, (5, 2, False), SUNFLOWER_7),
             (7, 7, (5, 8, False), SUNFLOWER_7),
-            (7, 500, (6, 223, True), TWO_K4_MINUS_7),
-            (7, 5000, (6, 223, True), TWO_K4_MINUS_7),
-            (8, 200_000, (6, 3314, True), tuple((0, 1, v) for v in range(2, 8))),
+            (7, 500, (6, 177, True), TWO_K4_MINUS_7),
+            (7, 5000, (6, 177, True), TWO_K4_MINUS_7),
+            (8, 200_000, (6, 1089, True), tuple((0, 1, v) for v in range(2, 8))),
         ],
     )
     def test_budgeted_results_are_pinned(self, n, budget, expected, witness):
@@ -115,9 +115,9 @@ class TestBranchAndBound:
         assert is_bc4_free(r.witness)
 
     def test_budget_cuts_are_deterministic(self):
-        # below the 223 nodes of the full n = 7 search, so the run is cut
-        a = branch_and_bound_ex(7, node_budget=200)
-        b = branch_and_bound_ex(7, node_budget=200)
+        # below the 177 nodes of the full n = 7 search, so the run is cut
+        a = branch_and_bound_ex(7, node_budget=100)
+        b = branch_and_bound_ex(7, node_budget=100)
         assert a == b
         assert not a.optimal
 
@@ -129,14 +129,44 @@ class TestBranchAndBound:
 
     def test_budgeted_run_ignores_thread_fanout(self):
         # finite budgets force canonical sequential accounting
-        a = branch_and_bound_ex(7, node_budget=200, threads=4)
-        b = branch_and_bound_ex(7, node_budget=200, threads=1)
+        a = branch_and_bound_ex(7, node_budget=100, threads=4)
+        b = branch_and_bound_ex(7, node_budget=100, threads=1)
         assert a == b and not a.optimal
 
     def test_repeat_runs_identical(self):
         a = branch_and_bound_ex(6)
         b = branch_and_bound_ex(6)
         assert a == b and a.nodes_explored == b.nodes_explored
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_prev_row_prunes_match_brute_force(self, n):
+        # the averaging cap and the degree prune, fed ex(n - 1) from brute force
+        r = branch_and_bound_ex(n, prev_ex=brute_force_ex(n - 1).max_edges)
+        assert (r.max_edges, r.optimal) == (brute_force_ex(n).max_edges, True)
+        assert is_bc4_free(r.witness)
+        assert r.witness.edge_count == r.max_edges
+
+    def test_degree_prune_fires_below_brute_force_range(self):
+        # so the oracle test above exercises the rule, not only the cap
+        r = branch_and_bound_ex(6, prev_ex=brute_force_ex(5).max_edges)
+        assert sum(c.degree_prunes for c in r.classes) > 0
+
+    @pytest.mark.parametrize("n, prev_ex", [(7, -1), (7, upper_bound(6).floor() + 1), (3, 0)])
+    def test_rejects_bad_prev_ex(self, n, prev_ex):
+        with pytest.raises(ValueError, match="prev_ex"):
+            branch_and_bound_ex(n, prev_ex=prev_ex)
+
+    def test_class_counts_add_up(self):
+        # one include and one exclude child per expanded node, and every leaf
+        # of the binary tree is a pruned node
+        r = branch_and_bound_ex(8)
+        assert [c.limit for c in r.classes] == [2, 1, 0]
+        assert sum(c.nodes for c in r.classes) == r.nodes_explored
+        for c in r.classes:
+            assert c.completed and not c.cap_stop
+            assert c.includes == c.excludes
+            assert c.nodes == 1 + c.includes + c.excludes
+            assert c.bound_prunes + c.degree_prunes == c.includes + 1
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -195,6 +225,41 @@ class TestExTable:
         monkeypatch.setattr(search_module, "brute_force_ex", refuse)
         rows = format_ex_table(ex_table(8)).splitlines()
         assert rows[:5] == GOLDEN.read_text().splitlines()
+
+    def test_rows_through_10_are_proven(self):
+        """ex(n) = 6, 6, 7, 10 for n = 7..10, every row proven optimal.
+
+        Each row runs with the previous row's averaging cap and degree
+        prune. Keying orbits by |t & T| alone, instead of t & T, merges
+        orbits that no permutation of the untouched vertices joins; that
+        mutation reads row 10 as 9 and still calls it optimal.
+        """
+        rows = ex_table(10)
+        assert [(r.n, r.max_edges, r.optimal) for r in rows[4:]] == [
+            (7, 6, True), (8, 6, True), (9, 7, True), (10, 10, True),
+        ]
+        for r in rows[4:]:
+            assert r.witness.edge_count == r.max_edges
+            assert not any(search_module._four_edges_support_c4(q) for q in combinations(r.witness.edges, 4))
+
+    def test_hands_on_only_proven_rows(self, monkeypatch):
+        # looked up by module-global name, so the spy sees every row
+        calls = []
+        real = search_module.branch_and_bound_ex
+
+        def spy(n, **kwargs):
+            calls.append((n, kwargs["prev_ex"]))
+            return real(n, **kwargs)
+
+        monkeypatch.setattr(search_module, "branch_and_bound_ex", spy)
+        rows = ex_table(8, budget=10)
+        # row 7 is cut by the budget, so row 8 runs without the prunes
+        assert calls == [(3, None), (4, 1), (5, 3), (6, 3), (7, 4), (8, None)]
+        assert [r.optimal for r in rows] == [True] * 4 + [False] * 2
+
+    def test_node_counts_are_pinned(self):
+        # rows 4..7 run with the prunes from the row before
+        assert [r.nodes_explored for r in ex_table(8)] == [0, 3, 16, 49, 77, 1089]
 
     def test_format_layout(self):
         text = format_ex_table(ex_table(4))
