@@ -11,7 +11,6 @@ from bergec4.hypergraph import (
     Hypergraph,
     HypergraphError,
     ParseError,
-    ShadowGraph,
     count_three_paths,
     degree_profile,
     pair_to_edges,

@@ -137,9 +137,8 @@ def find_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
         raise ValueError(f"cycle length must be >= 2, got {length}")
     if h.edge_count < length or h.n < length:
         return None
-    g = shadow(h)
     p2e = pair_to_edges(h)
-    for cycle in _canonical_cycles(g.adj, length):
+    for cycle in _canonical_cycles(shadow(h), length):
         # position i covers the pair (cycle[i], cycle[i+1]), cyclically
         cands = [p2e[(a, b) if a < b else (b, a)] for a, b in zip(cycle, cycle[1:] + cycle[:1])]
         assignment = _distinct_representatives(cands)

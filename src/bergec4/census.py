@@ -55,14 +55,8 @@ from operator import mul
 
 from bergec4.berge import _canonical_cycles, is_bc4_free
 from bergec4.blocks import block_degrees, decompose
-from bergec4.bounds import InequalityCheck, check_inequality
-from bergec4.hypergraph import (
-    Hypergraph,
-    ShadowGraph,
-    count_three_paths,
-    pair_to_edges,
-    shadow,
-)
+from bergec4.bounds import InequalityCheck, check_inequality, good_paths_bound
+from bergec4.hypergraph import Hypergraph, Shadow, count_three_paths, pair_to_edges, shadow
 
 _SCOPES = ("induced", "global")
 
@@ -151,7 +145,7 @@ def _cycles_on(
 
 
 def _codegree_pass(
-    g: ShadowGraph, p2e: dict[tuple[int, int], list[int]], m: int
+    adj: Shadow, p2e: dict[tuple[int, int], list[int]], m: int
 ) -> tuple[Counter[int], list[int], int, int]:
     """Pairs x < z counted by their number k >= 1 of middles closing no hyperedge.
 
@@ -160,20 +154,19 @@ def _codegree_pass(
     low end x at a time and only their values are kept, since the claims read
     the counts and never the pairs.
     """
-    nbrs = [g.neighbors(v) for v in range(g.n)]
+    nbrs = [sorted(a) for a in adj]
     open_middles: Counter[int] = Counter()
     through = [0] * m  # per edge e: sum over pairs xy in e of c(x, y) - 1
     total = 0
     squares = 0
-    for x in range(g.n):
+    for x, nx in enumerate(nbrs):
         codeg: Counter[int] = Counter()
-        for y in nbrs[x]:
+        for y in nx:
             ny = nbrs[y]
             codeg.update(ny[bisect_right(ny, x) :])
         counts = codeg.values()
         total += sum(counts)
         squares += sum(map(mul, counts, counts))
-        nx = nbrs[x]
         for z in nx[bisect_right(nx, x) :]:
             on_pair = p2e[(x, z)]
             c = codeg[z]
@@ -188,7 +181,7 @@ def _codegree_pass(
 
 
 def _represented_sets(
-    h: Hypergraph, adj: tuple[frozenset[int], ...], p2e: dict[tuple[int, int], list[int]], through: list[int]
+    h: Hypergraph, adj: Shadow, p2e: dict[tuple[int, int], list[int]], through: list[int]
 ) -> tuple[Counter[int], list[tuple[tuple[int, int, int, int], tuple[int, ...]]]]:
     """The histogram for k >= 1, and the 4-sets whose cycles may be rare, with their edges."""
     edges = h.edges
@@ -236,14 +229,13 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
     """
     if diagonal_scope not in _SCOPES:
         raise ValueError(f"diagonal scope must be one of {_SCOPES}, got {diagonal_scope!r}")
-    g = shadow(h)
-    adj = g.adj
+    adj = shadow(h)
     p2e = pair_to_edges(h)
     free = is_bc4_free(h)
     m = h.edge_count
 
-    pair_hist, through, total, four_cycles = _codegree_pass(g, p2e, m)
-    if total != count_three_paths(g):
+    pair_hist, through, total, four_cycles = _codegree_pass(adj, p2e, m)
+    if total != count_three_paths(adj):
         raise RuntimeError("3-path census disagrees with the degree identity")
     histogram, candidates = _represented_sets(h, adj, p2e, through)
     rare_records = [
@@ -284,8 +276,7 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
 
     good_hist = {k: pairs for k, pairs in sorted(pair_hist.items()) if k and pairs}
 
-    db = block_degrees(h, decompose(h))
-    good_rhs = 2 * (h.n * (h.n - 1) // 2) - 4 * sum(d * (d - 1) // 2 for d in db)
+    good_rhs = good_paths_bound(h.n, block_degrees(h, decompose(h)))
     return CensusReport(
         n=h.n,
         edge_count=m,

@@ -61,13 +61,14 @@ def _witness_lines(h: Hypergraph, w: BergeCycleWitness) -> list[str]:
 
 def cmd_shadow(args) -> int:
     h = _load(args.input)
-    g = shadow(h)
+    adj = shadow(h)
+    pairs = [(x, y) for x, a in enumerate(adj) for y in sorted(a) if x < y]
     profile = degree_profile(h)
     lines = _header("shadow", h.digest())
     lines.append(f"n\t{h.n}")
     lines.append(f"edge_count\t{h.edge_count}")
-    lines.append(f"shadow_edge_count\t{g.edge_count}")
-    lines.extend(f"shadow_edge\t{x},{y}" for x, y in g.pairs)
+    lines.append(f"shadow_edge_count\t{len(pairs)}")
+    lines.extend(f"shadow_edge\t{x},{y}" for x, y in pairs)
     lines.append("degree\tvertex\thyper\tshadow\texcess")
     for v in range(h.n):
         lines.append(f"degree\t{v}\t{profile.hyper[v]}\t{profile.shadow[v]}\t{profile.excess[v]}")

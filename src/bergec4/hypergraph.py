@@ -3,6 +3,8 @@
 Vertices are dense integer ids 0..n-1; isolated vertices are representable.
 Edges are canonicalized (each triple sorted, the edge list sorted
 lexicographically) so that equal hypergraphs have identical serializations.
+The 2-shadow is its adjacency alone: a tuple of n frozensets (Shadow), built
+once per hypergraph by shadow(h) and read directly by every caller.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from typing import Iterable
 
 Edge = tuple[int, int, int]
 Pair = tuple[int, int]
+# shadow(h)[x] holds y iff some edge of h holds both x and y
+Shadow = tuple[frozenset[int], ...]
 
 # Largest header n that from_text accepts: the first power of two above the
 # largest construction (construct --q 64, n = 12,483). The analysis commands
@@ -65,7 +69,7 @@ class Hypergraph:
 
     Duplicate edges are a hard error rather than silently merged: degree
     counts assume the edge list is a set. The 2-shadow is built on first use
-    and kept (see shadow()).
+    and kept (see shadow()); isolated_vertices() reads it.
     """
 
     __slots__ = ("n", "edges", "edge_set", "_shadow")
@@ -80,7 +84,7 @@ class Hypergraph:
         self.n: int = n
         self.edges: tuple[Edge, ...] = tuple(canon)
         self.edge_set: frozenset[Edge] = frozenset(canon)
-        self._shadow: ShadowGraph | None = None
+        self._shadow: Shadow | None = None
 
     @property
     def edge_count(self) -> int:
@@ -165,63 +169,17 @@ class Hypergraph:
         return f"sha256:{h}"
 
     def isolated_vertices(self) -> tuple[int, ...]:
-        covered = set()
-        for e in self.edges:
-            covered.update(e)
-        return tuple(v for v in range(self.n) if v not in covered)
-
-
-class ShadowGraph:
-    """Simple graph, no loops or multi-edges: adj is its one structure; pairs is read from it."""
-
-    __slots__ = ("n", "pairs", "adj")
-
-    def __init__(self, n: int, pairs: Iterable[Iterable[int]]):
-        if n < 0:
-            raise HypergraphError(f"vertex count must be non-negative, got {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for p in pairs:
-            t = tuple(sorted(p))
-            if len(t) != 2 or t[0] == t[1]:
-                raise HypergraphError(f"pair {tuple(p)!r} is not 2 distinct vertices")
-            if t[0] < 0 or t[1] >= n:
-                raise HypergraphError(f"pair {t} out of vertex range [0, {n})")
-            adj[t[0]].add(t[1])
-            adj[t[1]].add(t[0])
-        self.n: int = n
-        self.pairs: tuple[Pair, ...] = tuple(
-            (x, y) for x, ys in enumerate(adj) for y in sorted(ys) if x < y
-        )
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.pairs)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.adj[v]))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ShadowGraph):
-            return NotImplemented
-        return self.n == other.n and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.pairs))
-
-    def __repr__(self) -> str:
-        return f"ShadowGraph(n={self.n}, edges={self.edge_count})"
+        """Vertices in no edge: those with no neighbour in the cached shadow."""
+        return tuple(v for v, nbrs in enumerate(shadow(self)) if not nbrs)
 
 
 @dataclass(frozen=True)
 class DegreeProfile:
     """Per-vertex degrees: hyperedge, shadow and excess.
 
-    excess[v] = shadow[v] - hyper[v]. Block degrees have one route of their
-    own, blocks.block_degrees(h, blocks.decompose(h)).
+    shadow[v] = len(shadow(h)[v]) and excess[v] = shadow[v] - hyper[v].
+    Block degrees have one route of their own,
+    blocks.block_degrees(h, blocks.decompose(h)).
     """
 
     hyper: tuple[int, ...]
@@ -229,13 +187,22 @@ class DegreeProfile:
     excess: tuple[int, ...]
 
 
-def shadow(h: Hypergraph) -> ShadowGraph:
-    """The 2-shadow: pair {x, y} is present iff some hyperedge contains both.
+def shadow(h: Hypergraph) -> Shadow:
+    """The 2-shadow as adjacency: y in shadow(h)[x] iff some hyperedge holds x and y.
 
-    Built once, passing the edges' pairs straight to ShadowGraph; later calls return it.
+    The tuple has length h.n, is symmetric and has no loops. It is built once
+    from each edge's three pairs; h's edges are already valid, so no pair is
+    checked again. Later calls return the same object. Neighbours gather in
+    lists, repeats included, for frozenset to drop: faster, and smaller at
+    peak, than adding them to sets.
     """
     if h._shadow is None:
-        h._shadow = ShadowGraph(h.n, (p for e in h.edges for p in combinations(e, 2)))
+        adj: list[list[int]] = [[] for _ in range(h.n)]
+        for a, b, c in h.edges:
+            adj[a] += (b, c)
+            adj[b] += (a, c)
+            adj[c] += (a, b)
+        h._shadow = tuple(map(frozenset, adj))
     return h._shadow
 
 
@@ -254,20 +221,16 @@ def degree_profile(h: Hypergraph) -> DegreeProfile:
     for e in h.edges:
         for v in e:
             hyper[v] += 1
-    g = shadow(h)
-    shadow_deg = [g.degree(v) for v in range(h.n)]
+    shadow_deg = [len(a) for a in shadow(h)]
     excess = [s - d for s, d in zip(shadow_deg, hyper)]
     return DegreeProfile(tuple(hyper), tuple(shadow_deg), tuple(excess))
 
 
-def count_three_paths(g: ShadowGraph) -> int:
-    """Number of unordered 3-vertex paths, by conditioning on the middle vertex.
+def count_three_paths(adj: Shadow) -> int:
+    """Number of unordered 3-vertex paths in the graph adj, by their middle vertex.
 
-    Equals sum over v of C(deg(v), 2), which matches explicit enumeration of
-    triples (x, u, y) with x != y and both {x,u}, {u,y} edges.
+    adj is an adjacency tuple such as shadow(h). The count is the sum over v
+    of C(len(adj[v]), 2), which matches explicit enumeration of triples
+    (x, u, y) with x != y and both {x,u}, {u,y} edges.
     """
-    total = 0
-    for v in range(g.n):
-        d = g.degree(v)
-        total += d * (d - 1) // 2
-    return total
+    return sum(len(a) * (len(a) - 1) // 2 for a in adj)

@@ -181,7 +181,7 @@ def _explore_class(
     cap: int,
     budget: int | None,
     prev_ex: int | None = None,
-) -> tuple[int, list[Edge] | None, ClassStats]:
+) -> tuple[list[Edge] | None, ClassStats]:
     """Orbital include/exclude DFS over the edge sets of one root class.
 
     The class holds _ROOT_EDGE and `second`, and every two of its edges meet
@@ -205,7 +205,7 @@ def _explore_class(
     deg holds the degree of each vertex in S. The search stops once best
     reaches `cap`.
 
-    Returns (best size found, witness when it beats seed_best, counts). The
+    Returns (witness when it beats seed_best, counts with the best size). The
     incumbent is local to the class (seeded with seed_best), never shared
     with sibling classes, so the visited node set is a pure function of the
     arguments and thread counts cannot change it.
@@ -268,7 +268,7 @@ def _explore_class(
         excludes += 1
     completed = budget is None or nodes <= budget
     stats = ClassStats(limit, best, nodes, includes, excludes, bound_prunes, degree_prunes, cap_stop, completed)
-    return best, best_edges, stats
+    return best_edges, stats
 
 
 def _degree_dead(deg: list[int], candidates: list[Edge], need: int) -> bool:
@@ -380,14 +380,14 @@ def branch_and_bound_ex(
             out = _explore_class(n, triples, limit, second, best_size, cap, remaining, prev_ex)
             outcomes.append(out)
             if remaining is not None:
-                remaining -= out[2].nodes
+                remaining -= out[1].nodes
 
-    for size, edges, stats in outcomes:
+    for edges, stats in outcomes:
         if not stats.completed:
             completed = False
-        if edges is not None and size > best_size:
-            best_size, best_edges = size, edges
-    class_stats = tuple(stats for _, _, stats in outcomes)
+        if edges is not None and stats.best > best_size:
+            best_size, best_edges = stats.best, edges
+    class_stats = tuple(stats for _, stats in outcomes)
     nodes = sum(c.nodes for c in class_stats)
     return SearchResult(n, best_size, Hypergraph(n, best_edges), completed, nodes, class_stats)
 

@@ -16,7 +16,9 @@ The reference helpers that only the tests need live here too, each from its
 definition: verify_cycle_witness (with WitnessError) checks a Berge cycle
 witness, excess_degree_within is the excess degree inside one block,
 combined_inequality_holds is the chain's combined inequality as an expanded
-quadratic, and without_isolated_vertices compacts a hypergraph's vertex ids.
+quadratic, without_isolated_vertices compacts a hypergraph's vertex ids, and
+adjacency builds a graph's adjacency tuple, in the form shadow returns, from
+its vertex pairs.
 """
 
 from collections import Counter
@@ -28,7 +30,7 @@ from bergec4.berge import Bc4FreeBuilder, BergeCycleWitness, _canonical_cycles, 
 from bergec4.blocks import Block, block_degrees, decompose
 from bergec4.bounds import check_inequality
 from bergec4.census import CensusReport, FourCycleRecord
-from bergec4.hypergraph import Hypergraph, ShadowGraph, pair_to_edges, shadow
+from bergec4.hypergraph import Hypergraph, Shadow, pair_to_edges, shadow
 
 
 class WitnessError(ValueError):
@@ -80,6 +82,15 @@ def combined_inequality_holds(n: int, m: Fraction | int) -> bool:
     return 10 * m * m <= 25 * n * m + Fraction(n * n * (n - 1))
 
 
+def adjacency(n: int, pairs) -> Shadow:
+    """The graph on 0..n-1 with the given vertex pairs, as a tuple of neighbour sets."""
+    adj = [set() for _ in range(n)]
+    for x, y in pairs:
+        adj[x].add(y)
+        adj[y].add(x)
+    return tuple(frozenset(a) for a in adj)
+
+
 def without_isolated_vertices(h: Hypergraph) -> Hypergraph:
     """Copy of h with isolated vertices dropped and ids compacted in order; h itself when none."""
     isolated = set(h.isolated_vertices())
@@ -113,26 +124,27 @@ def naive_berge_cycle_exists(h: Hypergraph, length: int = 4) -> bool:
     return False
 
 
-def naive_count_three_paths(g: ShadowGraph) -> int:
+def naive_count_three_paths(adj: Shadow) -> int:
+    n = len(adj)
     count = 0
-    for u in range(g.n):
-        for x in range(g.n):
-            for y in range(x + 1, g.n):
-                if x != u != y and u in g.adj[x] and y in g.adj[u]:
+    for u in range(n):
+        for x in range(n):
+            for y in range(x + 1, n):
+                if x != u != y and u in adj[x] and y in adj[u]:
                     count += 1
     return count
 
 
-def naive_four_cycles(g: ShadowGraph) -> list[tuple[int, int, int, int]]:
+def naive_four_cycles(adj: Shadow) -> list[tuple[int, int, int, int]]:
     """All shadow 4-cycles, one canonical tuple per rotation/reflection class."""
     cycles = []
-    for quad in combinations(range(g.n), 4):
+    for quad in combinations(range(len(adj)), 4):
         a = quad[0]
         for b, d in ((quad[1], quad[2]), (quad[1], quad[3]), (quad[2], quad[3])):
             c = next(v for v in quad[1:] if v not in (b, d))
             first, last = min(b, d), max(b, d)
             cyc = (a, first, c, last)
-            if all(cyc[(i + 1) % 4] in g.adj[cyc[i]] for i in range(4)):
+            if all(cyc[(i + 1) % 4] in adj[cyc[i]] for i in range(4)):
                 cycles.append(cyc)
     return cycles
 
@@ -150,18 +162,18 @@ def naive_is_rare(h: Hypergraph, cycle, scope: str = "induced") -> bool:
     return True
 
 
-def naive_rare_cycles(h: Hypergraph, g: ShadowGraph, scope: str = "induced"):
-    return [c for c in naive_four_cycles(g) if naive_is_rare(h, c, scope)]
+def naive_rare_cycles(h: Hypergraph, adj: Shadow, scope: str = "induced"):
+    return [c for c in naive_four_cycles(adj) if naive_is_rare(h, c, scope)]
 
 
-def naive_is_good(h: Hypergraph, g: ShadowGraph, x1: int, x2: int, x3: int, scope: str = "induced") -> bool:
+def naive_is_good(h: Hypergraph, adj: Shadow, x1: int, x2: int, x3: int, scope: str = "induced") -> bool:
     if tuple(sorted((x1, x2, x3))) in h.edge_set:
         return False
     for x in range(h.n):
         if x in (x1, x2, x3):
             continue
         cycle = (x, x1, x2, x3)
-        if all(cycle[(i + 1) % 4] in g.adj[cycle[i]] for i in range(4)):
+        if all(cycle[(i + 1) % 4] in adj[cycle[i]] for i in range(4)):
             if naive_is_rare(h, cycle, scope):
                 return False
     return True
@@ -259,7 +271,7 @@ def walker_census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusRepor
     with the canonical walker, finds its representative edges and rarity
     directly, and marks each 3-path good or not one at a time.
     """
-    g = shadow(h)
+    adj = shadow(h)
     p2e = pair_to_edges(h)
     m = h.edge_count
     edge_index = {e: i for i, e in enumerate(h.edges)}
@@ -279,7 +291,7 @@ def walker_census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusRepor
     records: list[FourCycleRecord] = []
     rare_paths: set[tuple[int, int, int]] = set()
     four_cycles = 0
-    for cycle in _canonical_cycles(g.adj, 4):
+    for cycle in _canonical_cycles(adj, 4):
         four_cycles += 1
         reps = tuple(i for t in combinations(sorted(cycle), 3) if (i := edge_index.get(t)) is not None)
         histogram[len(reps)] = histogram.get(len(reps), 0) + 1
@@ -293,8 +305,8 @@ def walker_census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusRepor
     total = 0
     good = 0
     per_pair: dict[tuple[int, int], int] = {}
-    for x2 in range(g.n):
-        nbrs = g.neighbors(x2)
+    for x2 in range(h.n):
+        nbrs = sorted(adj[x2])
         for i, x1 in enumerate(nbrs):
             for x3 in nbrs[i + 1 :]:
                 total += 1

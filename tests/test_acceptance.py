@@ -14,10 +14,11 @@ from bergec4.blocks import BlockType, block_degrees, decompose
 from bergec4.bounds import edge_ratio, upper_bound, verify_chain
 from bergec4.census import census
 from bergec4.construct import random_bc4free
-from bergec4.hypergraph import Hypergraph, ShadowGraph, count_three_paths, degree_profile, shadow
+from bergec4.hypergraph import Hypergraph, count_three_paths, degree_profile, shadow
 from bergec4.search import branch_and_bound_ex, brute_force_ex, ex_table, format_ex_table
 
 from oracles import (
+    adjacency,
     excess_degree_within,
     naive_berge_cycle_exists,
     naive_count_three_paths,
@@ -134,7 +135,7 @@ def test_criterion_5_detector_oracle_equivalence():
 def _all_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
-        yield ShadowGraph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        yield adjacency(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 def test_criterion_6_counting_identity():
@@ -148,7 +149,7 @@ def test_criterion_6_counting_identity():
         pairs = list(combinations(range(n), 2))
         for _ in range(300):
             chosen = [p for p in pairs if rng.random() < rng.choice((0.2, 0.5, 0.8))]
-            g = ShadowGraph(n, chosen)
+            g = adjacency(n, chosen)
             assert count_three_paths(g) == naive_count_three_paths(g)
     for seed in range(200):
         g = shadow(random_hypergraph(9, 12, seed))
@@ -160,8 +161,7 @@ def test_criterion_6_counting_identity():
 
 def test_criterion_7_worked_micro_examples():
     k4m = Hypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
-    g = shadow(k4m)
-    assert g.pairs == tuple((x, y) for x in range(4) for y in range(x + 1, 4))
+    assert shadow(k4m) == adjacency(4, combinations(range(4), 2))
     profile = degree_profile(k4m)
     assert sum(profile.excess) == 3
     decomposition = decompose(k4m)

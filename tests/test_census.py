@@ -84,7 +84,7 @@ class TestCensus:
             for scope in SCOPES:
                 recomputed = 0
                 for x2 in range(h.n):
-                    nbrs = g.neighbors(x2)
+                    nbrs = sorted(g[x2])
                     for i, x1 in enumerate(nbrs):
                         for x3 in nbrs[i + 1 :]:
                             recomputed += naive_is_good(h, g, x1, x2, x3, scope)

@@ -16,6 +16,8 @@ from bergec4.hypergraph import MAX_VERTICES, Hypergraph
 K4_MINUS = "4 3\n0 1 2\n0 1 3\n0 2 3\n"
 K4_FULL = "4 4\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
 SINGLE = "3 1\n0 1 2\n"
+EDGELESS = "4 0\n"
+ISOLATED = "7 2\n0 1 2\n1 3 4\n"  # vertices 5 and 6 in no edge
 
 
 @pytest.fixture
@@ -370,7 +372,8 @@ class TestDeterminism:
 
 
 # sha256 of stdout and the exit code, recorded before the census claims
-# became InequalityChecks; any byte change to these reports fails here
+# became InequalityChecks (the edgeless and isolated rows: before the shadow
+# became a bare adjacency tuple); any byte change to these reports fails here
 PINNED_REPORTS = [
     ("q7", ("census",), 0, "a891679158c5f6311881203b856e38dd08b243dbb3d8601ebe5688aa9a6bc9de"),
     ("q7", ("census", "--diagonal-scope", "global"), 0, "9b0840c015399408a3d976734298413716e1dcfa81b93865c9b94cb93ab4ba7f"),
@@ -383,12 +386,20 @@ PINNED_REPORTS = [
     ("k4_minus", ("blocks",), 0, "61c96b6a48b5b0753aa62965718fb056bdc2671dc7d9c2cc2f7f6f7e5b9c10f9"),
     ("k4_minus", ("shadow",), 0, "cbc0a1c7d092a5c6a10fa97cc2fc7ede9fc8d5b4d62d4eba8a237c87d3078b40"),
     ("k4_full", ("verify",), 3, "7e3a6f0da61fdbc52d24f3613eba6822679948f297a974000dda7b60f19c1cdb"),
+    ("edgeless", ("shadow",), 0, "1764133d1e9184c765e461eee519bfc676b8f358de2524338022058320882739"),
+    ("isolated", ("shadow",), 0, "7ee4d840bef3f8695ea5d6e2196037f83861a53f83b8dbb53b945f70f276a641"),
 ]
 
 
 @pytest.mark.parametrize("name, command, code, digest", PINNED_REPORTS)
 def test_report_bytes_pinned(tmp_path, capsys, name, command, code, digest):
-    texts = {"q7": lower_bound_construction(7).to_text(), "k4_minus": K4_MINUS, "k4_full": K4_FULL}
+    texts = {
+        "q7": lower_bound_construction(7).to_text(),
+        "k4_minus": K4_MINUS,
+        "k4_full": K4_FULL,
+        "edgeless": EDGELESS,
+        "isolated": ISOLATED,
+    }
     path = tmp_path / f"{name}.txt"
     path.write_text(texts[name])
     assert cli.main([command[0], str(path), *command[1:]]) == code

@@ -1,14 +1,15 @@
+from itertools import combinations
+
 import pytest
 
 from conftest import random_hypergraph
-from oracles import naive_count_three_paths, without_isolated_vertices
+from oracles import adjacency, naive_count_three_paths, without_isolated_vertices
 
 from bergec4.hypergraph import (
     MAX_VERTICES,
     Hypergraph,
     HypergraphError,
     ParseError,
-    ShadowGraph,
     count_three_paths,
     degree_profile,
     pair_to_edges,
@@ -50,26 +51,23 @@ class TestConstruction:
     def test_empty_allowed(self):
         h = Hypergraph(5, [])
         assert h.edge_count == 0
-        assert shadow(h).edge_count == 0
+        assert shadow(h) == adjacency(5, [])
 
 
 class TestShadow:
     def test_single_edge_gives_triangle(self, single_edge):
-        g = shadow(single_edge)
-        assert g.pairs == ((0, 1), (0, 2), (1, 2))
+        assert shadow(single_edge) == adjacency(3, [(0, 1), (0, 2), (1, 2)])
 
     def test_built_once_per_hypergraph(self, k4_minus):
         assert shadow(k4_minus) is shadow(k4_minus)
 
     def test_k4_minus_gives_complete_graph(self, k4_minus):
-        assert shadow(k4_minus).pairs == tuple(
-            (x, y) for x in range(4) for y in range(x + 1, 4)
-        )
+        assert shadow(k4_minus) == adjacency(4, combinations(range(4), 2))
 
     def test_vertex_count_preserved(self):
         g = shadow(Hypergraph(9, [(0, 1, 2)]))
-        assert g.n == 9
-        assert g.degree(8) == 0
+        assert len(g) == 9
+        assert not g[8]
 
     def test_pair_membership_matches_edges(self):
         for seed in range(10):
@@ -78,32 +76,12 @@ class TestShadow:
             for x in range(h.n):
                 for y in range(x + 1, h.n):
                     covered = any(x in e and y in e for e in h.edges)
-                    assert (y in g.adj[x]) == covered
+                    assert (y in g[x]) == covered
 
     def test_determinism_through_serialization(self):
         for seed in range(5):
             h = random_hypergraph(8, 10, seed)
             assert shadow(Hypergraph.from_text(h.to_text())) == shadow(h)
-
-
-class TestShadowGraphConstructor:
-    def test_reversed_and_repeated_pairs_give_sorted_distinct_pairs(self):
-        g = ShadowGraph(4, [(2, 1), (1, 2), (0, 3), (3, 0), (1, 0)])
-        assert g.pairs == ((0, 1), (0, 3), (1, 2))
-        assert g.adj == (frozenset({1, 3}), frozenset({0, 2}), frozenset({1}), frozenset({0}))
-
-    @pytest.mark.parametrize(
-        "pair, message",
-        [
-            ((1, 1), "not 2 distinct vertices"),
-            ((0, 1, 2), "not 2 distinct vertices"),
-            ((0, 3), "out of vertex range"),
-            ((-1, 0), "out of vertex range"),
-        ],
-    )
-    def test_invalid_pair_rejected(self, pair, message):
-        with pytest.raises(HypergraphError, match=message):
-            ShadowGraph(3, [(0, 1), pair])
 
 
 class TestDegrees:
@@ -125,10 +103,9 @@ class TestDegrees:
     def test_degree_sums(self):
         for seed in range(20):
             h = random_hypergraph(10, 15, seed)
-            g = shadow(h)
             p = degree_profile(h)
             assert sum(p.hyper) == 3 * h.edge_count
-            assert sum(p.shadow) == 2 * g.edge_count
+            assert sum(p.shadow) == 2 * len(pair_to_edges(h))
 
     def test_profile_inequalities(self):
         # distinct edges through v cover distinct neighbor pairs
@@ -156,14 +133,14 @@ class TestDegrees:
 
 class TestCountThreePaths:
     def test_triangle(self):
-        g = ShadowGraph(3, [(0, 1), (0, 2), (1, 2)])
+        g = adjacency(3, [(0, 1), (0, 2), (1, 2)])
         assert count_three_paths(g) == 3
 
     def test_complete_four(self, k4_minus):
         assert count_three_paths(shadow(k4_minus)) == 12
 
     def test_empty(self):
-        assert count_three_paths(ShadowGraph(5, [])) == 0
+        assert count_three_paths(adjacency(5, [])) == 0
 
     def test_matches_enumeration_on_random_shadows(self):
         for seed in range(30):

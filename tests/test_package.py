@@ -1,5 +1,6 @@
 import ast
 import importlib
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -150,3 +151,56 @@ def test_distribution_metadata_matches_package():
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
     assert project["name"] == "bergec4"
     assert project["version"] == bergec4.__version__
+
+
+PUBLIC_NAMES = [
+    "Bc4FreeBuilder",
+    "BergeCycleWitness",
+    "BipartiteGraph",
+    "Block",
+    "BlockDecomposition",
+    "BlockType",
+    "BoundReport",
+    "CensusReport",
+    "DegreeProfile",
+    "EdgeBound",
+    "FourCycleRecord",
+    "Hypergraph",
+    "HypergraphError",
+    "HypothesisError",
+    "InequalityCheck",
+    "ParseError",
+    "SearchResult",
+    "binom2",
+    "block_degrees",
+    "branch_and_bound_ex",
+    "brute_force_ex",
+    "check_inequality",
+    "count_three_paths",
+    "decompose",
+    "degree_profile",
+    "edge_ratio",
+    "ex_table",
+    "expand_to_hypergraph",
+    "find_berge_cycle",
+    "format_ex_table",
+    "is_bc4_free",
+    "is_c4_free",
+    "lower_bound_construction",
+    "pair_to_edges",
+    "projective_plane_incidence",
+    "random_bc4free",
+    "shadow",
+    "upper_bound",
+    "verify_chain",
+]
+
+
+def test_public_names_are_pinned():
+    # adding or removing a package-level name is an API change: edit this list with it
+    names = sorted(
+        name
+        for name in dir(bergec4)
+        if not name.startswith("_") and not isinstance(getattr(bergec4, name), types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES

@@ -1,12 +1,12 @@
-from itertools import combinations
+from itertools import combinations, product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import verify_cycle_witness
 
 from bergec4.berge import find_berge_cycle, is_bc4_free
-from bergec4.hypergraph import Hypergraph
+from bergec4.hypergraph import Hypergraph, shadow
 
 hypergraphs = st.integers(min_value=4, max_value=10).flatmap(
     lambda n: st.builds(
@@ -16,6 +16,17 @@ hypergraphs = st.integers(min_value=4, max_value=10).flatmap(
     )
 )
 derandomized = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def _sparse_edges(n):
+    triples = list(combinations(range(n), 3))
+    return st.lists(st.sampled_from(triples), unique=True, max_size=6) if triples else st.just([])
+
+
+# n from 0, and few edges, so edgeless inputs and isolated vertices are common
+sparse_hypergraphs = st.integers(min_value=0, max_value=9).flatmap(
+    lambda n: st.builds(Hypergraph, st.just(n), _sparse_edges(n))
+)
 
 
 @derandomized
@@ -38,3 +49,18 @@ def test_cycle_witnesses_verify(h):
 @given(hypergraphs)
 def test_builder_verdict_matches_sweep(h):
     assert is_bc4_free(h) == (find_berge_cycle(h, 4) is None)
+
+
+@derandomized
+@given(sparse_hypergraphs)
+@example(Hypergraph(0, []))
+@example(Hypergraph(4, []))
+@example(Hypergraph(7, [(0, 1, 2), (1, 3, 4)]))
+def test_shadow_is_the_covered_pairs(h):
+    adj = shadow(h)
+    assert len(adj) == h.n
+    assert shadow(h) is adj
+    for x, y in product(range(h.n), repeat=2):
+        assert (y in adj[x]) == (x in adj[y])
+        assert (y in adj[x]) == (x != y and any(x in e and y in e for e in h.edges))
+    assert h.isolated_vertices() == tuple(v for v in range(h.n) if all(v not in e for e in h.edges))

@@ -184,7 +184,7 @@ class TestRootClasses:
         # of its pinned pair under its intersection limit, without the builder
         triples = list(combinations(range(n), 3))
         got = {
-            i: search_module._explore_class(n, triples, i, f, 0, len(triples), None)[0]
+            i: search_module._explore_class(n, triples, i, f, 0, len(triples), None)[1].best
             for i, f in search_module._root_classes(n)
         }
         want = {i: naive_class_best(n, f, i) for i, f in SECOND_EDGES.items() if max(f) < n}
