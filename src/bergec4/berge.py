@@ -2,17 +2,21 @@
 
 A Berge cycle of length L is L distinct vertices and L distinct hyperedges
 with each consecutive vertex pair (cyclically) inside the corresponding
-hyperedge. One walker enumerates the candidate vertex cycles of the
-2-shadow in a fixed canonical order, and for each cycle the existence of
-distinct representative hyperedges is decided by bipartite maximum
-matching, so the returned witness is reproducible. That search
-serves witnesses and general lengths only. Every BC4 verdict (is_bc4_free,
-and through it census, check, construct and verify) comes from
-Bc4FreeBuilder's pinned-edge check, which needs no cycle enumeration and no
-generic matching. The builder keeps each neighbourhood twice, as a set and
-as an int bitset: the set to iterate the first inner vertex, the bitset to
-intersect two neighbourhoods in one big-integer AND. The bitsets assume
-small vertex ids, which Hypergraph.from_text bounds by MAX_VERTICES.
+hyperedge. find_berge_cycle returns the first Berge cycle of a length in a
+fixed canonical order of the 2-shadow's vertex cycles, with distinct
+representative hyperedges decided by bipartite maximum matching, so the
+witness is reproducible. Length 4 has a walk of its own that skips, before
+any matching, the cycles on which two consecutive positions have the same
+sole edge, the only two-position failure of Hall's condition there; every
+other length walks _canonical_cycles and matches each cycle. That search
+serves witnesses only. Every BC4 verdict (is_bc4_free, and through it
+census, check, construct and verify) comes from Bc4FreeBuilder's
+pinned-edge check, which needs no cycle enumeration and no generic
+matching. The builder keeps each neighbourhood twice, as a set and as an
+int bitset: the set to iterate the first inner vertex, the bitset to
+intersect two neighbourhoods in one big-integer AND. The length-4 walk
+reads the shadow as bitsets the same way. The bitsets assume small vertex
+ids, which Hypergraph.from_text bounds by MAX_VERTICES.
 """
 
 from __future__ import annotations
@@ -132,11 +136,20 @@ def find_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
 
     Returns None when none exists. A hypergraph with fewer than `length`
     edges or fewer than `length` vertices has no Berge cycle of that length.
+    Length 4 has a walk of its own, _find_berge_c4. Positions that are not
+    consecutive share no candidate edge, so two positions fail Hall's
+    condition only when they are consecutive with the same sole edge; the
+    walk skips those cycles unmatched. Every other length walks
+    _canonical_cycles and matches each cycle. Either way the witness is the
+    first Berge cycle in the canonical order, with the edges that
+    _distinct_representatives assigns to it.
     """
     if length < 2:
         raise ValueError(f"cycle length must be >= 2, got {length}")
     if h.edge_count < length or h.n < length:
         return None
+    if length == 4:
+        return _find_berge_c4(h)
     p2e = pair_to_edges(h)
     for cycle in _canonical_cycles(shadow(h), length):
         # position i covers the pair (cycle[i], cycle[i+1]), cyclically
@@ -144,6 +157,90 @@ def find_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
         assignment = _distinct_representatives(cands)
         if assignment is not None:
             return BergeCycleWitness(cycle, tuple(assignment))
+    return None
+
+
+def _find_berge_c4(h: Hypergraph) -> BergeCycleWitness | None:
+    """find_berge_cycle(h, 4): the canonical walk with sole-edge cycles skipped.
+
+    The shadow 4-cycles (v0, v1, v2, w) come in the order of
+    _canonical_cycles: v0 is the least vertex, then v1, v2 and w ascend,
+    with v1 < w. Position i covers the i-th pair of v0v1, v1v2, v2w, wv0.
+
+    Sole-edge lemma: two positions that are not consecutive on the cycle
+    have disjoint candidate lists, since an edge on both pairs would hold
+    all four cycle vertices. So the only way two positions can violate
+    Hall's condition is to be consecutive with the same sole edge e, and e
+    then holds the three cycle vertices of the two pairs. Three rules drop
+    exactly those cycles before any matching:
+
+    1. skip v2 when v0v1 and v1v2 have the same sole edge;
+    2. build the closing set of w as bits[v0] & bits[v2] above v1, less
+       the third vertex t of v0v1's sole edge when that edge is also the
+       only one on {v0, t} (positions wv0 and v0v1), and less the third
+       vertex t of v1v2's sole edge when that edge is also the only one on
+       {v2, t} (positions v1v2 and v2w);
+    3. skip w when v2w and wv0 have the same sole edge.
+
+    A cycle that survives may still fail on three or four positions, so
+    _distinct_representatives still decides each survivor and assigns its
+    edges; the witness is the one the plain walk returns. On the q = 16
+    construction plus a point triple through point 91, the plain walk
+    matched about 20k cycles, all refused, before its witness; this walk
+    matches one.
+
+    The neighbourhoods are int bitsets read off shadow(h), as in
+    Bc4FreeBuilder, so they take up to n^2/8 bytes, as the builder's do.
+    check and verify build them only after is_bc4_free has returned and its
+    builder is released, so the peak stays within the builder's: traced
+    peaks were 25.2 MB against is_bc4_free's 25.6 MB on n = MAX_VERTICES
+    with disjoint triples and a K4^(3) on the top four ids, and 3.09
+    against 3.18 MB on the q = 16 construction.
+    """
+    edges = h.edges
+    p2e = pair_to_edges(h)
+    adj = shadow(h)
+    bits = [sum(1 << u for u in a) for a in adj]
+    for v0, a0 in enumerate(adj):
+        bits0 = bits[v0]
+        for v1 in sorted(a0):
+            if v1 < v0:
+                continue
+            A = p2e[(v0, v1)]
+            # w ranges over the common neighbours of v0 and v2 above v1
+            close0 = bits0 >> (v1 + 1) << (v1 + 1)
+            sole01 = -1
+            if len(A) == 1:
+                sole01 = A[0]
+                t = sum(edges[sole01]) - v0 - v1
+                if len(p2e[(v0, t) if v0 < t else (t, v0)]) == 1:
+                    close0 &= ~(1 << t)  # rule 2, positions wv0 and v0v1
+            if not close0:
+                continue
+            for v2 in sorted(adj[v1]):
+                if v2 <= v0:
+                    continue
+                common = close0 & bits[v2]
+                if not common:
+                    continue
+                B = p2e[(v1, v2) if v1 < v2 else (v2, v1)]
+                if len(B) == 1:
+                    if B[0] == sole01:
+                        continue  # rule 1
+                    t = sum(edges[B[0]]) - v1 - v2
+                    if common >> t & 1 and len(p2e[(v2, t) if v2 < t else (t, v2)]) == 1:
+                        common &= ~(1 << t)  # rule 2, positions v1v2 and v2w
+                while common:
+                    low = common & -common
+                    common ^= low
+                    w = low.bit_length() - 1
+                    C = p2e[(v2, w) if v2 < w else (w, v2)]
+                    D = p2e[(v0, w)]
+                    if len(C) == 1 and len(D) == 1 and C[0] == D[0]:
+                        continue  # rule 3
+                    assignment = _distinct_representatives((A, B, C, D))
+                    if assignment is not None:
+                        return BergeCycleWitness((v0, v1, v2, w), tuple(assignment))
     return None
 
 

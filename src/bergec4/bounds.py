@@ -263,7 +263,8 @@ def verify_chain(h: Hypergraph) -> BoundReport:
     profile = degree_profile(h)
     db = block_degrees(h, decompose(h))
     three_paths = count_three_paths(shadow(h))
-    db_binom = sum(binom2(d) for d in db)
+    # sum of C(d, 2) as one integer, then one Fraction: not one Fraction per vertex
+    db_binom = Fraction(sum(d * (d - 1) for d in db), 2)
     return BoundReport(
         n=n,
         edge_count=m,

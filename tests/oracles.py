@@ -11,6 +11,10 @@ the BC4 verdict and the block degrees with the package, and checks the
 census's counting against listing at sizes the naive oracles cannot reach.
 memo_free_greedy likewise shares the builder: it is random_bc4free without
 the dead-pair memo, so it checks the memo, not the builder's verdict.
+walker_berge_cycle is find_berge_cycle without the length-4 walk: it matches
+every cycle of the canonical walker, so it shares the walker and the
+matching and checks the sole-edge rules that let the length-4 walk skip
+cycles.
 
 The reference helpers that only the tests need live here too, each from its
 definition: verify_cycle_witness (with WitnessError) checks a Berge cycle
@@ -26,7 +30,13 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 import random
 
-from bergec4.berge import Bc4FreeBuilder, BergeCycleWitness, _canonical_cycles, is_bc4_free
+from bergec4.berge import (
+    Bc4FreeBuilder,
+    BergeCycleWitness,
+    _canonical_cycles,
+    _distinct_representatives,
+    is_bc4_free,
+)
 from bergec4.blocks import Block, block_degrees, decompose
 from bergec4.bounds import check_inequality
 from bergec4.census import CensusReport, FourCycleRecord
@@ -122,6 +132,20 @@ def naive_berge_cycle_exists(h: Hypergraph, length: int = 4) -> bool:
         if assign(seq, 0, frozenset()):
             return True
     return False
+
+
+def walker_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
+    """The first canonical shadow cycle of the given length with distinct
+    representatives, matching every cycle the walker yields."""
+    if h.edge_count < length or h.n < length:
+        return None
+    p2e = pair_to_edges(h)
+    for cycle in _canonical_cycles(shadow(h), length):
+        pairs = zip(cycle, cycle[1:] + cycle[:1])
+        assignment = _distinct_representatives([p2e[tuple(sorted(p))] for p in pairs])
+        if assignment is not None:
+            return BergeCycleWitness(cycle, tuple(assignment))
+    return None
 
 
 def naive_count_three_paths(adj: Shadow) -> int:

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import loose_cycle, random_hypergraph, tight_cycle
-from oracles import WitnessError, naive_berge_cycle_exists, verify_cycle_witness
+from oracles import WitnessError, naive_berge_cycle_exists, verify_cycle_witness, walker_berge_cycle
 
 import bergec4.berge as berge_module
 from bergec4.berge import Bc4FreeBuilder, BergeCycleWitness, find_berge_cycle, is_bc4_free
-from bergec4.hypergraph import Hypergraph
+from bergec4.hypergraph import MAX_VERTICES, Hypergraph
 from bergec4.search import _four_edges_support_c4
 
 
@@ -109,6 +110,109 @@ def test_canonical_witnesses_are_pinned():
     digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
     assert sum(not line.endswith("none") for line in lines) == 113
     assert digest == "5ebdc62b5810f29cabce11103b2f707187dc03afb28283969e8efac01f753c60"
+
+
+def _with_point_triples(h: Hypergraph, q: int, count: int, seed: int) -> Hypergraph:
+    # the cloned PG(2, q) keeps point ids 0..q^2+q; two points share a line L,
+    # so a point triple closes a Berge C4 with edges on L's vertex pair
+    rng = random.Random(seed)
+    triples = {tuple(sorted(rng.sample(range(q * q + q + 1), 3))) for _ in range(count)}
+    return Hypergraph(h.n, h.edges + tuple(triples))
+
+
+def _count_matchings(monkeypatch) -> list:
+    calls = []
+    match = berge_module._distinct_representatives
+
+    def counting(candidates):
+        calls.append(candidates)
+        return match(candidates)
+
+    monkeypatch.setattr(berge_module, "_distinct_representatives", counting)
+    return calls
+
+
+class TestLength4Walk:
+    # find_berge_cycle(h, 4) skips cycles by the sole-edge rules; the witness
+    # must be the one that matching every canonical cycle finds
+
+    @pytest.mark.parametrize("q", [7, 11])
+    @pytest.mark.parametrize("count, seed", [(1, 0), (1, 1), (1, 2), (3, 3)])
+    def test_constructions_with_point_triples_match_walker(self, construction_family, q, count, seed):
+        h = _with_point_triples(construction_family[q], q, count, seed)
+        w = find_berge_cycle(h, 4)
+        assert w is not None and verify_cycle_witness(h, w)
+        assert w == walker_berge_cycle(h, 4)
+
+    @pytest.mark.parametrize("q", [7, 11])
+    def test_free_constructions_match_nothing(self, construction_family, monkeypatch, q):
+        calls = _count_matchings(monkeypatch)
+        assert find_berge_cycle(construction_family[q], 4) is None
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # (0, 1, 2, 3) only by rule 2 on wv0 and v0v1, (1, 2, 6, 3) only by
+            # rule 2 on v1v2 and v2w, (1, 3, 2, 5) only by rule 3
+            [(0, 1, 3), (1, 2, 5), (2, 3, 6), (7, 8, 9)],
+            # (0, 1, 2, 3) only by rule 1
+            [(0, 1, 2), (2, 3, 5), (0, 3, 6), (7, 8, 9)],
+        ],
+    )
+    def test_each_rule_spares_a_matching(self, monkeypatch, edges):
+        # every shadow 4-cycle here fails Hall's condition on two consecutive
+        # positions, so a lost rule shows as a matching call
+        calls = _count_matchings(monkeypatch)
+        assert find_berge_cycle(Hypergraph(10, edges), 4) is None
+        assert len(calls) == 0
+
+    def test_one_closing_triple_matches_once(self, construction_family, monkeypatch):
+        h = _with_point_triples(construction_family[11], 11, 1, 0)
+        calls = _count_matchings(monkeypatch)
+        w = find_berge_cycle(h, 4)
+        assert len(calls) == 1
+        assert w == walker_berge_cycle(h, 4)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # rule 1: v0v1 has the sole edge 012, but v1v2 also has 124
+            [(0, 1, 2), (1, 2, 4), (2, 3, 5), (0, 3, 6)],
+            # rule 1: v1v2 has the sole edge 012, but v0v1 also has 014
+            [(0, 1, 2), (0, 1, 4), (2, 3, 5), (0, 3, 6)],
+            # rule 2, wv0 and v0v1: v0v1 has the sole edge 013, but {0, 3} also has 034
+            [(0, 1, 3), (0, 3, 4), (1, 2, 5), (2, 3, 6)],
+            # rule 2, wv0 and v0v1: {0, 3} has the sole edge 013, but v0v1 also has 014
+            [(0, 1, 3), (0, 1, 4), (1, 2, 5), (2, 3, 6)],
+            # rule 2, v1v2 and v2w: v1v2 has the sole edge 123, but {2, 3} also has 234
+            [(1, 2, 3), (2, 3, 4), (0, 1, 5), (0, 3, 6)],
+            # rule 2, v1v2 and v2w: {2, 3} has the sole edge 123, but v1v2 also has 124
+            [(1, 2, 3), (1, 2, 4), (0, 1, 5), (0, 3, 6)],
+            # rule 3: v2w has the sole edge 023, but wv0 also has 034
+            [(0, 2, 3), (0, 3, 4), (0, 1, 5), (1, 2, 6)],
+            # rule 3: wv0 has the sole edge 023, but v2w also has 234
+            [(0, 2, 3), (2, 3, 4), (0, 1, 5), (1, 2, 6)],
+        ],
+    )
+    def test_rule_needs_both_pairs_sole(self, edges):
+        # one pair of the rule has a sole edge and its partner does not, so
+        # the first canonical cycle (0, 1, 2, 3) is Berge and is the witness
+        h = Hypergraph(7, edges)
+        w = find_berge_cycle(h, 4)
+        assert w is not None and w.vertices == (0, 1, 2, 3)
+        assert verify_cycle_witness(h, w)
+        assert w == walker_berge_cycle(h, 4)
+
+    def test_high_vertex_ids(self):
+        # disjoint triples below a K4^(3) on the top four ids: the bitsets
+        # reach bit MAX_VERTICES - 1
+        n = MAX_VERTICES
+        top = range(n - 4, n)
+        h = Hypergraph(n, [(i, i + 1, i + 2) for i in range(0, n - 6, 3)] + list(combinations(top, 3)))
+        w = find_berge_cycle(h, 4)
+        assert w is not None and w.vertices == tuple(top)
+        assert w == walker_berge_cycle(h, 4)
 
 
 class TestIsBc4Free:

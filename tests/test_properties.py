@@ -3,7 +3,7 @@ from itertools import combinations, product
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import verify_cycle_witness
+from oracles import verify_cycle_witness, walker_berge_cycle
 
 from bergec4.berge import find_berge_cycle, is_bc4_free
 from bergec4.hypergraph import Hypergraph, shadow
@@ -49,6 +49,23 @@ def test_cycle_witnesses_verify(h):
 @given(hypergraphs)
 def test_builder_verdict_matches_sweep(h):
     assert is_bc4_free(h) == (find_berge_cycle(h, 4) is None)
+
+
+# up to 24 edges on at most 10 vertices, so that most inputs carry shadow
+# 4-cycles that sole edges rule out next to ones that are Berge
+dense_hypergraphs = st.integers(min_value=4, max_value=10).flatmap(
+    lambda n: st.builds(
+        Hypergraph,
+        st.just(n),
+        st.lists(st.sampled_from(list(combinations(range(n), 3))), unique=True, max_size=24),
+    )
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(hypergraphs, dense_hypergraphs))
+def test_length4_walk_matches_walker(h):
+    assert find_berge_cycle(h, 4) == walker_berge_cycle(h, 4)
 
 
 @derandomized
