@@ -24,7 +24,6 @@ from bergec4.berge import (
 )
 from bergec4.blocks import (
     Block,
-    BlockDecomposition,
     BlockType,
     block_degrees,
     decompose,

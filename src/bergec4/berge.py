@@ -2,21 +2,23 @@
 
 A Berge cycle of length L is L distinct vertices and L distinct hyperedges
 with each consecutive vertex pair (cyclically) inside the corresponding
-hyperedge. find_berge_cycle returns the first Berge cycle of a length in a
-fixed canonical order of the 2-shadow's vertex cycles, with distinct
-representative hyperedges decided by bipartite maximum matching, so the
-witness is reproducible. Length 4 has a walk of its own that skips, before
-any matching, the cycles on which two consecutive positions have the same
-sole edge, the only two-position failure of Hall's condition there; every
-other length walks _canonical_cycles and matches each cycle. That search
-serves witnesses only. Every BC4 verdict (is_bc4_free, and through it
-census, check, construct and verify) comes from Bc4FreeBuilder's
-pinned-edge check, which needs no cycle enumeration and no generic
-matching. The builder keeps each neighbourhood twice, as a set and as an
-int bitset: the set to iterate the first inner vertex, the bitset to
-intersect two neighbourhoods in one big-integer AND. The length-4 walk
-reads the shadow as bitsets the same way. The bitsets assume small vertex
-ids, which Hypergraph.from_text bounds by MAX_VERTICES.
+hyperedge. find_berge_cycle, the one entry point for every length, returns
+the first Berge cycle of a length in a fixed canonical order of the
+2-shadow's vertex cycles, with distinct representative hyperedges decided by
+bipartite maximum matching, so the witness is reproducible. At length 4 the
+verdict comes first, from is_bc4_free, and only a cycle-carrying input is
+walked: _four_cycle_candidates skips, before any matching, the cycles on
+which two consecutive positions have the same sole edge, the only
+two-position failure of Hall's condition there; every other length walks
+_canonical_cycles. The census lists its unrepresented 4-cycles from the same
+length-4 walk. Every BC4 verdict (is_bc4_free, and through it census, check,
+construct and verify) comes from Bc4FreeBuilder's pinned-edge check, which
+needs no cycle enumeration and no generic matching. The builder keeps each
+neighbourhood twice, as a set and as an int bitset: the set to iterate the
+first inner vertex, the bitset to intersect two neighbourhoods in one
+big-integer AND. The length-4 walk reads the shadow as bitsets the same way.
+The bitsets assume small vertex ids, which Hypergraph.from_text bounds by
+MAX_VERTICES.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ class BergeCycleWitness:
 
     vertices: tuple[int, ...]
     edge_indices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
 
 
 def _distinct_representatives(candidates: Sequence[Sequence[int]]) -> list[int] | None:
@@ -136,43 +134,56 @@ def find_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
 
     Returns None when none exists. A hypergraph with fewer than `length`
     edges or fewer than `length` vertices has no Berge cycle of that length.
-    Length 4 has a walk of its own, _find_berge_c4. Positions that are not
-    consecutive share no candidate edge, so two positions fail Hall's
-    condition only when they are consecutive with the same sole edge; the
-    walk skips those cycles unmatched. Every other length walks
-    _canonical_cycles and matches each cycle. Either way the witness is the
-    first Berge cycle in the canonical order, with the edges that
-    _distinct_representatives assigns to it.
+    At length 4 the verdict is is_bc4_free's, taken before the pair index is
+    built, so a free input returns None without a walk; otherwise the walk
+    reads _four_cycle_candidates, which skips unmatched the cycles on which
+    two consecutive positions have the same sole edge. Every other length
+    walks _canonical_cycles. One loop matches each cycle the walk yields, so
+    the witness is the first Berge cycle in the canonical order, with the
+    edges that _distinct_representatives assigns to it. A length-4 walk
+    that finds nothing after is_bc4_free said "not free" raises
+    RuntimeError rather than report a free input.
     """
     if length < 2:
         raise ValueError(f"cycle length must be >= 2, got {length}")
     if h.edge_count < length or h.n < length:
         return None
     if length == 4:
-        return _find_berge_c4(h)
-    p2e = pair_to_edges(h)
-    for cycle in _canonical_cycles(shadow(h), length):
+        if is_bc4_free(h):
+            return None
+        walk = _four_cycle_candidates(h, pair_to_edges(h))
+    else:
+        p2e = pair_to_edges(h)
         # position i covers the pair (cycle[i], cycle[i+1]), cyclically
-        cands = [p2e[(a, b) if a < b else (b, a)] for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        walk = (
+            (cycle, [p2e[(a, b) if a < b else (b, a)] for a, b in zip(cycle, cycle[1:] + cycle[:1])])
+            for cycle in _canonical_cycles(shadow(h), length)
+        )
+    for cycle, cands in walk:
         assignment = _distinct_representatives(cands)
         if assignment is not None:
             return BergeCycleWitness(cycle, tuple(assignment))
+    if length == 4:
+        raise RuntimeError("is_bc4_free found a Berge C4 that the length-4 walk did not")
     return None
 
 
-def _find_berge_c4(h: Hypergraph) -> BergeCycleWitness | None:
-    """find_berge_cycle(h, 4): the canonical walk with sole-edge cycles skipped.
+def _four_cycle_candidates(
+    h: Hypergraph, p2e: dict[Pair, list[int]]
+) -> Iterator[tuple[tuple[int, int, int, int], tuple[list[int], ...]]]:
+    """The shadow 4-cycles that may be Berge, each with its candidate lists.
 
-    The shadow 4-cycles (v0, v1, v2, w) come in the order of
-    _canonical_cycles: v0 is the least vertex, then v1, v2 and w ascend,
-    with v1 < w. Position i covers the i-th pair of v0v1, v1v2, v2w, wv0.
+    p2e is pair_to_edges(h). The cycles (v0, v1, v2, w) come in the order
+    of _canonical_cycles: v0 is the least vertex, then v1, v2 and w ascend,
+    with v1 < w. Position i covers the i-th pair of v0v1, v1v2, v2w, wv0,
+    and its candidate list is that pair's edge indices.
 
     Sole-edge lemma: two positions that are not consecutive on the cycle
     have disjoint candidate lists, since an edge on both pairs would hold
     all four cycle vertices. So the only way two positions can violate
     Hall's condition is to be consecutive with the same sole edge e, and e
     then holds the three cycle vertices of the two pairs. Three rules drop
-    exactly those cycles before any matching:
+    exactly those cycles:
 
     1. skip v2 when v0v1 and v1v2 have the same sole edge;
     2. build the closing set of w as bits[v0] & bits[v2] above v1, less
@@ -183,22 +194,25 @@ def _find_berge_c4(h: Hypergraph) -> BergeCycleWitness | None:
     3. skip w when v2w and wv0 have the same sole edge.
 
     A cycle that survives may still fail on three or four positions, so
-    _distinct_representatives still decides each survivor and assigns its
-    edges; the witness is the one the plain walk returns. On the q = 16
+    find_berge_cycle still matches each one it reads. On the q = 16
     construction plus a point triple through point 91, the plain walk
     matched about 20k cycles, all refused, before its witness; this walk
-    matches one.
+    yields one.
+
+    Every dropped cycle has a representative edge: the sole edge a rule
+    names holds three cycle vertices, so it lies inside the cycle's 4-set.
+    So every shadow 4-cycle with no representative edge is yielded, which
+    is what lets the census list those cycles from this walk.
 
     The neighbourhoods are int bitsets read off shadow(h), as in
     Bc4FreeBuilder, so they take up to n^2/8 bytes, as the builder's do.
-    check and verify build them only after is_bc4_free has returned and its
-    builder is released, so the peak stays within the builder's: traced
-    peaks were 25.2 MB against is_bc4_free's 25.6 MB on n = MAX_VERTICES
-    with disjoint triples and a K4^(3) on the top four ids, and 3.09
-    against 3.18 MB on the q = 16 construction.
+    find_berge_cycle and census build them only after is_bc4_free has
+    returned and its builder is released, so the peak stays within the
+    builder's: traced peaks were 25.2 MB against is_bc4_free's 25.6 MB on
+    n = MAX_VERTICES with disjoint triples and a K4^(3) on the top four
+    ids, and 3.09 against 3.18 MB on the q = 16 construction.
     """
     edges = h.edges
-    p2e = pair_to_edges(h)
     adj = shadow(h)
     bits = [sum(1 << u for u in a) for a in adj]
     for v0, a0 in enumerate(adj):
@@ -238,10 +252,7 @@ def _find_berge_c4(h: Hypergraph) -> BergeCycleWitness | None:
                     D = p2e[(v0, w)]
                     if len(C) == 1 and len(D) == 1 and C[0] == D[0]:
                         continue  # rule 3
-                    assignment = _distinct_representatives((A, B, C, D))
-                    if assignment is not None:
-                        return BergeCycleWitness((v0, v1, v2, w), tuple(assignment))
-    return None
+                    yield (v0, v1, v2, w), (A, B, C, D)
 
 
 def is_bc4_free(h: Hypergraph) -> bool:

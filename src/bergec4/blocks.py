@@ -5,7 +5,8 @@ connected components of that relation and partition the edge set. Blocks of
 a BC4-free hypergraph are either "type 1" (one distinguished edge meets every
 other edge in a pair and absorbs all pairwise intersections) or "type 2"
 (the 4-vertex complete 3-graph minus one edge); arbitrary inputs may also
-produce OTHER.
+produce OTHER. decompose returns the blocks as a plain tuple, and
+block_degrees(h, decompose(h)) is the one route to the block degrees.
 """
 
 from __future__ import annotations
@@ -39,22 +40,6 @@ class Block:
     classification: BlockType
     leaf_edges: tuple[int, ...]
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edge_indices)
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertex_set)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Blocks in deterministic order plus the edge-index -> block-index map."""
-
-    blocks: tuple[Block, ...]
-    edge_to_block: tuple[int, ...]
-
 
 class _UnionFind:
     def __init__(self, size: int):
@@ -85,8 +70,10 @@ def _is_type1(edges: Sequence[Edge]) -> bool:
     return False
 
 
-def decompose(h: Hypergraph) -> BlockDecomposition:
+def decompose(h: Hypergraph) -> tuple[Block, ...]:
     """Partition the edges into blocks, classified and with leaf edges marked.
+
+    The blocks come in order of their least edge index.
 
     Union-find over edges keyed by their vertex pairs: edges sharing a pair
     share exactly two vertices, which is the chain relation. Per block, one
@@ -105,7 +92,6 @@ def decompose(h: Hypergraph) -> BlockDecomposition:
     for i in range(h.edge_count):
         groups.setdefault(uf.find(i), []).append(i)
     blocks: list[Block] = []
-    edge_to_block = [0] * h.edge_count
     # groups was filled in increasing i: its keys come in order of each
     # block's least edge, and each list is already sorted
     for members in groups.values():
@@ -117,16 +103,14 @@ def decompose(h: Hypergraph) -> BlockDecomposition:
             kind = BlockType.TYPE2
         else:
             kind = BlockType.TYPE1 if _is_type1(member_edges) else BlockType.OTHER
-        for i in indices:
-            edge_to_block[i] = len(blocks)
         blocks.append(Block(indices, frozenset(count), kind, leaves))
-    return BlockDecomposition(tuple(blocks), tuple(edge_to_block))
+    return tuple(blocks)
 
 
-def block_degrees(h: Hypergraph, decomposition: BlockDecomposition) -> tuple[int, ...]:
+def block_degrees(h: Hypergraph, blocks: Sequence[Block]) -> tuple[int, ...]:
     """Per-vertex count of blocks having some edge through the vertex."""
     out = [0] * h.n
-    for block in decomposition.blocks:
+    for block in blocks:
         for v in block.vertex_set:
             out[v] += 1
     return tuple(out)

@@ -15,9 +15,9 @@ from fractions import Fraction
 from math import isfinite, isqrt
 from typing import Sequence
 
-from bergec4.berge import BergeCycleWitness, find_berge_cycle, is_bc4_free
+from bergec4.berge import BergeCycleWitness, find_berge_cycle
 from bergec4.blocks import block_degrees, decompose
-from bergec4.hypergraph import Hypergraph, count_three_paths, degree_profile, shadow
+from bergec4.hypergraph import Hypergraph, count_three_paths, shadow
 
 
 class HypothesisError(ValueError):
@@ -240,9 +240,9 @@ def verify_chain(h: Hypergraph) -> BoundReport:
     Refuses (HypothesisError) when the input has an isolated vertex or
     contains a Berge C4; the chain is only claimed under those hypotheses.
     The isolated-vertex message names at most ten ids.
-    The BC4 verdict comes from is_bc4_free (the builder's pinned-edge
-    check); only a refused input pays for find_berge_cycle(h, 4), which
-    supplies the canonical witness carried by the error.
+    find_berge_cycle(h, 4) decides, with is_bc4_free's verdict (the
+    builder's pinned-edge check), and walks only a refused input, for the
+    canonical witness carried by the error.
     """
     if h.n < 3:
         raise ValueError(f"chain verification requires n >= 3, got {h.n}")
@@ -252,17 +252,17 @@ def verify_chain(h: Hypergraph) -> BoundReport:
         many = len(isolated) > 10
         what = f"{len(isolated)} isolated vertices, the first 10" if many else "isolated vertices"
         raise HypothesisError("isolated_vertices", f"hypergraph has {what} {list(isolated[:10])}")
-    if not is_bc4_free(h):
-        witness = find_berge_cycle(h, 4)
+    witness = find_berge_cycle(h, 4)
+    if witness is not None:
         raise HypothesisError(
             "berge_c4_present",
             f"hypergraph contains a Berge C4 on vertices {witness.vertices}",
             witness,
         )
     n, m = h.n, h.edge_count
-    profile = degree_profile(h)
+    adj = shadow(h)
     db = block_degrees(h, decompose(h))
-    three_paths = count_three_paths(shadow(h))
+    three_paths = count_three_paths(adj)
     # sum of C(d, 2) as one integer, then one Fraction: not one Fraction per vertex
     db_binom = Fraction(sum(d * (d - 1) for d in db), 2)
     return BoundReport(
@@ -271,7 +271,8 @@ def verify_chain(h: Hypergraph) -> BoundReport:
         three_path_bound=check_inequality(
             "three_path_bound", three_paths, good_paths_bound(n, db) + 21 * m, "<="
         ),
-        excess_total=check_inequality("excess_total", sum(profile.excess), m, ">="),
+        # the excess degrees sum to the shadow degrees less 3 per edge
+        excess_total=check_inequality("excess_total", sum(map(len, adj)) - 3 * m, m, ">="),
         block_total=check_inequality("block_total", sum(db), m, ">="),
         jensen_shadow=check_inequality(
             "jensen_shadow", n * binom2(Fraction(4 * m, n)), three_paths, "<="

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 import bergec4
-from bergec4.berge import BergeCycleWitness, find_berge_cycle, is_bc4_free
+from bergec4.berge import BergeCycleWitness, find_berge_cycle
 from bergec4.blocks import block_degrees, decompose
 from bergec4.bounds import HypothesisError, verify_chain
 from bergec4.census import census
@@ -80,8 +80,7 @@ def cmd_check(args) -> int:
     if args.length < 2:
         raise ValueError(f"cycle length must be >= 2, got {args.length}")
     h = _load(args.input)
-    # the builder decides length 4; the sweep runs only to find a witness
-    w = None if args.length == 4 and is_bc4_free(h) else find_berge_cycle(h, args.length)
+    w = find_berge_cycle(h, args.length)
     lines = _header("check", h.digest())
     lines.append(f"length\t{args.length}")
     if w is None:
@@ -95,13 +94,13 @@ def cmd_check(args) -> int:
 
 def cmd_blocks(args) -> int:
     h = _load(args.input)
-    decomposition = decompose(h)
-    db = block_degrees(h, decomposition)
+    blocks = decompose(h)
+    db = block_degrees(h, blocks)
     lines = _header("blocks", h.digest())
     lines.append(f"n\t{h.n}")
     lines.append(f"edge_count\t{h.edge_count}")
-    lines.append(f"block_count\t{len(decomposition.blocks)}")
-    for i, b in enumerate(decomposition.blocks):
+    lines.append(f"block_count\t{len(blocks)}")
+    for i, b in enumerate(blocks):
         lines.append(
             f"block\t{i}\ttype={b.classification.value}"
             f"\tedges={_csv(b.edge_indices)}"

@@ -11,10 +11,12 @@ the BC4 verdict and the block degrees with the package, and checks the
 census's counting against listing at sizes the naive oracles cannot reach.
 memo_free_greedy likewise shares the builder: it is random_bc4free without
 the dead-pair memo, so it checks the memo, not the builder's verdict.
-walker_berge_cycle is find_berge_cycle without the length-4 walk: it matches
-every cycle of the canonical walker, so it shares the walker and the
-matching and checks the sole-edge rules that let the length-4 walk skip
-cycles.
+walker_berge_cycle is find_berge_cycle without the builder's length-4
+verdict and without the length-4 walk: it matches every cycle of the
+canonical walker, so it shares the walker and the matching, and checks both
+the verdict and the sole-edge rules that let the length-4 walk skip cycles.
+The tests reach that walk, berge._four_cycle_candidates, directly on free
+inputs, which find_berge_cycle no longer walks.
 
 The reference helpers that only the tests need live here too, each from its
 definition: verify_cycle_witness (with WitnessError) checks a Berge cycle

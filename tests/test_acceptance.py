@@ -89,16 +89,16 @@ def _claim_suite(h: Hypergraph) -> None:
         assert c.passed, f"{c.label} violated: {c.lhs} vs {c.rhs}"
     assert all(1 <= k <= 3 for k in report.representative_histogram)
     profile = degree_profile(h)
-    decomposition = decompose(h)
-    db = block_degrees(h, decomposition)
+    blocks = decompose(h)
+    db = block_degrees(h, blocks)
     m = h.edge_count
     assert sum(profile.excess) >= m
     assert sum(db) >= m
-    for b in decomposition.blocks:
-        assert b.vertex_count > b.edge_count
+    for b in blocks:
+        assert len(b.vertex_set) > len(b.edge_indices)
         assert b.classification in (BlockType.TYPE1, BlockType.TYPE2)
         within = sum(excess_degree_within(h, b, v) for v in b.vertex_set)
-        assert within >= b.edge_count
+        assert within >= len(b.edge_indices)
     compact = without_isolated_vertices(h)
     if compact.n >= 3 and compact.edge_count >= 1:
         assert verify_chain(compact).all_pass()
@@ -164,9 +164,9 @@ def test_criterion_7_worked_micro_examples():
     assert shadow(k4m) == adjacency(4, combinations(range(4), 2))
     profile = degree_profile(k4m)
     assert sum(profile.excess) == 3
-    decomposition = decompose(k4m)
-    assert len(decomposition.blocks) == 1
-    assert decomposition.blocks[0].classification is BlockType.TYPE2
+    blocks = decompose(k4m)
+    assert len(blocks) == 1
+    assert blocks[0].classification is BlockType.TYPE2
     rep = census(k4m)
     assert (rep.total_3paths, rep.good_3paths, rep.nongood_3paths, rep.rare_4cycles) == (12, 3, 9, 0)
     assert rep.per_pair_bound.lhs == 1

@@ -10,8 +10,14 @@ from conftest import loose_cycle, random_hypergraph, tight_cycle
 from oracles import WitnessError, naive_berge_cycle_exists, verify_cycle_witness, walker_berge_cycle
 
 import bergec4.berge as berge_module
-from bergec4.berge import Bc4FreeBuilder, BergeCycleWitness, find_berge_cycle, is_bc4_free
-from bergec4.hypergraph import MAX_VERTICES, Hypergraph
+from bergec4.berge import (
+    Bc4FreeBuilder,
+    BergeCycleWitness,
+    _four_cycle_candidates,
+    find_berge_cycle,
+    is_bc4_free,
+)
+from bergec4.hypergraph import MAX_VERTICES, Hypergraph, pair_to_edges
 from bergec4.search import _four_edges_support_c4
 
 
@@ -133,8 +139,10 @@ def _count_matchings(monkeypatch) -> list:
 
 
 class TestLength4Walk:
-    # find_berge_cycle(h, 4) skips cycles by the sole-edge rules; the witness
-    # must be the one that matching every canonical cycle finds
+    # find_berge_cycle(h, 4) walks _four_cycle_candidates, which skips cycles
+    # by the sole-edge rules; the witness must be the one that matching every
+    # canonical cycle finds. Free inputs never reach the walk through
+    # find_berge_cycle, so the rule tests call the walk directly.
 
     @pytest.mark.parametrize("q", [7, 11])
     @pytest.mark.parametrize("count, seed", [(1, 0), (1, 1), (1, 2), (3, 3)])
@@ -145,10 +153,10 @@ class TestLength4Walk:
         assert w == walker_berge_cycle(h, 4)
 
     @pytest.mark.parametrize("q", [7, 11])
-    def test_free_constructions_match_nothing(self, construction_family, monkeypatch, q):
-        calls = _count_matchings(monkeypatch)
-        assert find_berge_cycle(construction_family[q], 4) is None
-        assert len(calls) == 0
+    def test_free_constructions_match_nothing(self, construction_family, q):
+        h = construction_family[q]
+        assert find_berge_cycle(h, 4) is None
+        assert list(_four_cycle_candidates(h, pair_to_edges(h))) == []
 
     @pytest.mark.parametrize(
         "edges",
@@ -160,12 +168,18 @@ class TestLength4Walk:
             [(0, 1, 2), (2, 3, 5), (0, 3, 6), (7, 8, 9)],
         ],
     )
-    def test_each_rule_spares_a_matching(self, monkeypatch, edges):
+    def test_each_rule_spares_a_matching(self, edges):
         # every shadow 4-cycle here fails Hall's condition on two consecutive
-        # positions, so a lost rule shows as a matching call
-        calls = _count_matchings(monkeypatch)
-        assert find_berge_cycle(Hypergraph(10, edges), 4) is None
-        assert len(calls) == 0
+        # positions, so a lost rule shows as a yielded cycle
+        h = Hypergraph(10, edges)
+        assert find_berge_cycle(h, 4) is None
+        assert list(_four_cycle_candidates(h, pair_to_edges(h))) == []
+
+    def test_walk_that_misses_the_builders_cycle_raises(self, k4_full, monkeypatch):
+        # a verdict and a walk that disagree must not report a free input
+        monkeypatch.setattr(berge_module, "_four_cycle_candidates", lambda h, p2e: iter(()))
+        with pytest.raises(RuntimeError):
+            find_berge_cycle(k4_full, 4)
 
     def test_one_closing_triple_matches_once(self, construction_family, monkeypatch):
         h = _with_point_triples(construction_family[11], 11, 1, 0)

@@ -12,48 +12,59 @@ from bergec4.blocks import BlockType, block_degrees, decompose
 from bergec4.hypergraph import Hypergraph, degree_profile
 
 
+def _edge_to_block(h, blocks):
+    # edge index -> index of the block listing it
+    owner = [-1] * h.edge_count
+    for k, block in enumerate(blocks):
+        for i in block.edge_indices:
+            owner[i] = k
+    return tuple(owner)
+
+
 class TestDecompose:
     def test_edges_sharing_one_vertex_split(self):
         h = Hypergraph(6, [(1, 2, 3), (3, 4, 5)])
-        d = decompose(h)
-        assert len(d.blocks) == 2
-        assert d.edge_to_block == (0, 1)
+        blocks = decompose(h)
+        assert len(blocks) == 2
+        assert _edge_to_block(h, blocks) == (0, 1)
 
     def test_k4_minus_single_block(self, k4_minus):
-        d = decompose(k4_minus)
-        assert len(d.blocks) == 1
-        assert d.blocks[0].edge_indices == (0, 1, 2)
+        blocks = decompose(k4_minus)
+        assert len(blocks) == 1
+        assert blocks[0].edge_indices == (0, 1, 2)
 
     def test_sunflower_single_block(self, sunflower):
-        assert len(decompose(sunflower).blocks) == 1
+        assert len(decompose(sunflower)) == 1
 
     def test_empty(self):
-        d = decompose(Hypergraph(5, []))
-        assert d.blocks == () and d.edge_to_block == ()
+        h = Hypergraph(5, [])
+        blocks = decompose(h)
+        assert blocks == () and _edge_to_block(h, blocks) == ()
 
     def test_partition(self):
         for seed in range(20):
             h = random_hypergraph(9, 12, seed)
-            d = decompose(h)
-            seen = sorted(i for b in d.blocks for i in b.edge_indices)
+            blocks = decompose(h)
+            seen = sorted(i for b in blocks for i in b.edge_indices)
             assert seen == list(range(h.edge_count))
+            owner = _edge_to_block(h, blocks)
             for i in range(h.edge_count):
-                assert i in d.blocks[d.edge_to_block[i]].edge_indices
+                assert i in blocks[owner[i]].edge_indices
 
     def test_maximality(self):
         # no edge outside a block shares two vertices with an edge inside
         for seed in range(20):
             h = random_hypergraph(9, 12, seed)
-            d = decompose(h)
+            owner = _edge_to_block(h, decompose(h))
             for a, b in combinations(range(h.edge_count), 2):
-                if d.edge_to_block[a] != d.edge_to_block[b]:
+                if owner[a] != owner[b]:
                     assert len(set(h.edges[a]) & set(h.edges[b])) < 2
 
     def test_chain_connectivity_within_block(self):
         # any two edges of a block are linked by a share-two-vertices chain
         for seed in range(10):
             h = random_hypergraph(8, 10, seed)
-            for block in decompose(h).blocks:
+            for block in decompose(h):
                 members = list(block.edge_indices)
                 reached = {members[0]}
                 frontier = [members[0]]
@@ -66,37 +77,37 @@ class TestDecompose:
                 assert reached == set(members)
 
     def test_vertex_set_is_union(self, sunflower):
-        b = decompose(sunflower).blocks[0]
+        b = decompose(sunflower)[0]
         assert b.vertex_set == frozenset(range(5))
 
 
 class TestLeafEdges:
     def test_single_edge_block_is_leaf(self, single_edge):
-        b = decompose(single_edge).blocks[0]
+        b = decompose(single_edge)[0]
         assert b.leaf_edges == (0,)
 
     def test_k4_minus_has_no_leaves(self, k4_minus):
-        b = decompose(k4_minus).blocks[0]
+        b = decompose(k4_minus)[0]
         assert b.leaf_edges == ()
 
     def test_sunflower_all_leaves(self, sunflower):
-        b = decompose(sunflower).blocks[0]
+        b = decompose(sunflower)[0]
         assert b.leaf_edges == (0, 1, 2)
 
 
 class TestClassify:
     def test_k4_minus_is_type2(self, k4_minus):
-        b = decompose(k4_minus).blocks[0]
+        b = decompose(k4_minus)[0]
         assert b.classification is BlockType.TYPE2
 
     def test_sunflower_is_type1(self, sunflower):
-        assert decompose(sunflower).blocks[0].classification is BlockType.TYPE1
+        assert decompose(sunflower)[0].classification is BlockType.TYPE1
 
     def test_single_edge_is_type1(self, single_edge):
-        assert decompose(single_edge).blocks[0].classification is BlockType.TYPE1
+        assert decompose(single_edge)[0].classification is BlockType.TYPE1
 
     def test_k4_full_is_other(self, k4_full):
-        assert decompose(k4_full).blocks[0].classification is BlockType.OTHER
+        assert decompose(k4_full)[0].classification is BlockType.OTHER
 
     def test_type_definitions_are_exclusive_on_k4_minus(self, k4_minus):
         # direct check that no distinguished edge works for K4 minus an edge:
@@ -112,13 +123,13 @@ class TestClassify:
 
         for seed in range(20):
             h = random_bc4free(11, 12, seed)
-            for b in decompose(h).blocks:
+            for b in decompose(h):
                 assert b.classification in (BlockType.TYPE1, BlockType.TYPE2)
 
 
 def _naive_classification(h, block):
     edges = [h.edges[i] for i in block.edge_indices]
-    if len(edges) == 3 and block.vertex_count == 4:
+    if len(edges) == 3 and len(block.vertex_set) == 4:
         return BlockType.TYPE2
     return BlockType.TYPE1 if naive_is_type1(edges) else BlockType.OTHER
 
@@ -161,7 +172,7 @@ class TestClassifyAgainstOracle:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(any_hypergraphs)
     def test_matches_pairwise_definition(self, h):
-        for b in decompose(h).blocks:
+        for b in decompose(h):
             assert b.classification is _naive_classification(h, b)
             _assert_leaves_and_vertices_by_definition(h, b)
 
@@ -169,7 +180,7 @@ class TestClassifyAgainstOracle:
     @given(free_hypergraphs)
     def test_matches_pairwise_definition_when_free(self, h):
         assert is_bc4_free(h)
-        for b in decompose(h).blocks:
+        for b in decompose(h):
             assert b.classification is _naive_classification(h, b)
             assert b.classification is not BlockType.OTHER
             _assert_leaves_and_vertices_by_definition(h, b)
@@ -178,7 +189,7 @@ class TestClassifyAgainstOracle:
         for q, h in construction_family.items():
             if q > 11:
                 continue
-            for b in decompose(h).blocks:
+            for b in decompose(h):
                 assert b.classification is _naive_classification(h, b)
                 _assert_leaves_and_vertices_by_definition(h, b)
 
@@ -195,8 +206,8 @@ class TestBlockDegrees:
     def test_double_counting_identity(self):
         for seed in range(20):
             h = random_hypergraph(9, 12, seed)
-            d = decompose(h)
-            assert sum(block_degrees(h, d)) == sum(b.vertex_count for b in d.blocks)
+            blocks = decompose(h)
+            assert sum(block_degrees(h, blocks)) == sum(len(b.vertex_set) for b in blocks)
 
     def test_full_profile_attaches_block_column(self, k4_minus):
         assert block_degrees(k4_minus, decompose(k4_minus)) == (1, 1, 1, 1)
@@ -205,31 +216,30 @@ class TestBlockDegrees:
 
 class TestExcessWithin:
     def test_k4_minus_values(self, k4_minus):
-        b = decompose(k4_minus).blocks[0]
+        b = decompose(k4_minus)[0]
         values = [excess_degree_within(k4_minus, b, v) for v in range(4)]
         assert values == [0, 1, 1, 1]
-        assert sum(values) == 3 == b.edge_count
+        assert sum(values) == 3 == len(b.edge_indices)
 
     def test_sunflower_values(self, sunflower):
-        b = decompose(sunflower).blocks[0]
+        b = decompose(sunflower)[0]
         values = [excess_degree_within(sunflower, b, v) for v in range(5)]
         assert values == [1, 1, 1, 1, 1]
-        assert sum(values) == b.vertex_count
+        assert sum(values) == len(b.vertex_set)
 
     def test_single_edge(self, single_edge):
-        b = decompose(single_edge).blocks[0]
+        b = decompose(single_edge)[0]
         assert [excess_degree_within(single_edge, b, v) for v in range(3)] == [1, 1, 1]
 
     def test_vertex_outside_block_rejected(self, k4_minus):
-        b = decompose(k4_minus).blocks[0]
+        b = decompose(k4_minus)[0]
         with pytest.raises(ValueError):
             excess_degree_within(Hypergraph(5, k4_minus.edges), b, 4)
 
     def test_block_restriction_matters(self):
         # vertex 3 sits in two blocks; each sees only its own edges
         h = Hypergraph(6, [(1, 2, 3), (3, 4, 5)])
-        d = decompose(h)
-        for b in d.blocks:
+        for b in decompose(h):
             assert excess_degree_within(h, b, 3) == 1
 
     def test_global_excess_decomposes_over_blocks(self):
@@ -239,9 +249,8 @@ class TestExcessWithin:
 
         for seed in range(15):
             h = random_hypergraph(9, 12, seed)
-            d = decompose(h)
             total = sum(
-                excess_degree_within(h, b, v) for b in d.blocks for v in b.vertex_set
+                excess_degree_within(h, b, v) for b in decompose(h) for v in b.vertex_set
             )
             assert total == sum(degree_profile(h).excess)
 
@@ -253,11 +262,11 @@ class TestBc4FreeStructure:
         for seed in range(20):
             h = random_bc4free(12, 12, seed)
             assert is_bc4_free(h)
-            for b in decompose(h).blocks:
-                assert b.vertex_count > b.edge_count
+            for b in decompose(h):
+                assert len(b.vertex_set) > len(b.edge_indices)
                 total = sum(excess_degree_within(h, b, v) for v in b.vertex_set)
-                assert total >= b.edge_count
+                assert total >= len(b.edge_indices)
 
     def test_general_inputs_may_violate_size_inequality(self, k4_full):
-        b = decompose(k4_full).blocks[0]
-        assert b.vertex_count == b.edge_count == 4
+        b = decompose(k4_full)[0]
+        assert len(b.vertex_set) == len(b.edge_indices) == 4

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import bisect_upper_bound, combined_inequality_holds, without_isolated_vertices
 
-from bergec4 import bounds
+from bergec4 import berge, bounds
 from bergec4.berge import find_berge_cycle
 from bergec4.bounds import (
     EdgeBound,
@@ -277,12 +277,12 @@ class TestVerifyChain:
         assert info.value.witness is not None
 
     def test_verify_chain_decides_with_builder(self, k4_minus, k4_full, monkeypatch):
-        # the verdict is is_bc4_free's; find_berge_cycle only builds the refusal witness
-        def no_sweep(h, length):
-            raise AssertionError("find_berge_cycle called on a BC4-free input")
+        # the verdict is is_bc4_free's; the length-4 walk only builds the refusal witness
+        def no_walk(h, p2e):
+            raise AssertionError("length-4 walk entered on a BC4-free input")
 
         with monkeypatch.context() as patch:
-            patch.setattr(bounds, "find_berge_cycle", no_sweep)
+            patch.setattr(berge, "_four_cycle_candidates", no_walk)
             assert verify_chain(k4_minus).all_pass()
         with pytest.raises(HypothesisError) as info:
             verify_chain(k4_full)
@@ -297,11 +297,12 @@ class TestVerifyChain:
             verify_chain(Hypergraph(5, [(0, 1, 2)]))
         assert info.value.reason == "isolated_vertices"
 
-    def test_refusals_skip_degree_profile(self, k4_full, monkeypatch):
-        def no_profile(h):
-            raise AssertionError("degree_profile built for a refused input")
+    def test_refusals_skip_chain_structures(self, k4_full, monkeypatch):
+        def not_built(h):
+            raise AssertionError("chain structure built for a refused input")
 
-        monkeypatch.setattr(bounds, "degree_profile", no_profile)
+        monkeypatch.setattr(bounds, "shadow", not_built)
+        monkeypatch.setattr(bounds, "decompose", not_built)
         for h in (k4_full, Hypergraph(5, [(0, 1, 2)])):
             with pytest.raises(HypothesisError):
                 verify_chain(h)

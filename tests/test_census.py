@@ -271,14 +271,15 @@ class WalkerEntered(Exception):
 
 
 class TestCensusRoute:
-    """The census walks the 4-cycles only when some cycle has no representative."""
+    """The census reads the length-4 walk only when some cycle has no representative."""
 
     @pytest.fixture(autouse=True)
     def no_walker(self, monkeypatch):
         def refuse(*args):
             raise WalkerEntered
 
-        monkeypatch.setattr(census_module, "_canonical_cycles", refuse)
+        # census imports the walk by name, so its binding is the one it calls
+        monkeypatch.setattr(census_module, "_four_cycle_candidates", refuse)
 
     def test_construction_counts_without_walking(self):
         h = lower_bound_construction(7)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import SRC_DIR, loose_cycle, run_cli
 
-from bergec4 import cli
+from bergec4 import berge, cli
 from bergec4.berge import find_berge_cycle
 from bergec4.construct import lower_bound_construction
 from bergec4.hypergraph import MAX_VERTICES, Hypergraph
@@ -87,15 +87,15 @@ class TestCheckCommand:
         assert run_cli("check", k4m_file, "--length", "1").returncode == 2
 
     def test_length_four_decided_by_builder(self, k4m_file, k4_file, monkeypatch, capsys):
-        def no_sweep(h, length):
-            raise AssertionError("a free input must not be swept")
+        def no_walk(h, p2e):
+            raise AssertionError("a free input must not be walked")
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "find_berge_cycle", no_sweep)
+            patch.setattr(berge, "_four_cycle_candidates", no_walk)
             assert cli.main(["check", k4m_file]) == 0
         assert "result\tfree" in capsys.readouterr().out
 
-        # a cycle still gets the sweep's canonical witness
+        # a cycle still gets the walk's canonical witness
         assert cli.main(["check", k4_file]) == 0
         w = find_berge_cycle(Hypergraph.from_text(K4_FULL), 4)
         out = capsys.readouterr().out

@@ -129,12 +129,12 @@ class TestLowerBoundConstruction:
 
     def test_blocks_are_clone_pair_sunflowers(self, construction_family):
         for q, h in construction_family.items():
-            decomposition = decompose(h)
+            blocks = decompose(h)
             count = q * q + q + 1
-            assert len(decomposition.blocks) == count
-            for b in decomposition.blocks:
+            assert len(blocks) == count
+            for b in blocks:
                 assert b.classification is BlockType.TYPE1
-                assert b.edge_count == q + 1
+                assert len(b.edge_indices) == q + 1
                 common = set(h.edges[b.edge_indices[0]])
                 for i in b.edge_indices[1:]:
                     common &= set(h.edges[i])

@@ -132,6 +132,20 @@ def test_exact_arithmetic_only():
     assert found == []
 
 
+def test_one_route_to_each_cycle_answer():
+    # every other module asks find_berge_cycle for cycles, which owns the
+    # generic walk, and only census and construct ask the builder's verdict
+    # directly; __init__ only re-exports is_bc4_free
+    package = Path(bergec4.__file__).parent
+    names = {
+        path.stem: set(_referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
+        for path in sorted(package.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    assert [stem for stem, used in names.items() if "_canonical_cycles" in used] == ["berge"]
+    assert [stem for stem, used in names.items() if "is_bc4_free" in used] == ["berge", "census", "construct"]
+
+
 def test_module_names_bind_modules():
     # a package-level re-export must not shadow a submodule of the same name,
     # or `import bergec4.<name> as m` binds the re-exported object instead
@@ -158,7 +172,6 @@ PUBLIC_NAMES = [
     "BergeCycleWitness",
     "BipartiteGraph",
     "Block",
-    "BlockDecomposition",
     "BlockType",
     "BoundReport",
     "CensusReport",
