@@ -295,8 +295,9 @@ class Bc4FreeBuilder:
     closing_pair mutates nothing and names the first pair of the triple that
     closes a C4, or None when try_add would keep it. The search's candidate
     filter only compares it with None; random_bc4free, which only adds
-    edges, remembers the pair. That memo lives in the caller, not here: a
-    builder-wide dead-pair set, cleared on pop, slowed
+    edges, remembers the pair as one byte of a 64 KiB bytearray indexed by
+    x << 8 | y. That memo lives in the caller, not here: a builder-wide
+    dead-pair set, cleared on pop, slowed
     branch_and_bound_ex(8) from 0.11-0.12 to 0.14-0.16 s and is_bc4_free on
     the q = 16 construction from 0.046-0.057 to 0.064-0.065 s (2-vCPU VM).
 

@@ -8,16 +8,21 @@ PG(2, q) this gives n = 3(q^2+q+1) vertices and (q+1)(q^2+q+1) edges.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import isqrt
 import random
 
 from bergec4.berge import Bc4FreeBuilder, is_bc4_free
-from bergec4.hypergraph import Hypergraph, Pair
+from bergec4.hypergraph import Hypergraph
 
-# random_bc4free shuffles all C(n, 3) triples, so memory grows as n^3
-# (about 117 MB at n = 200); larger n is refused before anything is built.
+# random_bc4free shuffles all C(n, 3) triples as 4-byte codes, so memory
+# grows as n^3 but stays small (6.0 MB traced and 26 MB CLI max RSS at
+# n = 200). The cap is set by time: the shuffle is n^3 work, and
+# `random --n 200` takes about 1.4 s on a 2-vCPU VM. The codes hold 8 bits
+# per vertex id, 24 bits per entry, so the cap may not pass 256. Larger n
+# is refused before anything is built.
 RANDOM_MAX_N = 200
 
 # projective_plane_incidence builds q x q field tables and tests all
@@ -217,8 +222,15 @@ def random_bc4free(n: int, target_m: int, seed: int) -> Hypergraph:
     one after more edges are added, so once a pair closes a C4 it closes
     one for as long as edges are only added. The greedy never pops, so it
     remembers each pair that Bc4FreeBuilder.closing_pair names and skips
-    every later triple through a remembered pair with three set lookups;
-    the kept edges are the same as with try_add on every triple.
+    every later triple through a remembered pair with three lookups; the
+    kept edges are the same as with try_add on every triple.
+
+    Layout: triple a < b < c is the code a << 16 | b << 8 | c in one
+    array("I"), filled in combinations(range(n), 3) order, and the memo is
+    a bytearray indexed by x << 8 | y, so a candidate costs 4 bytes and a
+    tuple is built only for a code that gets past the memo. The order is
+    the tuple order: shuffle draws the same random numbers for any sequence
+    of the same length and only swaps positions.
     """
     if not 3 <= n <= RANDOM_MAX_N:
         raise ValueError(f"n must be in [3, {RANDOM_MAX_N}], got {n}")
@@ -227,16 +239,22 @@ def random_bc4free(n: int, target_m: int, seed: int) -> Hypergraph:
     builder = Bc4FreeBuilder(n)
     if target_m == 0:
         return builder.to_hypergraph()
-    triples = list(combinations(range(n), 3))
-    random.Random(seed).shuffle(triples)
-    dead: set[Pair] = set()
-    for t in triples:
-        a, b, c = t
-        if (a, b) in dead or (a, c) in dead or (b, c) in dead:
+    codes = array("I")
+    for a in range(n - 2):
+        for b in range(a + 1, n - 1):
+            ab = a << 16 | b << 8
+            codes.extend(range(ab + b + 1, ab + n))
+    random.Random(seed).shuffle(codes)
+    dead = bytearray(1 << 16)
+    for code in codes:
+        # the pairs ab, ac and bc
+        if dead[code >> 8] or dead[code >> 8 & 0xFF00 | code & 0xFF] or dead[code & 0xFFFF]:
             continue
+        t = (code >> 16, code >> 8 & 0xFF, code & 0xFF)
         pair = builder.closing_pair(t)
         if pair is not None:
-            dead.add(pair)
+            x, y = pair
+            dead[x << 8 | y] = 1
             continue
         # closing_pair found no closing pair against these same edges, so
         # try_add keeps t

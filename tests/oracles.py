@@ -10,7 +10,8 @@ census that walks every 4-cycle and 3-path; it shares the canonical walker,
 the BC4 verdict and the block degrees with the package, and checks the
 census's counting against listing at sizes the naive oracles cannot reach.
 memo_free_greedy likewise shares the builder: it is random_bc4free without
-the dead-pair memo, so it checks the memo, not the builder's verdict.
+the dead-pair memo and over tuples, not packed codes, so it checks the memo
+and the encoding, not the builder's verdict.
 walker_berge_cycle is find_berge_cycle without the builder's length-4
 verdict and without the length-4 walk: it matches every cycle of the
 canonical walker, so it shares the walker and the matching, and checks both
@@ -220,7 +221,10 @@ def naive_is_type1(edges) -> bool:
 
 def memo_free_greedy(n: int, target_m: int, seed: int) -> Hypergraph:
     """random_bc4free's greedy with no memo: the same shuffle, then try_add
-    on every triple until target_m edges are kept."""
+    on every triple until target_m edges are kept.
+
+    It shuffles the triples as tuples, where random_bc4free shuffles packed
+    integer codes, so it also checks that encoding and its decoding."""
     triples = list(combinations(range(n), 3))
     random.Random(seed).shuffle(triples)
     builder = Bc4FreeBuilder(n)

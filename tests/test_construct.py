@@ -1,5 +1,7 @@
+from array import array
 import hashlib
 from math import comb
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,34 @@ class TestRandomBc4Free:
         h = random_bc4free(80, comb(80, 3), seed)
         assert h.edge_count == m
         assert hashlib.sha256(h.to_text().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "n, seed, m, digest",
+        [
+            (129, 4, 205, "a5456e306530b44853cd3ee3f55a6c51f00de16e74c57b6fe2c08b5f24807b4f"),
+            (RANDOM_MAX_N, 1, 387, "fbbe5c6059d4b247beb31fc6d9fe94599573d2b099f4bf459a7c4aea0e9f33da"),
+        ],
+    )
+    def test_pinned_greedy_past_seven_bit_ids(self, n, seed, m, digest):
+        # vertex ids of 128 and above use the top bit of each byte of a code
+        h = random_bc4free(n, comb(n, 3), seed)
+        assert h.edge_count == m
+        assert hashlib.sha256(h.to_text().encode()).hexdigest() == digest
+
+    def test_codes_hold_every_vertex_id(self):
+        # a triple is packed 8 bits per vertex id into one array("I") entry
+        assert RANDOM_MAX_N <= 256
+        assert array("I").itemsize * 8 >= 24
+
+    def test_traced_peak_is_bounded(self):
+        # about 0.54 MB with 4-byte codes; a list of C(80, 3) tuples takes 6.4 MB
+        tracemalloc.start()
+        try:
+            random_bc4free(80, comb(80, 3), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, peak
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(
