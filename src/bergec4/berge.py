@@ -7,17 +7,17 @@ the first Berge cycle of a length in a fixed canonical order of the
 2-shadow's vertex cycles, with distinct representative hyperedges decided by
 bipartite maximum matching, so the witness is reproducible. At length 4 the
 verdict comes first, from is_bc4_free, and only a cycle-carrying input is
-walked: _four_cycle_candidates skips, before any matching, the cycles on
-which two consecutive positions have the same sole edge, the only
-two-position failure of Hall's condition there; every other length walks
-_canonical_cycles. The census lists its unrepresented 4-cycles from the same
-length-4 walk. Every BC4 verdict (is_bc4_free, and through it census, check,
-construct and verify) comes from Bc4FreeBuilder's pinned-edge check, which
-needs no cycle enumeration and no generic matching. The builder keeps each
-neighbourhood twice, as a set and as an int bitset: the set to iterate the
-first inner vertex, the bitset to intersect two neighbourhoods in one
-big-integer AND. The length-4 walk reads the shadow as bitsets the same way.
-The bitsets assume small vertex ids, which Hypergraph.from_text bounds by
+walked. Every length walks the one generator _cycle_candidates, which skips,
+before any matching, the cycles on which two consecutive positions have the
+same sole edge; from length 4 up that is the only two-position failure of
+Hall's condition. The census lists its unrepresented 4-cycles from the same
+walk at length 4. Every BC4 verdict (is_bc4_free, and through it census,
+check, construct and verify) comes from Bc4FreeBuilder's pinned-edge check,
+which needs no cycle enumeration and no generic matching. The builder keeps
+each neighbourhood twice, as a set and as an int bitset: the set to iterate
+the first inner vertex, the bitset to intersect two neighbourhoods in one
+big-integer AND. The walk reads the shadow as bitsets the same way. The
+bitsets assume small vertex ids, which Hypergraph.from_text bounds by
 MAX_VERTICES.
 """
 
@@ -88,78 +88,26 @@ def _distinct_representatives(candidates: Sequence[Sequence[int]]) -> list[int] 
     return out
 
 
-def _canonical_cycles(adj: Sequence[frozenset[int]], k: int) -> Iterator[tuple[int, ...]]:
-    """Yield the shadow cycles on k distinct vertices, in lexicographic order.
-
-    v_0 is the least vertex and the reflection is fixed by v_1 < v_last;
-    k = 2 gives a doubled pair (a, b), a < b. The walk keeps an explicit
-    stack, so a long cycle cannot exhaust the interpreter's recursion limit.
-    """
-    n = len(adj)
-    if k == 2:
-        yield from ((a, b) for a in range(n) for b in sorted(adj[a]) if b > a)
-        return
-    last = k - 1
-    seq = [0] * k
-    in_use = [False] * n
-    for v0 in range(n):
-        seq[0] = v0
-        in_use[v0] = True
-        # stack[d - 1] scans the candidates for seq[d], d < last
-        stack = [iter(sorted(adj[v0]))]
-        while stack:
-            depth = len(stack)
-            for v in stack[-1]:
-                if v > v0 and not in_use[v]:
-                    break
-            else:
-                stack.pop()
-                in_use[seq[depth - 1]] = False
-                continue
-            seq[depth] = v
-            if depth + 1 < last:
-                in_use[v] = True
-                stack.append(iter(sorted(adj[v])))
-                continue
-            # the last vertex closes the cycle: a common neighbour of v and v0
-            low = seq[1]
-            for w in sorted(adj[v] & adj[v0]):
-                if w > low and not in_use[w]:
-                    seq[last] = w
-                    yield tuple(seq)
-
-
 def find_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
     """First Berge cycle of the given length under canonical enumeration.
 
     Returns None when none exists. A hypergraph with fewer than `length`
     edges or fewer than `length` vertices has no Berge cycle of that length.
     At length 4 the verdict is is_bc4_free's, taken before the pair index is
-    built, so a free input returns None without a walk; otherwise the walk
-    reads _four_cycle_candidates, which skips unmatched the cycles on which
-    two consecutive positions have the same sole edge. Every other length
-    walks _canonical_cycles. One loop matches each cycle the walk yields, so
-    the witness is the first Berge cycle in the canonical order, with the
-    edges that _distinct_representatives assigns to it. A length-4 walk
-    that finds nothing after is_bc4_free said "not free" raises
-    RuntimeError rather than report a free input.
+    built, so a free input returns None without a walk. One loop matches
+    each cycle that _cycle_candidates yields, at every length, so the
+    witness is the first Berge cycle in the canonical order, with the edges
+    that _distinct_representatives assigns to it. A length-4 walk that finds
+    nothing after is_bc4_free said "not free" raises RuntimeError rather
+    than report a free input.
     """
     if length < 2:
         raise ValueError(f"cycle length must be >= 2, got {length}")
     if h.edge_count < length or h.n < length:
         return None
-    if length == 4:
-        if is_bc4_free(h):
-            return None
-        walk = _four_cycle_candidates(h, pair_to_edges(h))
-    else:
-        p2e = pair_to_edges(h)
-        # position i covers the pair (cycle[i], cycle[i+1]), cyclically
-        walk = (
-            (cycle, [p2e[(a, b) if a < b else (b, a)] for a, b in zip(cycle, cycle[1:] + cycle[:1])])
-            for cycle in _canonical_cycles(shadow(h), length)
-        )
-    for cycle, cands in walk:
+    if length == 4 and is_bc4_free(h):
+        return None
+    for cycle, cands in _cycle_candidates(h, pair_to_edges(h), length):
         assignment = _distinct_representatives(cands)
         if assignment is not None:
             return BergeCycleWitness(cycle, tuple(assignment))
@@ -168,91 +116,130 @@ def find_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
     return None
 
 
-def _four_cycle_candidates(
-    h: Hypergraph, p2e: dict[Pair, list[int]]
-) -> Iterator[tuple[tuple[int, int, int, int], tuple[list[int], ...]]]:
-    """The shadow 4-cycles that may be Berge, each with its candidate lists.
+def _cycle_candidates(
+    h: Hypergraph, p2e: dict[Pair, list[int]], k: int
+) -> Iterator[tuple[tuple[int, ...], tuple[list[int], ...]]]:
+    """The shadow cycles on k distinct vertices that may be Berge, each with its candidate lists.
 
-    p2e is pair_to_edges(h). The cycles (v0, v1, v2, w) come in the order
-    of _canonical_cycles: v0 is the least vertex, then v1, v2 and w ascend,
-    with v1 < w. Position i covers the i-th pair of v0v1, v1v2, v2w, wv0,
-    and its candidate list is that pair's edge indices.
+    p2e is pair_to_edges(h). The cycles seq = (v0, v1, ..., w) come in
+    lexicographic order: v0 is the least vertex and the reflection is fixed
+    by v1 < w. Position i covers the pair seq[i] seq[i + 1], cyclically, and
+    its candidate list is that pair's edge indices. k = 2 gives the pairs
+    (a, b), a < b, that have two or more edges, in sorted order.
 
-    Sole-edge lemma: two positions that are not consecutive on the cycle
-    have disjoint candidate lists, since an edge on both pairs would hold
-    all four cycle vertices. So the only way two positions can violate
-    Hall's condition is to be consecutive with the same sole edge e, and e
-    then holds the three cycle vertices of the two pairs. Three rules drop
-    exactly those cycles:
+    Sole-edge rules: two positions with the same sole edge cannot both be
+    represented, so the cycle fails Hall's condition on them. The walk
+    drops, before any matching, the cycles on which two consecutive
+    positions have the same sole edge, which then holds the three vertices
+    of the two pairs:
 
-    1. skip v2 when v0v1 and v1v2 have the same sole edge;
-    2. build the closing set of w as bits[v0] & bits[v2] above v1, less
-       the third vertex t of v0v1's sole edge when that edge is also the
-       only one on {v0, t} (positions wv0 and v0v1), and less the third
-       vertex t of v1v2's sole edge when that edge is also the only one on
-       {v2, t} (positions v1v2 and v2w);
-    3. skip w when v2w and wv0 have the same sole edge.
+    1. skip a middle vertex seq[d], 2 <= d <= k - 2, when positions d - 2
+       and d - 1 have the same sole edge;
+    2. build the closing set of w as bits[v0] above v1, less the third
+       vertex t of v0v1's sole edge when that edge is also the only one on
+       {v0, t} (positions k - 1 and 0); and skip w when positions k - 3 and
+       k - 2, the two at seq[k - 2], have the same sole edge;
+    3. skip w when positions k - 2 and k - 1, the two at w, have the same
+       sole edge.
 
-    A cycle that survives may still fail on three or four positions, so
-    find_berge_cycle still matches each one it reads. On the q = 16
-    construction plus a point triple through point 91, the plain walk
-    matched about 20k cycles, all refused, before its witness; this walk
-    yields one.
+    For k >= 4 two positions that are not consecutive have disjoint
+    candidate lists, since an edge on both pairs would hold four cycle
+    vertices, so these rules drop exactly the cycles that fail Hall's
+    condition on two positions. For k = 3 every two positions are
+    consecutive, and each rule is still sound. A cycle that survives may
+    still fail on more positions, so find_berge_cycle still matches each
+    one it reads. On the q = 16 construction plus a point triple through
+    point 91, matching every cycle refused about 20k 4-cycles before the
+    witness; this walk yields one.
 
-    Every dropped cycle has a representative edge: the sole edge a rule
-    names holds three cycle vertices, so it lies inside the cycle's 4-set.
-    So every shadow 4-cycle with no representative edge is yielded, which
-    is what lets the census list those cycles from this walk.
+    Census lemma, k = 4: every dropped cycle has a representative edge,
+    since the sole edge a rule names holds three cycle vertices and so
+    lies inside the cycle's 4-set. So every shadow 4-cycle with no
+    representative edge is yielded, which is what lets the census list
+    those cycles from this walk.
+
+    v0 and v1 are two plain loops; seq[2] .. seq[k - 2] are chosen on an
+    explicit stack, so a long cycle cannot exhaust the interpreter's
+    recursion limit. The last middle vertex seq[k - 2] (v1 itself at
+    k = 3) is tested against the closing set, one big-integer AND, before
+    its pair is looked up, so most candidates there cost one AND and no
+    dict lookup.
 
     The neighbourhoods are int bitsets read off shadow(h), as in
-    Bc4FreeBuilder, so they take up to n^2/8 bytes, as the builder's do.
+    Bc4FreeBuilder, so they take up to n^2/8 bytes. At k = 4
     find_berge_cycle and census build them only after is_bc4_free has
     returned and its builder is released, so the peak stays within the
     builder's: traced peaks were 25.2 MB against is_bc4_free's 25.6 MB on
     n = MAX_VERTICES with disjoint triples and a K4^(3) on the top four
-    ids, and 3.09 against 3.18 MB on the q = 16 construction.
+    ids, and 3.09 against 3.18 MB on the q = 16 construction. At every
+    other length no builder runs, and the bitsets set the walk's peak:
+    find_berge_cycle(h, 5) on MAX_VERTICES // 3 disjoint triples
+    (2i, 2i+1, n-1-i) peaked at 31.4 MB traced.
     """
+    if k == 2:
+        yield from ((pair, (es, es)) for pair, es in sorted(p2e.items()) if len(es) > 1)
+        return
     edges = h.edges
     adj = shadow(h)
     bits = [sum(1 << u for u in a) for a in adj]
+    last = k - 2  # the last middle vertex is seq[last]
+    seq = [0] * k
+    cands: list[list[int]] = [[]] * k
+    # soles[i] is position i's sole edge, or -1; soles[k - 1] stays -1, so
+    # rule 1 at k = 3, which reads soles[-1], never fires
+    soles = [-1] * k
+    in_use = [False] * len(adj)  # the vertices seq[1:d]
     for v0, a0 in enumerate(adj):
-        bits0 = bits[v0]
+        seq[0] = v0
         for v1 in sorted(a0):
             if v1 < v0:
                 continue
             A = p2e[(v0, v1)]
-            # w ranges over the common neighbours of v0 and v2 above v1
-            close0 = bits0 >> (v1 + 1) << (v1 + 1)
-            sole01 = -1
+            # w ranges over the common neighbours of v0 and seq[last] above v1
+            close0 = bits[v0] >> (v1 + 1) << (v1 + 1)
             if len(A) == 1:
-                sole01 = A[0]
-                t = sum(edges[sole01]) - v0 - v1
+                t = sum(edges[A[0]]) - v0 - v1
                 if len(p2e[(v0, t) if v0 < t else (t, v0)]) == 1:
                     close0 &= ~(1 << t)  # rule 2, positions wv0 and v0v1
             if not close0:
                 continue
-            for v2 in sorted(adj[v1]):
-                if v2 <= v0:
-                    continue
-                common = close0 & bits[v2]
-                if not common:
-                    continue
-                B = p2e[(v1, v2) if v1 < v2 else (v2, v1)]
-                if len(B) == 1:
-                    if B[0] == sole01:
+            # stack[-1] scans the candidates for seq[d]; at k = 3, seq[last] is v1
+            if k == 3:
+                d, stack = 1, [iter((v1,))]
+            else:
+                seq[1], cands[0], soles[0], in_use[v1] = v1, A, A[0] if len(A) == 1 else -1, True
+                d, stack = 2, [iter(sorted(adj[v1]))]
+            while stack:
+                u, closing = seq[d - 1], d == last
+                for v in stack[-1]:
+                    # at the last middle vertex the closing set decides before the pair index
+                    if v <= v0 or closing and not (common := close0 & bits[v]) or in_use[v]:
+                        continue
+                    P = p2e[(u, v) if u < v else (v, u)]
+                    s = P[0] if len(P) == 1 else -1
+                    if s != -1 and s == soles[d - 2]:
                         continue  # rule 1
-                    t = sum(edges[B[0]]) - v1 - v2
-                    if common >> t & 1 and len(p2e[(v2, t) if v2 < t else (t, v2)]) == 1:
-                        common &= ~(1 << t)  # rule 2, positions v1v2 and v2w
-                while common:
-                    low = common & -common
-                    common ^= low
-                    w = low.bit_length() - 1
-                    C = p2e[(v2, w) if v2 < w else (w, v2)]
-                    D = p2e[(v0, w)]
-                    if len(C) == 1 and len(D) == 1 and C[0] == D[0]:
-                        continue  # rule 3
-                    yield (v0, v1, v2, w), (A, B, C, D)
+                    seq[d], cands[d - 1], soles[d - 1] = v, P, s
+                    if not closing:
+                        break
+                    while common:
+                        low = common & -common
+                        common ^= low
+                        w = low.bit_length() - 1
+                        C = p2e[(v, w) if v < w else (w, v)]
+                        D = p2e[(v0, w)]
+                        if in_use[w] or len(C) == 1 and (C[0] == s or len(D) == 1 and C[0] == D[0]):
+                            continue  # rules 2 and 3
+                        seq[-1], cands[-2], cands[-1] = w, C, D
+                        yield tuple(seq), tuple(cands)
+                else:
+                    stack.pop()
+                    in_use[u] = False
+                    d -= 1
+                    continue
+                in_use[v] = True
+                stack.append(iter(sorted(adj[v])))
+                d += 1
 
 
 def is_bc4_free(h: Hypergraph) -> bool:

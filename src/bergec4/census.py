@@ -40,8 +40,8 @@ alone.
   with a positive count are searched for them.
 - hist[0] = four_cycles - sum_{k >= 1} hist[k]. A cycle without
   representatives is a Berge C4, so this is 0 on free inputs. Only when it is
-  positive does the census read the length-4 walk of find_berge_cycle,
-  berge._four_cycle_candidates, to list the unrepresented ones.
+  positive does the census read find_berge_cycle's walk at length 4,
+  berge._cycle_candidates(h, p2e, 4), to list the unrepresented ones.
 
 The BC4 verdict comes from is_bc4_free, the package's one production detector.
 """
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
 
-from bergec4.berge import _four_cycle_candidates, is_bc4_free
+from bergec4.berge import _cycle_candidates, is_bc4_free
 from bergec4.blocks import block_degrees, decompose
 from bergec4.bounds import InequalityCheck, check_inequality, good_paths_bound
 from bergec4.hypergraph import Hypergraph, Shadow, count_three_paths, pair_to_edges, shadow
@@ -248,7 +248,7 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
     histogram[0] = four_cycles - sum(histogram.values())
     if histogram[0]:
         # the walk skips only represented cycles, so it yields every unrepresented one
-        for cycle, _ in _four_cycle_candidates(h, p2e):
+        for cycle, _ in _cycle_candidates(h, p2e, 4):
             if not _representatives(h, tuple(sorted(cycle))) and _rare(h, cycle, (), p2e, diagonal_scope):
                 rare_records.append(FourCycleRecord(cycle, ()))
     unrepresented = histogram[0] + histogram[4]

@@ -6,18 +6,22 @@ search, 3-paths by triple loops, rare 4-cycles from scratch, type-1 blocks
 by pairwise intersections, the edge bound by bisection of the exact
 inequality, and the best edge set of each search root class by exhaustive
 extension with a four-edge cycle test of its own. walker_census is the
-census that walks every 4-cycle and 3-path; it shares the canonical walker,
-the BC4 verdict and the block degrees with the package, and checks the
-census's counting against listing at sizes the naive oracles cannot reach.
+census that walks every 4-cycle and 3-path; it shares the BC4 verdict and
+the block degrees with the package, and checks the census's counting
+against listing at sizes the naive oracles cannot reach.
 memo_free_greedy likewise shares the builder: it is random_bc4free without
 the dead-pair memo and over tuples, not packed codes, so it checks the memo
 and the encoding, not the builder's verdict.
+canonical_cycles is the plain shadow walk, kept here as the reference
+implementation: it yields every shadow cycle in the canonical order, with
+no sole-edge rule and no bitset, and shares no code with the package's walk,
+berge._cycle_candidates. walker_census and walker_berge_cycle walk it.
 walker_berge_cycle is find_berge_cycle without the builder's length-4
-verdict and without the length-4 walk: it matches every cycle of the
-canonical walker, so it shares the walker and the matching, and checks both
-the verdict and the sole-edge rules that let the length-4 walk skip cycles.
-The tests reach that walk, berge._four_cycle_candidates, directly on free
-inputs, which find_berge_cycle no longer walks.
+verdict and without the sole-edge rules: it matches every cycle of the
+plain walk, so it shares only the matching, and checks at every length both
+the verdict and the rules that let the package's walk skip cycles. The tests
+call berge._cycle_candidates directly on free inputs, which find_berge_cycle
+does not walk at length 4.
 
 The reference helpers that only the tests need live here too, each from its
 definition: verify_cycle_witness (with WitnessError) checks a Berge cycle
@@ -32,14 +36,9 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 import random
+from typing import Iterator, Sequence
 
-from bergec4.berge import (
-    Bc4FreeBuilder,
-    BergeCycleWitness,
-    _canonical_cycles,
-    _distinct_representatives,
-    is_bc4_free,
-)
+from bergec4.berge import Bc4FreeBuilder, BergeCycleWitness, _distinct_representatives, is_bc4_free
 from bergec4.blocks import Block, block_degrees, decompose
 from bergec4.bounds import check_inequality
 from bergec4.census import CensusReport, FourCycleRecord
@@ -137,13 +136,54 @@ def naive_berge_cycle_exists(h: Hypergraph, length: int = 4) -> bool:
     return False
 
 
+def canonical_cycles(adj: Sequence[frozenset[int]], k: int) -> Iterator[tuple[int, ...]]:
+    """Yield the shadow cycles on k distinct vertices, in lexicographic order.
+
+    v_0 is the least vertex and the reflection is fixed by v_1 < v_last;
+    k = 2 gives a doubled pair (a, b), a < b. The walk keeps an explicit
+    stack, so a long cycle cannot exhaust the interpreter's recursion limit.
+    """
+    n = len(adj)
+    if k == 2:
+        yield from ((a, b) for a in range(n) for b in sorted(adj[a]) if b > a)
+        return
+    last = k - 1
+    seq = [0] * k
+    in_use = [False] * n
+    for v0 in range(n):
+        seq[0] = v0
+        in_use[v0] = True
+        # stack[d - 1] scans the candidates for seq[d], d < last
+        stack = [iter(sorted(adj[v0]))]
+        while stack:
+            depth = len(stack)
+            for v in stack[-1]:
+                if v > v0 and not in_use[v]:
+                    break
+            else:
+                stack.pop()
+                in_use[seq[depth - 1]] = False
+                continue
+            seq[depth] = v
+            if depth + 1 < last:
+                in_use[v] = True
+                stack.append(iter(sorted(adj[v])))
+                continue
+            # the last vertex closes the cycle: a common neighbour of v and v0
+            low = seq[1]
+            for w in sorted(adj[v] & adj[v0]):
+                if w > low and not in_use[w]:
+                    seq[last] = w
+                    yield tuple(seq)
+
+
 def walker_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
     """The first canonical shadow cycle of the given length with distinct
-    representatives, matching every cycle the walker yields."""
+    representatives, matching every cycle the plain walk yields."""
     if h.edge_count < length or h.n < length:
         return None
     p2e = pair_to_edges(h)
-    for cycle in _canonical_cycles(shadow(h), length):
+    for cycle in canonical_cycles(shadow(h), length):
         pairs = zip(cycle, cycle[1:] + cycle[:1])
         assignment = _distinct_representatives([p2e[tuple(sorted(p))] for p in pairs])
         if assignment is not None:
@@ -298,7 +338,7 @@ def walker_census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusRepor
     """The census by walking every shadow 4-cycle and every 3-path.
 
     This is the census before it counted codegrees: it lists each 4-cycle
-    with the canonical walker, finds its representative edges and rarity
+    with the plain walk, finds its representative edges and rarity
     directly, and marks each 3-path good or not one at a time.
     """
     adj = shadow(h)
@@ -321,7 +361,7 @@ def walker_census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusRepor
     records: list[FourCycleRecord] = []
     rare_paths: set[tuple[int, int, int]] = set()
     four_cycles = 0
-    for cycle in _canonical_cycles(adj, 4):
+    for cycle in canonical_cycles(adj, 4):
         four_cycles += 1
         reps = tuple(i for t in combinations(sorted(cycle), 3) if (i := edge_index.get(t)) is not None)
         histogram[len(reps)] = histogram.get(len(reps), 0) + 1

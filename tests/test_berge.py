@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -7,17 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import loose_cycle, random_hypergraph, tight_cycle
-from oracles import WitnessError, naive_berge_cycle_exists, verify_cycle_witness, walker_berge_cycle
+from oracles import (
+    WitnessError,
+    canonical_cycles,
+    naive_berge_cycle_exists,
+    verify_cycle_witness,
+    walker_berge_cycle,
+)
 
 import bergec4.berge as berge_module
 from bergec4.berge import (
     Bc4FreeBuilder,
     BergeCycleWitness,
-    _four_cycle_candidates,
+    _cycle_candidates,
     find_berge_cycle,
     is_bc4_free,
 )
-from bergec4.hypergraph import MAX_VERTICES, Hypergraph, pair_to_edges
+from bergec4.hypergraph import MAX_VERTICES, Hypergraph, pair_to_edges, shadow
 from bergec4.search import _four_edges_support_c4
 
 
@@ -86,7 +93,7 @@ class TestFindBergeCycle:
         def refuse(*args):
             raise AssertionError("walker entered")
 
-        monkeypatch.setattr(berge_module, "_canonical_cycles", refuse)
+        monkeypatch.setattr(berge_module, "_cycle_candidates", refuse)
         h = Hypergraph(6, list(combinations(range(6), 3))[:16])
         assert find_berge_cycle(h, 7) is None
 
@@ -139,7 +146,7 @@ def _count_matchings(monkeypatch) -> list:
 
 
 class TestLength4Walk:
-    # find_berge_cycle(h, 4) walks _four_cycle_candidates, which skips cycles
+    # find_berge_cycle(h, 4) walks _cycle_candidates, which skips cycles
     # by the sole-edge rules; the witness must be the one that matching every
     # canonical cycle finds. Free inputs never reach the walk through
     # find_berge_cycle, so the rule tests call the walk directly.
@@ -156,7 +163,7 @@ class TestLength4Walk:
     def test_free_constructions_match_nothing(self, construction_family, q):
         h = construction_family[q]
         assert find_berge_cycle(h, 4) is None
-        assert list(_four_cycle_candidates(h, pair_to_edges(h))) == []
+        assert list(_cycle_candidates(h, pair_to_edges(h), 4)) == []
 
     @pytest.mark.parametrize(
         "edges",
@@ -173,11 +180,11 @@ class TestLength4Walk:
         # positions, so a lost rule shows as a yielded cycle
         h = Hypergraph(10, edges)
         assert find_berge_cycle(h, 4) is None
-        assert list(_four_cycle_candidates(h, pair_to_edges(h))) == []
+        assert list(_cycle_candidates(h, pair_to_edges(h), 4)) == []
 
     def test_walk_that_misses_the_builders_cycle_raises(self, k4_full, monkeypatch):
         # a verdict and a walk that disagree must not report a free input
-        monkeypatch.setattr(berge_module, "_four_cycle_candidates", lambda h, p2e: iter(()))
+        monkeypatch.setattr(berge_module, "_cycle_candidates", lambda h, p2e, k: iter(()))
         with pytest.raises(RuntimeError):
             find_berge_cycle(k4_full, 4)
 
@@ -227,6 +234,44 @@ class TestLength4Walk:
         w = find_berge_cycle(h, 4)
         assert w is not None and w.vertices == tuple(top)
         assert w == walker_berge_cycle(h, 4)
+
+
+class TestCycleWalk:
+    # the same walk serves every length; past length 4 the witness must still
+    # be the one that matching every canonical cycle finds
+
+    @pytest.mark.parametrize("length", [3, 5])
+    @pytest.mark.parametrize("q", [5, 7])
+    @pytest.mark.parametrize("count, seed", [(1, 0), (3, 3)])
+    def test_constructions_with_point_triples_match_walker(self, construction_family, q, count, seed, length):
+        h = _with_point_triples(construction_family[q], q, count, seed)
+        w = find_berge_cycle(h, length)
+        assert w is not None and verify_cycle_witness(h, w)
+        assert w == walker_berge_cycle(h, length)
+
+    def test_rule_1_past_v2_spares_a_matching(self):
+        # the shadow 5-cycle (0, 1, 2, 3, 4) has the sole edge 123 on both 12
+        # and 23, so only rule 1 at the last middle vertex 3 drops it; every
+        # other shadow 5-cycle passes a vertex that one edge alone holds, and
+        # its two positions there have that same sole edge
+        h = Hypergraph(8, [(0, 1, 5), (1, 2, 3), (3, 4, 6), (0, 4, 7)])
+        assert (0, 1, 2, 3, 4) in canonical_cycles(shadow(h), 5)
+        assert list(_cycle_candidates(h, pair_to_edges(h), 5)) == []
+        assert find_berge_cycle(h, 5) is None and walker_berge_cycle(h, 5) is None
+
+    def test_length5_traced_peak_is_bounded(self):
+        # no builder runs before a length-5 walk, so its bitsets, up to n^2/8
+        # bytes, set the peak on the largest vertex ids
+        n = MAX_VERTICES
+        h = Hypergraph(n, [(2 * i, 2 * i + 1, n - 1 - i) for i in range(n // 3)])
+        tracemalloc.start()
+        try:
+            w = find_berge_cycle(h, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w is None
+        assert peak < 36_000_000, peak
 
 
 class TestIsBc4Free:

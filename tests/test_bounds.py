@@ -278,11 +278,11 @@ class TestVerifyChain:
 
     def test_verify_chain_decides_with_builder(self, k4_minus, k4_full, monkeypatch):
         # the verdict is is_bc4_free's; the length-4 walk only builds the refusal witness
-        def no_walk(h, p2e):
+        def no_walk(h, p2e, k):
             raise AssertionError("length-4 walk entered on a BC4-free input")
 
         with monkeypatch.context() as patch:
-            patch.setattr(berge, "_four_cycle_candidates", no_walk)
+            patch.setattr(berge, "_cycle_candidates", no_walk)
             assert verify_chain(k4_minus).all_pass()
         with pytest.raises(HypothesisError) as info:
             verify_chain(k4_full)

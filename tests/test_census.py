@@ -279,7 +279,7 @@ class TestCensusRoute:
             raise WalkerEntered
 
         # census imports the walk by name, so its binding is the one it calls
-        monkeypatch.setattr(census_module, "_four_cycle_candidates", refuse)
+        monkeypatch.setattr(census_module, "_cycle_candidates", refuse)
 
     def test_construction_counts_without_walking(self):
         h = lower_bound_construction(7)

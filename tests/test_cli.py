@@ -87,11 +87,11 @@ class TestCheckCommand:
         assert run_cli("check", k4m_file, "--length", "1").returncode == 2
 
     def test_length_four_decided_by_builder(self, k4m_file, k4_file, monkeypatch, capsys):
-        def no_walk(h, p2e):
+        def no_walk(h, p2e, k):
             raise AssertionError("a free input must not be walked")
 
         with monkeypatch.context() as patch:
-            patch.setattr(berge, "_four_cycle_candidates", no_walk)
+            patch.setattr(berge, "_cycle_candidates", no_walk)
             assert cli.main(["check", k4m_file]) == 0
         assert "result\tfree" in capsys.readouterr().out
 

@@ -66,8 +66,10 @@ dense_hypergraphs = st.integers(min_value=4, max_value=10).flatmap(
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.one_of(hypergraphs, dense_hypergraphs))
-def test_length4_walk_matches_walker(h):
-    assert find_berge_cycle(h, 4) == walker_berge_cycle(h, 4)
+def test_walk_matches_walker(h):
+    # the sole-edge walk against matching every cycle of the plain walk
+    for length in range(2, 8):
+        assert find_berge_cycle(h, length) == walker_berge_cycle(h, length)
 
 
 @derandomized
