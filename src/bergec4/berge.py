@@ -166,15 +166,18 @@ def _cycle_candidates(
     dict lookup.
 
     The neighbourhoods are int bitsets read off shadow(h), as in
-    Bc4FreeBuilder, so they take up to n^2/8 bytes. At k = 4
-    find_berge_cycle and census build them only after is_bc4_free has
-    returned and its builder is released, so the peak stays within the
-    builder's: traced peaks were 25.2 MB against is_bc4_free's 25.6 MB on
+    Bc4FreeBuilder, so they take up to n^2/8 bytes; each is also sorted
+    once per walk into nbrs, which the walk iterates, at one list per
+    vertex and a pointer per neighbour. At k = 4 find_berge_cycle and
+    census build them only after is_bc4_free has returned and its builder
+    is released, so the peak stays near the builder's: traced peaks were
+    26.6 MB for find_berge_cycle(h, 4) against is_bc4_free's 25.5 MB on
     n = MAX_VERTICES with disjoint triples and a K4^(3) on the top four
-    ids, and 3.09 against 3.18 MB on the q = 16 construction. At every
-    other length no builder runs, and the bitsets set the walk's peak:
-    find_berge_cycle(h, 5) on MAX_VERTICES // 3 disjoint triples
-    (2i, 2i+1, n-1-i) peaked at 31.4 MB traced.
+    ids, and 2.0 MB for the whole walk, pair index included, against
+    3.05 MB on the q = 16 construction. At every other length no builder
+    runs, and the bitsets set the walk's peak: find_berge_cycle(h, 5) on
+    MAX_VERTICES // 3 disjoint triples (2i, 2i+1, n-1-i) peaked at
+    32.7 MB traced.
     """
     if k == 2:
         yield from ((pair, (es, es)) for pair, es in sorted(p2e.items()) if len(es) > 1)
@@ -182,6 +185,7 @@ def _cycle_candidates(
     edges = h.edges
     adj = shadow(h)
     bits = [sum(1 << u for u in a) for a in adj]
+    nbrs = [sorted(a) for a in adj]
     last = k - 2  # the last middle vertex is seq[last]
     seq = [0] * k
     cands: list[list[int]] = [[]] * k
@@ -189,9 +193,9 @@ def _cycle_candidates(
     # rule 1 at k = 3, which reads soles[-1], never fires
     soles = [-1] * k
     in_use = [False] * len(adj)  # the vertices seq[1:d]
-    for v0, a0 in enumerate(adj):
+    for v0 in range(len(adj)):
         seq[0] = v0
-        for v1 in sorted(a0):
+        for v1 in nbrs[v0]:
             if v1 < v0:
                 continue
             A = p2e[(v0, v1)]
@@ -208,7 +212,7 @@ def _cycle_candidates(
                 d, stack = 1, [iter((v1,))]
             else:
                 seq[1], cands[0], soles[0], in_use[v1] = v1, A, A[0] if len(A) == 1 else -1, True
-                d, stack = 2, [iter(sorted(adj[v1]))]
+                d, stack = 2, [iter(nbrs[v1])]
             while stack:
                 u, closing = seq[d - 1], d == last
                 for v in stack[-1]:
@@ -238,7 +242,7 @@ def _cycle_candidates(
                     d -= 1
                     continue
                 in_use[v] = True
-                stack.append(iter(sorted(adj[v])))
+                stack.append(iter(nbrs[v]))
                 d += 1
 
 

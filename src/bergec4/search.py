@@ -10,7 +10,8 @@ vertices: one child includes the first candidate, the other excludes its
 orbit. It prunes a node whose size plus candidate count cannot beat the
 incumbent and, given the proven ex(n - 1), a node with a vertex that can
 no longer reach the degree a better set needs. ex_table hands each proven
-row to the next n. The exhaustive route (brute_force_ex, n <= 6)
+row to the next n. The root classes are searched one after another on
+one thread. The exhaustive route (brute_force_ex, n <= 6)
 enumerates every BC4-free edge set, extending free sets one triple at a
 time with only the four-edge definition check below; it never visits an
 edge subset that contains a Berge C4. It is the second route the tests
@@ -22,7 +23,6 @@ oracle-equivalence tests against brute force.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -208,7 +208,7 @@ def _explore_class(
     Returns (witness when it beats seed_best, counts with the best size). The
     incumbent is local to the class (seeded with seed_best), never shared
     with sibling classes, so the visited node set is a pure function of the
-    arguments and thread counts cannot change it.
+    arguments and does not depend on the classes searched before it.
     """
     builder = Bc4FreeBuilder(n)
     deg = [0] * n
@@ -295,7 +295,10 @@ def branch_and_bound_ex(
 
     prev_ex is the proven ex(n - 1), which turns on the averaging cap and
     the degree prune; None leaves them off. ValueError unless it lies in
-    [0, floor(upper_bound(n - 1))] with n >= 4.
+    [0, floor(upper_bound(n - 1))] with n >= 4. threads must be >= 1 and
+    changes nothing: the search never fans out. The parameter stays only
+    for the benchmark harness, which still times threads=2 against
+    threads=1; it goes with the benchmark change of ROADMAP item 2.
 
     Prune rules, each with its lemma:
     - root classes (max-intersection pinning): take any maximizer with at
@@ -336,11 +339,11 @@ def branch_and_bound_ex(
       node where that sum is below best + 1 - ex(n - 1) for some v holds
       no better set.
 
-    Exploration is canonical and incumbents are never shared across root
-    classes (each starts from the greedy size), so the result (witness and
-    node count) is identical for any thread count; a finite node budget
-    forces sequential execution so that nodes are charged in canonical
-    order.
+    The root classes run one after another in one loop, in the order of
+    _root_classes, and each starts from the greedy size rather than from
+    the best of the classes before it. A node budget is shared: each class
+    gets what the classes before it left, and a class that finds it spent
+    is not started.
     """
     if n < 3:
         raise ValueError(f"branch and bound requires n >= 3, got {n}")
@@ -355,41 +358,26 @@ def branch_and_bound_ex(
             raise ValueError(f"prev_ex must be in [0, {upper_bound(n - 1).floor()}], got {prev_ex}")
         cap = min(cap, n * prev_ex // (n - 3))
     triples = list(combinations(range(n), 3))
-    greedy_edges = _greedy(n, triples)
-    best_size = len(greedy_edges)
-    best_edges = greedy_edges
+    best_edges = _greedy(n, triples)
+    seed = best_size = len(best_edges)
     completed = True
 
-    classes = _root_classes(n)
-    run_parallel = threads > 1 and node_budget is None
-
-    if run_parallel:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_explore_class, n, triples, limit, second, best_size, cap, None, prev_ex)
-                for limit, second in classes
-            ]
-            outcomes = [f.result() for f in futures]
-    else:
-        outcomes = []
-        remaining = node_budget
-        for limit, second in classes:
-            if remaining is not None and remaining <= 0:
-                completed = False
-                break
-            out = _explore_class(n, triples, limit, second, best_size, cap, remaining, prev_ex)
-            outcomes.append(out)
-            if remaining is not None:
-                remaining -= out[1].nodes
-
-    for edges, stats in outcomes:
+    classes: list[ClassStats] = []
+    remaining = node_budget
+    for limit, second in _root_classes(n):
+        if remaining is not None and remaining <= 0:
+            completed = False
+            break
+        edges, stats = _explore_class(n, triples, limit, second, seed, cap, remaining, prev_ex)
+        classes.append(stats)
+        if remaining is not None:
+            remaining -= stats.nodes
         if not stats.completed:
             completed = False
         if edges is not None and stats.best > best_size:
             best_size, best_edges = stats.best, edges
-    class_stats = tuple(stats for _, stats in outcomes)
-    nodes = sum(c.nodes for c in class_stats)
-    return SearchResult(n, best_size, Hypergraph(n, best_edges), completed, nodes, class_stats)
+    nodes = sum(c.nodes for c in classes)
+    return SearchResult(n, best_size, Hypergraph(n, best_edges), completed, nodes, tuple(classes))
 
 
 def ex_table(n_max: int, budget: int | None = 200_000) -> list[SearchResult]:

@@ -149,6 +149,25 @@ def test_one_route_to_each_cycle_answer():
     assert [stem for stem, used in names.items() if "is_bc4_free" in used] == ["berge", "census", "construct"]
 
 
+THREAD_MODULES = {"concurrent.futures", "threading"}
+
+
+def test_no_thread_imports():
+    # the package runs on one thread; the exact search never fans out
+    package = Path(bergec4.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno} {m}" for m in modules if m in THREAD_MODULES)
+    assert found == []
+
+
 def test_module_names_bind_modules():
     # a package-level re-export must not shadow a submodule of the same name,
     # or `import bergec4.<name> as m` binds the re-exported object instead

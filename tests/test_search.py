@@ -1,4 +1,5 @@
 import sys
+import threading
 from itertools import combinations
 from pathlib import Path
 
@@ -132,6 +133,14 @@ class TestBranchAndBound:
         a = branch_and_bound_ex(7, node_budget=100, threads=4)
         b = branch_and_bound_ex(7, node_budget=100, threads=1)
         assert a == b and not a.optimal
+
+    def test_threads_start_no_thread(self, monkeypatch):
+        # the search runs on one sequential path whatever threads says
+        def refuse(thread):
+            raise AssertionError(f"branch_and_bound_ex started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert branch_and_bound_ex(9, threads=4) == branch_and_bound_ex(9, threads=1)
 
     def test_repeat_runs_identical(self):
         a = branch_and_bound_ex(6)
