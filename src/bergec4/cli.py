@@ -19,7 +19,7 @@ from bergec4.bounds import HypothesisError, verify_chain
 from bergec4.census import census
 from bergec4.construct import lower_bound_construction, random_bc4free
 from bergec4.hypergraph import Hypergraph, degree_profile, shadow
-from bergec4.search import ex_table, format_ex_table, format_stats
+from bergec4.search import check_table_args, ex_table, format_ex_table, format_stats
 
 SCHEMA = "bergec4.report.v1"
 
@@ -181,9 +181,13 @@ def cmd_random(args) -> int:
 
 
 def cmd_search(args) -> int:
-    results = ex_table(args.n_max, budget=args.budget)
-    if args.stats is not None:
+    # bad arguments, then an unwritable stats path, fail before any row is searched
+    check_table_args(args.n_max, args.budget)
+    if args.stats is None:
+        results = ex_table(args.n_max, budget=args.budget)
+    else:
         with open(args.stats, "w", encoding="utf-8") as fh:
+            results = ex_table(args.n_max, budget=args.budget)
             fh.write(format_stats(results))
     lines = _header("search", extra=[f"# n-max {args.n_max}", f"# budget {args.budget}"])
     lines.append(format_ex_table(results).rstrip("\n"))

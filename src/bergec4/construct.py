@@ -20,9 +20,9 @@ from bergec4.hypergraph import Hypergraph
 # random_bc4free shuffles all C(n, 3) triples as 4-byte codes, so memory
 # grows as n^3 but stays small (6.0 MB traced and 26 MB CLI max RSS at
 # n = 200). The cap is set by time: the shuffle is n^3 work, and
-# `random --n 200` takes about 1.4 s on a 2-vCPU VM. The codes hold 8 bits
-# per vertex id, 24 bits per entry, so the cap may not pass 256. Larger n
-# is refused before anything is built.
+# `random --n 200` takes about 0.5 s on a 2-vCPU VM (0.42 s of it in
+# random_bc4free). The codes hold 8 bits per vertex id, 24 bits per entry,
+# so the cap may not pass 256. Larger n is refused before anything is built.
 RANDOM_MAX_N = 200
 
 # projective_plane_incidence builds q x q field tables and tests all
@@ -201,14 +201,40 @@ def lower_bound_construction(q: int) -> Hypergraph:
     return h
 
 
+def _shuffle(codes: array, seed: int) -> None:
+    """Shuffle codes in place exactly as random.Random(seed).shuffle(codes) does.
+
+    CPython's shuffle (Fisher-Yates, Knuth's Algorithm P) swaps each
+    position i, from the top down to 1, with j = _randbelow(i + 1), which
+    draws getrandbits(k), k = (i + 1).bit_length(), until a draw is at most
+    i. This loop makes the same draws in the same order, so it gives the
+    same permutation, but it binds getrandbits once and walks the positions
+    in segments of constant k: there is no _randbelow call and no
+    bit_length call per position.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    top = len(codes) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the least i with (i + 1).bit_length() == k
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            codes[i], codes[j] = codes[j], codes[i]
+        top = low - 1
+
+
 def random_bc4free(n: int, target_m: int, seed: int) -> Hypergraph:
     """Greedy random BC4-free hypergraph, reproducible for a fixed seed.
 
-    All C(n, 3) triples are shuffled with random.Random(seed) (Mersenne
-    Twister, platform independent) and added greedily while the result stays
-    BC4-free, stopping at target_m or exhaustion. The sample is biased by the
-    greedy order; it is a falsification-test generator, not a uniform one.
-    Raises ValueError for n outside [3, RANDOM_MAX_N].
+    All C(n, 3) triples are shuffled by _shuffle, a local Fisher-Yates loop
+    on random.Random(seed) (Mersenne Twister, platform independent) that
+    gives exactly the order random.Random(seed).shuffle gives, and added
+    greedily while the result stays BC4-free, stopping at target_m or
+    exhaustion. The sample is biased by the greedy order; it is a
+    falsification-test generator, not a uniform one. Raises ValueError for
+    n outside [3, RANDOM_MAX_N].
 
     Dead-pair lemma: whether a pair {x, y} closes a Berge C4 depends only on
     the pair and the current edges, through a Berge 3-path y -> w -> z -> x
@@ -223,8 +249,11 @@ def random_bc4free(n: int, target_m: int, seed: int) -> Hypergraph:
     array("I"), filled in combinations(range(n), 3) order, and the memo is
     a bytearray indexed by x << 8 | y, so a candidate costs 4 bytes and a
     tuple is built only for a code that gets past the memo. The order is
-    the tuple order: shuffle draws the same random numbers for any sequence
-    of the same length and only swaps positions.
+    the tuple order: _shuffle draws the same random numbers as
+    random.shuffle for any sequence of the same length and only swaps
+    positions. That equality is what keeps every pinned output. The loop
+    still takes about half of random_bc4free(80, C(80, 3), 1): 0.016 of
+    0.030-0.035 s on a 2-vCPU Xeon VM, where random.shuffle took 0.029 s.
     """
     if not 3 <= n <= RANDOM_MAX_N:
         raise ValueError(f"n must be in [3, {RANDOM_MAX_N}], got {n}")
@@ -238,7 +267,7 @@ def random_bc4free(n: int, target_m: int, seed: int) -> Hypergraph:
         for b in range(a + 1, n - 1):
             ab = a << 16 | b << 8
             codes.extend(range(ab + b + 1, ab + n))
-    random.Random(seed).shuffle(codes)
+    _shuffle(codes, seed)
     dead = bytearray(1 << 16)
     for code in codes:
         # the pairs ab, ac and bc

@@ -114,7 +114,9 @@ class Hypergraph:
         """Parse the standard text format.
 
         First data line is "n m", followed by m lines "a b c" with a < b < c.
-        Lines whose first non-blank character is '#' are comments; blank
+        Every value is a plain ASCII decimal integer: a data line with a
+        non-ASCII character, "_" or "+" is refused. Lines whose first
+        non-blank character is '#' are comments and may hold any text; blank
         lines are ignored.
         Duplicate edges and malformed lines raise ParseError with the
         1-based line number.
@@ -126,12 +128,17 @@ class Hypergraph:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            # int() also takes non-ASCII digits, "+" and "_"; one test per
+            # line keeps every id plain ASCII decimal, with "-" left for the
+            # range check
+            if not raw.isascii() or "_" in line or "+" in line:
+                raise ParseError("ids must be plain ASCII decimal integers", lineno)
             tokens = line.split()
             if header is None:
                 if len(tokens) != 2:
                     raise ParseError("expected header 'n m'", lineno)
                 try:
-                    n, m = int(tokens[0]), int(tokens[1])
+                    n, m = map(int, tokens)
                 except ValueError:
                     raise ParseError("header values must be integers", lineno) from None
                 if n < 0 or m < 0:
@@ -145,7 +152,7 @@ class Hypergraph:
             if len(tokens) != 3:
                 raise ParseError("expected exactly 3 vertex ids", lineno)
             try:
-                a, b, c = (int(t) for t in tokens)
+                a, b, c = map(int, tokens)
             except ValueError:
                 raise ParseError("vertex ids must be integers", lineno) from None
             if not (a < b < c):

@@ -380,6 +380,17 @@ def branch_and_bound_ex(
     return SearchResult(n, best_size, Hypergraph(n, best_edges), completed, nodes, tuple(classes))
 
 
+def check_table_args(n_max: int, budget: int | None) -> None:
+    """ValueError unless ex_table(n_max, budget) accepts its arguments.
+
+    n_max must lie in [3, SEARCH_MAX_N] and budget be None or >= 0; a
+    caller can check them before it starts anything else.
+    """
+    if not 3 <= n_max <= SEARCH_MAX_N:
+        raise ValueError(f"n_max must be in [3, {SEARCH_MAX_N}], got {n_max}")
+    _check_budget(budget)
+
+
 def ex_table(n_max: int, budget: int | None = 200_000) -> list[SearchResult]:
     """Extremal values for n = 3..n_max, all by branch_and_bound_ex.
 
@@ -391,11 +402,9 @@ def ex_table(n_max: int, budget: int | None = 200_000) -> list[SearchResult]:
     is not called here; it stays the independent second route that the
     tests check the n <= 6 rows with. branch_and_bound_ex is looked up by
     its module-global name on every row.
-    Raises ValueError for n_max outside [3, SEARCH_MAX_N].
+    Raises ValueError as check_table_args does.
     """
-    if not 3 <= n_max <= SEARCH_MAX_N:
-        raise ValueError(f"n_max must be in [3, {SEARCH_MAX_N}], got {n_max}")
-    _check_budget(budget)
+    check_table_args(n_max, budget)
     rows: list[SearchResult] = []
     prev_ex = None
     for n in range(3, n_max + 1):

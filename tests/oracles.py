@@ -263,8 +263,11 @@ def memo_free_greedy(n: int, target_m: int, seed: int) -> Hypergraph:
     """random_bc4free's greedy with no memo: the same shuffle, then try_add
     on every triple until target_m edges are kept.
 
-    It shuffles the triples as tuples, where random_bc4free shuffles packed
-    integer codes, so it also checks that encoding and its decoding."""
+    It shuffles the triples as tuples with the standard library's
+    random.Random(seed).shuffle, where random_bc4free shuffles packed
+    integer codes with its own loop, construct._shuffle. So it also checks
+    that encoding, its decoding and that loop's draws, and it must keep
+    random.shuffle to stay an independent route."""
     triples = list(combinations(range(n), 3))
     random.Random(seed).shuffle(triples)
     builder = Bc4FreeBuilder(n)

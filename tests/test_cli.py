@@ -315,10 +315,28 @@ class TestSearchCommand:
         assert [r["budget_hit"] for r in rows] == [False] * 4 + [True]
         assert rows[-1]["nodes"] == 11
 
-    def test_unwritable_stats_file_is_usage_error(self, tmp_path):
-        proc = run_cli("search", "--n-max", "4", "--stats", str(tmp_path / "missing" / "stats.jsonl"))
+    def test_unwritable_stats_file_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        path = str(tmp_path / "missing" / "stats.jsonl")
+        proc = run_cli("search", "--n-max", "4", "--stats", path)
         assert proc.returncode == 2
         assert proc.stdout == ""
+
+        # refused before any row is searched: in-process, ex_table must not run
+        def no_search(*args, **kwargs):
+            raise AssertionError("ex_table ran before the stats path was opened")
+
+        monkeypatch.setattr(cli, "ex_table", no_search)
+        assert cli.main(["search", "--n-max", "11", "--stats", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "No such file or directory" in err
+
+    def test_bad_search_args_leave_stats_path_alone(self, tmp_path):
+        # n_max and the budget are checked before the stats file is opened
+        path = tmp_path / "stats.jsonl"
+        for args in (["--n-max", "1000"], ["--budget", "-1"]):
+            proc = run_cli("search", *args, "--stats", str(path))
+            assert proc.returncode == 2
+            assert not path.exists()
 
     def test_zero_budget_marks_non_brute_rows(self):
         out = run_cli("search", "--n-max", "7", "--budget", "0", check=True).stdout

@@ -1,6 +1,7 @@
 from array import array
 import hashlib
 from math import comb
+import random
 import tracemalloc
 
 import pytest
@@ -16,6 +17,7 @@ from bergec4.construct import (
     RANDOM_MAX_N,
     BipartiteGraph,
     _field_tables,
+    _shuffle,
     expand_to_hypergraph,
     is_c4_free,
     lower_bound_construction,
@@ -141,6 +143,23 @@ class TestLowerBoundConstruction:
                 for i in b.edge_indices[1:]:
                     common &= set(h.edges[i])
                 assert len(common) == 2  # the clone pair pins the block
+
+
+SHUFFLE_LENGTHS = sorted(
+    set(range(1, 131)) | {2**k + d for k in range(1, 17) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, -7, 2**32, 2**64 + 3])
+def test_shuffle_draws_what_random_shuffle_draws(seed):
+    # the pinned greedy outputs rest on this equality; each length 2^k - 1,
+    # 2^k and 2^k + 1 straddles a change of the draw width
+    for length in SHUFFLE_LENGTHS:
+        expected = array("I", range(length))
+        random.Random(seed).shuffle(expected)
+        codes = array("I", range(length))
+        _shuffle(codes, seed)
+        assert codes == expected, length
 
 
 class TestRandomBc4Free:

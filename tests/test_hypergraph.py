@@ -178,6 +178,32 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="range"):
             Hypergraph.from_text("3 1\n0 1 3\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("3 1\n0 1 \uff12\n", 2),  # full-width digit two
+            ("3 1\n0 1 \u0662\n", 2),  # Arabic-Indic digit two
+            ("3 1\n0 1\u00a02\n", 2),  # no-break space between ids
+            ("3 1\n0 1 +2\n", 2),
+            ("3 1\n0 1 2_0\n", 2),
+            ("1_1 1\n0 1 2\n", 1),
+            ("+3 1\n0 1 2\n", 1),
+            ("\uff13 1\n0 1 2\n", 1),
+        ],
+    )
+    def test_ids_must_be_plain_ascii_decimal(self, text, line):
+        # int() alone would read each of these as a number
+        with pytest.raises(ParseError, match=f"line {line}: ids must be plain ASCII decimal"):
+            Hypergraph.from_text(text)
+
+    def test_non_ascii_comments_are_accepted(self):
+        text = "# gr\u00e4ph \uff12\n3 1\n  # \u00e9dge_list +\n0 1 2\n"
+        assert Hypergraph.from_text(text) == Hypergraph(3, [(0, 1, 2)])
+
+    def test_negative_id_is_out_of_range(self):
+        with pytest.raises(ParseError, match="line 2: vertex id out of range"):
+            Hypergraph.from_text("3 1\n-1 0 2\n")
+
     def test_header_errors(self):
         with pytest.raises(ParseError):
             Hypergraph.from_text("")
