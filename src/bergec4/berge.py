@@ -282,13 +282,17 @@ class Bc4FreeBuilder:
     c in C - {b} exist and differ). A candidate is rejected before anything
     is mutated; only a kept edge is added.
 
-    The same check is exposed two ways: try_add adds a kept triple, and
+    The same check is exposed three ways: try_add adds a kept triple;
     closing_pair mutates nothing and names the first pair of the triple that
-    closes a C4, or None when try_add would keep it. The search's candidate
-    filter only compares it with None; random_bc4free, which only adds
-    edges, remembers the pair as one byte of a 64 KiB bytearray indexed by
-    x << 8 | y. That memo lives in the caller, not here: a builder-wide
-    dead-pair set, cleared on pop, slowed
+    closes a C4, or None when try_add would keep it; and
+    closing_pair_unchecked is closing_pair without the validation, for a
+    caller that builds its own sorted new triples. closing_pair is
+    validation and then that call. The search's candidate filter takes its
+    triples from combinations(range(n), 3), none of them in S, so it calls
+    closing_pair_unchecked and only compares the answer with None;
+    random_bc4free, which only adds edges, remembers the pair as one byte
+    of a 64 KiB bytearray indexed by x << 8 | y. That memo lives in the
+    caller, not here: a builder-wide dead-pair set, cleared on pop, slowed
     branch_and_bound_ex(8) from 0.11-0.12 to 0.14-0.16 s and is_bc4_free on
     the q = 16 construction from 0.046-0.057 to 0.064-0.065 s (2-vCPU VM).
 
@@ -407,10 +411,18 @@ class Bc4FreeBuilder:
         The verdict on a pair does not depend on the triple's third vertex,
         and a closing pair stays closing while edges are only added (see
         random_bc4free). Nothing is mutated; raises ValueError exactly where
-        try_add does. The three tests are written out, not looped over a
-        tuple of pairs, so that the call costs what a plain verdict costs.
+        try_add does, then answers as closing_pair_unchecked.
         """
-        a, b, c = self._new_edge(triple)
+        return self.closing_pair_unchecked(self._new_edge(triple))
+
+    def closing_pair_unchecked(self, e: Edge) -> Pair | None:
+        """closing_pair for a triple already known to be sorted, in range and not an edge.
+
+        Nothing is checked, so a caller that passes anything else gets a
+        meaningless answer. The three tests are written out, not looped over
+        a tuple of pairs, so that the call costs what a plain verdict costs.
+        """
+        a, b, c = e
         if self._closes_c4(a, b):
             return a, b
         if self._closes_c4(a, c):

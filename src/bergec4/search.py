@@ -8,10 +8,13 @@ the list of triples that can still join the current set, and branches on
 a whole orbit of that list under the permutations of the untouched
 vertices: one child includes the first candidate, the other excludes its
 orbit. It prunes a node whose size plus candidate count cannot beat the
-incumbent and, given the proven ex(n - 1), a node with a vertex that can
-no longer reach the degree a better set needs. ex_table hands each proven
-row to the next n. The root classes are searched one after another on
-one thread. The exhaustive route (brute_force_ex, n <= 6)
+incumbent and, given the proven table of ex(m) for m < n, a node where
+deleting some vertex set K would leave too few edges: ex(n - k) plus the
+edges that can still meet K is no more than the incumbent (the
+set-deletion prune; with one vertex it is the degree prune). ex_table
+hands the table so far, and the witness of the row before as a seed, to
+each next n. The root classes are searched one after another on one
+thread. The exhaustive route (brute_force_ex, n <= 6)
 enumerates every BC4-free edge set, extending free sets one triple at a
 time with only the four-edge definition check below; it never visits an
 edge subset that contains a Berge C4. It is the second route the tests
@@ -25,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import Sequence
 
 from bergec4.berge import Bc4FreeBuilder
 from bergec4.bounds import decimal_str, edge_ratio, upper_bound
@@ -32,9 +36,10 @@ from bergec4.hypergraph import Edge, Hypergraph
 
 # every n from 7 up builds all C(n, 3) triples and runs the greedy seed over
 # them before any node budget applies, so larger n is refused before any
-# search runs; ex_table proves n = 11 at the default 200,000-node budget,
-# and n = 12 needs a budget of 250,000
-SEARCH_MAX_N = 12
+# search runs; ex_table proves every row through n = 13 at the default
+# 200,000-node budget (row 13 visits 123,423 nodes, and ex_table(13) takes
+# about 7 s on a 2-vCPU Xeon VM), while row 14 needs about two million
+SEARCH_MAX_N = 13
 
 
 @dataclass(frozen=True)
@@ -42,10 +47,12 @@ class ClassStats:
     """Counts from the subtree of one root class of branch_and_bound_ex.
 
     limit is the class's intersection limit i and best the largest size it
-    saw, the greedy seed included. nodes = 1 + includes + excludes, the
-    root counted once. A visited node that is not expanded is a bound prune
-    or a degree prune; cap_stop says the class stopped because its best
-    reached the cap, and completed is False when the node budget cut it.
+    saw, the seed included. nodes = 1 + includes + excludes, the root
+    counted once. A visited node that is not expanded is a bound prune, a
+    degree prune (the set-deletion prune with one vertex deleted) or a
+    set-deletion prune with two or more; cap_stop says the class stopped
+    because its best reached the cap, and completed is False when the node
+    budget cut it.
     """
 
     limit: int
@@ -55,6 +62,7 @@ class ClassStats:
     excludes: int
     bound_prunes: int
     degree_prunes: int
+    set_deletion_prunes: int
     cap_stop: bool
     completed: bool
 
@@ -149,7 +157,7 @@ def brute_force_ex(n: int) -> SearchResult:
     return SearchResult(n, len(best), witness, True, free_sets)
 
 
-def _greedy(n: int, triples: list[Edge]) -> list[Edge]:
+def _greedy(n: int, triples: Sequence[Edge]) -> list[Edge]:
     builder = Bc4FreeBuilder(n)
     for t in triples:
         builder.try_add(t)
@@ -180,7 +188,7 @@ def _explore_class(
     seed_best: int,
     cap: int,
     budget: int | None,
-    prev_ex: int | None = None,
+    proven: Sequence[int] | None = None,
 ) -> tuple[list[Edge] | None, ClassStats]:
     """Orbital include/exclude DFS over the edge sets of one root class.
 
@@ -200,10 +208,12 @@ def _explore_class(
     child adds t and keeps C minus t, filtered against t; the exclude child
     keeps C minus O. The include child is visited first, and the exclude
     child waits on a stack with the builder size to return to. With
-    `prev_ex` (the proven ex(n - 1)), a node is also dead when some vertex
-    cannot reach degree best + 1 - prev_ex even with every candidate added;
-    deg holds the degree of each vertex in S. The search stops once best
-    reaches `cap`.
+    `proven` (ex(m), or a proven upper bound on it, for every m < n), a node
+    is also dead when _deletion_dead names a vertex set K whose deletion
+    leaves too few edges; deg holds the degree of each vertex in S. The
+    candidates come from `triples`, which are sorted and not in S, so the
+    filter asks closing_pair_unchecked. The search stops once best reaches
+    `cap`.
 
     Returns (witness when it beats seed_best, counts with the best size). The
     incumbent is local to the class (seeded with seed_best), never shared
@@ -218,14 +228,15 @@ def _explore_class(
         for v in e:
             deg[v] += 1
     # a pinned edge meets itself in 3 > limit vertices, so neither is a candidate
+    closing_pair = builder.closing_pair_unchecked
     candidates = [
         t
         for t in triples
-        if _meet(t, _ROOT_EDGE) <= limit and _meet(t, second) <= limit and builder.closing_pair(t) is None
+        if _meet(t, _ROOT_EDGE) <= limit and _meet(t, second) <= limit and closing_pair(t) is None
     ]
     best = seed_best
     best_edges: list[Edge] | None = None
-    nodes = includes = excludes = bound_prunes = degree_prunes = 0
+    nodes = includes = excludes = bound_prunes = degree_prunes = set_deletion_prunes = 0
     cap_stop = False
     # the exclude children still to visit: the builder size to return to and
     # their candidates
@@ -243,8 +254,11 @@ def _explore_class(
             break
         if size + len(candidates) <= best:
             bound_prunes += 1
-        elif prev_ex is not None and _degree_dead(deg, candidates, best + 1 - prev_ex):
-            degree_prunes += 1
+        elif proven is not None and (k := _deletion_dead(deg, builder.edges, candidates, proven, best)):
+            if k == 1:
+                degree_prunes += 1
+            else:
+                set_deletion_prunes += 1
         else:
             t = candidates[0]
             key = [v for v in t if deg[v]]
@@ -253,9 +267,7 @@ def _explore_class(
             builder.try_add(t)
             for v in t:
                 deg[v] += 1
-            candidates = [
-                u for u in candidates[1:] if _meet(u, t) <= limit and builder.closing_pair(u) is None
-            ]
+            candidates = [u for u in candidates[1:] if _meet(u, t) <= limit and closing_pair(u) is None]
             includes += 1
             continue
         if not pending:
@@ -267,20 +279,48 @@ def _explore_class(
             builder.pop()
         excludes += 1
     completed = budget is None or nodes <= budget
-    stats = ClassStats(limit, best, nodes, includes, excludes, bound_prunes, degree_prunes, cap_stop, completed)
+    stats = ClassStats(
+        limit, best, nodes, includes, excludes, bound_prunes, degree_prunes, set_deletion_prunes, cap_stop, completed
+    )
     return best_edges, stats
 
 
-def _degree_dead(deg: list[int], candidates: list[Edge], need: int) -> bool:
-    """Can some vertex no longer reach degree `need` with every candidate added?"""
-    if need <= 0:
-        return False
+def _deletion_dead(
+    deg: list[int], edges: list[Edge], candidates: list[Edge], proven: Sequence[int], best: int
+) -> int:
+    """The least k for which deleting K kills the node, or 0 when no k does.
+
+    reach(v) counts the edges of S + C at v, where S is `edges` with the
+    vertex degrees `deg`, and C is `candidates`. K is the k vertices of
+    least reach, ties broken by vertex id, for k = 1..n - 3. The node is
+    dead when proven[n - k] + #{e in S + C : e meets K} <= best. Every
+    count comes from one pass: an edge meets K exactly when its lowest
+    position in the reach order is below k.
+    """
+    n = len(deg)
     reach = list(deg)
     for a, b, c in candidates:
         reach[a] += 1
         reach[b] += 1
         reach[c] += 1
-    return min(reach) < need
+    order = sorted(range(n), key=reach.__getitem__)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    lowest = [0] * n
+    for group in edges, candidates:
+        for a, b, c in group:
+            # min() written out: this loop is most of the prune's cost
+            p, q, r = pos[a], pos[b], pos[c]
+            if q < p:
+                p = q
+            lowest[p if p < r else r] += 1
+    met = 0
+    for k in range(1, n - 2):
+        met += lowest[k - 1]
+        if proven[n - k] + met <= best:
+            return k
+    return 0
 
 
 def _check_budget(node_budget: int | None) -> None:
@@ -288,14 +328,39 @@ def _check_budget(node_budget: int | None) -> None:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
 
 
+def _check_proven(n: int, proven: Sequence[int]) -> tuple[int, ...]:
+    """proven as a tuple; ValueError unless it holds one admissible value per m < n."""
+    try:
+        values = tuple(proven)
+    except TypeError:
+        raise ValueError(f"proven must be a sequence of ints, got {proven!r}") from None
+    if len(values) != n:
+        raise ValueError(f"proven must hold ex(m) for m = 0..{n - 1}, got {len(values)} entries")
+    for m, x in enumerate(values):
+        top = upper_bound(m).floor() if m >= 3 else 0
+        if type(x) is not int or not 0 <= x <= top:
+            raise ValueError(f"proven[{m}] must be an int in [0, {top}], got {x!r}")
+    return values
+
+
 def branch_and_bound_ex(
-    n: int, node_budget: int | None = None, threads: int = 1, *, prev_ex: int | None = None
+    n: int,
+    node_budget: int | None = None,
+    threads: int = 1,
+    *,
+    proven: Sequence[int] | None = None,
+    seed: Hypergraph | None = None,
 ) -> SearchResult:
     """Orbital depth-first search, one subtree per root class.
 
-    prev_ex is the proven ex(n - 1), which turns on the averaging cap and
-    the degree prune; None leaves them off. ValueError unless it lies in
-    [0, floor(upper_bound(n - 1))] with n >= 4. threads must be >= 1 and
+    proven holds, for every m < n, ex(m) or a proven upper bound on it,
+    such as floor(upper_bound(m)) for a row the budget cut. It turns on the
+    averaging cap and the set-deletion prune; None leaves them off.
+    ValueError unless it has n entries, each an int (not a bool) in
+    [0, floor(upper_bound(m))], and 0 for m < 3. seed is a BC4-free
+    hypergraph on at most n vertices, such as the witness of row n - 1;
+    each class starts from it when it has more edges than the greedy set.
+    ValueError unless it is free and fits. threads must be >= 1 and
     changes nothing: the search never fans out. The parameter stays only
     for the benchmark harness, which still times threads=2 against
     threads=1; it goes with the benchmark change of ROADMAP item 2.
@@ -333,17 +398,23 @@ def branch_and_bound_ex(
       free set F leaves a free set of |F| - deg(v) edges on n - 1
       vertices, and each edge misses n - 3 vertices, so summing over v
       gives (n - 3)|F| <= n ex(n - 1). The cap is the smaller of the two;
-    - degree prune: by the same deletion, every free F has
-      deg_F(v) >= |F| - ex(n - 1) at every vertex v. A completion F of S
-      with |F| > best has deg_F(v) <= deg_S(v) + #{c in C : v in c}, so a
-      node where that sum is below best + 1 - ex(n - 1) for some v holds
-      no better set.
+    - set-deletion prune (the same deletion, for a set of vertices): for
+      any set K of k vertices and any free F on n vertices, the edges of F
+      that miss K form a free set on the other n - k vertices, so
+      |F| <= ex(n - k) + #{e in F : e meets K}. A completion F of S lies
+      in S + C, so a node where proven[n - k] + #{e in S + C : e meets K}
+      <= best for some K holds no better set. _deletion_dead tries, for
+      each k = 1..n - 3, the k vertices that the fewest edges of S + C
+      reach (at k = n - 2 every edge meets K and ex(2) = 0, which is the
+      candidate bound). With k = 1 this is the degree prune: every free F
+      has deg_F(v) >= |F| - ex(n - 1), and deg_F(v) is at most the reach
+      of v. Any proven upper bound on ex(n - k) keeps the rule sound.
 
     The root classes run one after another in one loop, in the order of
-    _root_classes, and each starts from the greedy size rather than from
-    the best of the classes before it. A node budget is shared: each class
-    gets what the classes before it left, and a class that finds it spent
-    is not started.
+    _root_classes, and each starts from the size of the larger of the
+    greedy set and seed rather than from the best of the classes before
+    it. A node budget is shared: each class gets what the classes before
+    it left, and a class that finds it spent is not started.
     """
     if n < 3:
         raise ValueError(f"branch and bound requires n >= 3, got {n}")
@@ -351,15 +422,19 @@ def branch_and_bound_ex(
         raise ValueError(f"threads must be >= 1, got {threads}")
     _check_budget(node_budget)
     cap = upper_bound(n).floor()
-    if prev_ex is not None:
-        if n < 4:
-            raise ValueError(f"prev_ex needs n >= 4, got n = {n}")
-        if not 0 <= prev_ex <= upper_bound(n - 1).floor():
-            raise ValueError(f"prev_ex must be in [0, {upper_bound(n - 1).floor()}], got {prev_ex}")
-        cap = min(cap, n * prev_ex // (n - 3))
+    if proven is not None:
+        proven = _check_proven(n, proven)
+        if n >= 4:
+            cap = min(cap, n * proven[n - 1] // (n - 3))
     triples = list(combinations(range(n), 3))
     best_edges = _greedy(n, triples)
-    seed = best_size = len(best_edges)
+    if seed is not None:
+        # the greedy keeps every edge of a free set, and only of a free set
+        if not isinstance(seed, Hypergraph) or seed.n > n or len(_greedy(n, seed.edges)) < seed.edge_count:
+            raise ValueError(f"seed must be a BC4-free Hypergraph on at most {n} vertices")
+        if seed.edge_count > len(best_edges):
+            best_edges = list(seed.edges)
+    start = best_size = len(best_edges)
     completed = True
 
     classes: list[ClassStats] = []
@@ -368,7 +443,7 @@ def branch_and_bound_ex(
         if remaining is not None and remaining <= 0:
             completed = False
             break
-        edges, stats = _explore_class(n, triples, limit, second, seed, cap, remaining, prev_ex)
+        edges, stats = _explore_class(n, triples, limit, second, start, cap, remaining, proven)
         classes.append(stats)
         if remaining is not None:
             remaining -= stats.nodes
@@ -396,21 +471,24 @@ def ex_table(n_max: int, budget: int | None = 200_000) -> list[SearchResult]:
 
     Rows n <= 6 run with no node budget: they take at most 49 nodes, so
     they are proven optimal at every budget, including 0. The budget
-    applies from n = 7 on. Each row that is optimal hands its value to the
-    next n as prev_ex, which turns on the averaging cap and the degree
-    prune there; a row cut by the budget hands nothing on. brute_force_ex
-    is not called here; it stays the independent second route that the
-    tests check the n <= 6 rows with. branch_and_bound_ex is looked up by
-    its module-global name on every row.
+    applies from n = 7 on. Every row gets the table so far as proven, which
+    turns on the averaging cap and the set-deletion prune: ex(m) for each
+    row m that is optimal, floor(upper_bound(m)) for a row the budget cut,
+    and 0 for m < 3. Every row from n = 4 on also gets the witness of row
+    n - 1 as its seed; that witness is free whether or not its row was
+    proven. brute_force_ex is not called here; it stays the independent
+    second route that the tests check the n <= 6 rows with.
+    branch_and_bound_ex is looked up by its module-global name on every row.
     Raises ValueError as check_table_args does.
     """
     check_table_args(n_max, budget)
     rows: list[SearchResult] = []
-    prev_ex = None
+    proven: tuple[int, ...] = (0, 0, 0)
     for n in range(3, n_max + 1):
-        row = branch_and_bound_ex(n, node_budget=None if n <= 6 else budget, prev_ex=prev_ex)
+        seed = rows[-1].witness if rows else None
+        row = branch_and_bound_ex(n, node_budget=None if n <= 6 else budget, proven=proven, seed=seed)
         rows.append(row)
-        prev_ex = row.max_edges if row.optimal else None
+        proven += (row.max_edges if row.optimal else upper_bound(n).floor(),)
     return rows
 
 
@@ -440,6 +518,7 @@ def format_stats(results: list[SearchResult]) -> str:
             "prunes": {
                 "candidate_bound": sum(c.bound_prunes for c in r.classes),
                 "degree": sum(c.degree_prunes for c in r.classes),
+                "set_deletion": sum(c.set_deletion_prunes for c in r.classes),
                 "cap_stop": sum(c.cap_stop for c in r.classes),
             },
             "classes": [{"limit": c.limit, "nodes": c.nodes, "best": c.best} for c in r.classes],

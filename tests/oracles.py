@@ -278,7 +278,7 @@ def memo_free_greedy(n: int, target_m: int, seed: int) -> Hypergraph:
     return builder.to_hypergraph()
 
 
-def _four_edges_carry_c4(quad) -> bool:
+def four_edges_carry_c4(quad) -> bool:
     """Some cyclic order of the four edges with distinct vertices in consecutive meets."""
     for a, b, c, d in permutations([set(e) for e in quad]):
         for picks in product(a & b, b & c, c & d, d & a):
@@ -305,7 +305,7 @@ def naive_class_best(n: int, second, limit: int) -> int:
         for j in range(start, len(allowed)):
             t = allowed[j]
             if all(len(set(t) & set(e)) <= limit for e in chosen) and not any(
-                _four_edges_carry_c4((*three, t)) for three in combinations(chosen, 3)
+                four_edges_carry_c4((*three, t)) for three in combinations(chosen, 3)
             ):
                 extend(chosen + [t], j + 1)
 
@@ -409,3 +409,29 @@ def walker_census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusRepor
         good_bound=check_inequality("good_paths_total", good, good_rhs, "<="),
         nongood_bound=check_inequality("nongood_paths", nongood, 21 * m, "<="),
     )
+
+
+def free_completion_above(s_edges, candidates, best: int) -> bool:
+    """Is some BC4-free F with S <= F <= S + C larger than best?
+
+    S is s_edges, assumed free, and C the candidates. Exhaustive: F grows by
+    candidates of increasing index, a candidate joining only if no three
+    edges already in F carry a Berge C4 with it, and a branch stops once the
+    candidates left cannot lift F above best.
+    """
+    cands = list(candidates)
+    need = best + 1 - len(s_edges)
+
+    def extend(chosen, start, added):
+        if added >= need:
+            return True
+        for j in range(start, len(cands)):
+            if added + len(cands) - j < need:
+                return False
+            t = cands[j]
+            if not any(four_edges_carry_c4((*three, t)) for three in combinations(chosen, 3)):
+                if extend(chosen + [t], j + 1, added + 1):
+                    return True
+        return False
+
+    return extend(list(s_edges), 0, 0)

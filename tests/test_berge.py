@@ -497,3 +497,28 @@ class TestClosingPair:
                     third = tuple(sorted((x, y, z)))
                     if z not in (x, y) and third not in builder.edges:
                         assert builder.closing_pair(third) is not None
+
+    @pytest.mark.parametrize("triple", [(0, 1), (0, 0, 1), (0, 1, 7), (-1, 0, 1), (0, 1, 2.0), (0, 1, True), (0, 1, 2)])
+    def test_still_validates(self, triple):
+        # closing_pair_unchecked trusts its triple; closing_pair checks it
+        # first: out of range, repeated, not int, or already an edge (0, 1, 2)
+        builder = Bc4FreeBuilder(7)
+        builder.try_add((0, 1, 2))
+        with pytest.raises(ValueError):
+            builder.closing_pair(triple)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(min_value=4, max_value=9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(list(combinations(range(n), 3))), max_size=30))
+    ))
+    def test_unchecked_agrees_on_every_sorted_new_triple(self, case):
+        # after each kept triple, both entry points answer alike on every
+        # sorted triple that is not an edge, including unsorted input to
+        # closing_pair
+        n, steps = case
+        builder = Bc4FreeBuilder(n)
+        for t in steps:
+            if t not in builder.edges and builder.try_add(t):
+                for u in combinations(range(n), 3):
+                    if u not in builder.edges:
+                        assert builder.closing_pair(u[::-1]) == builder.closing_pair_unchecked(u)

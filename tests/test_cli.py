@@ -296,13 +296,13 @@ class TestSearchCommand:
         assert rows[4]["prunes"]["degree"] == 13
         assert rows[5] == {
             "n": 8,
-            "nodes": 1089,
-            "includes": 543,
-            "excludes": 543,
-            "prunes": {"candidate_bound": 546, "degree": 0, "cap_stop": 0},
+            "nodes": 433,
+            "includes": 215,
+            "excludes": 215,
+            "prunes": {"candidate_bound": 150, "degree": 0, "set_deletion": 68, "cap_stop": 0},
             "classes": [
-                {"limit": 2, "nodes": 1015, "best": 6},
-                {"limit": 1, "nodes": 73, "best": 6},
+                {"limit": 2, "nodes": 377, "best": 6},
+                {"limit": 1, "nodes": 55, "best": 6},
                 {"limit": 0, "nodes": 1, "best": 6},
             ],
             "budget_hit": False,

@@ -4,8 +4,10 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_berge_cycle_exists, naive_class_best
+from oracles import four_edges_carry_c4, free_completion_above, naive_berge_cycle_exists, naive_class_best
 
 from bergec4.berge import is_bc4_free
 from bergec4.bounds import upper_bound
@@ -19,6 +21,14 @@ SUNFLOWER_7 = tuple((0, 1, v) for v in range(2, 7))
 TWO_K4_MINUS_7 = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6))
 # the second pinned edge of root class i meets (0, 1, 2) in exactly i vertices
 SECOND_EDGES = {2: (0, 1, 3), 1: (0, 3, 4), 0: (3, 4, 5)}
+# ex(m) for m = 0..9: 0 below three vertices, brute force for 3..6, and the
+# proven rows 7..9 of test_rows_through_10_are_proven
+EX = (0, 0, 0, 1, 3, 3, 4, 6, 6, 7)
+
+
+def brute_force_table(n):
+    """ex(m) for every m < n <= 7, from brute force alone."""
+    return (0, 0, 0) + tuple(brute_force_ex(m).max_edges for m in range(3, n))
 
 
 class TestBruteForce:
@@ -149,33 +159,83 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_prev_row_prunes_match_brute_force(self, n):
-        # the averaging cap and the degree prune, fed ex(n - 1) from brute force
-        r = branch_and_bound_ex(n, prev_ex=brute_force_ex(n - 1).max_edges)
+        # the averaging cap and the set-deletion prune, fed the rows below n
+        # from brute force
+        r = branch_and_bound_ex(n, proven=brute_force_table(n))
         assert (r.max_edges, r.optimal) == (brute_force_ex(n).max_edges, True)
         assert is_bc4_free(r.witness)
         assert r.witness.edge_count == r.max_edges
 
     def test_degree_prune_fires_below_brute_force_range(self):
         # so the oracle test above exercises the rule, not only the cap
-        r = branch_and_bound_ex(6, prev_ex=brute_force_ex(5).max_edges)
+        r = branch_and_bound_ex(6, proven=brute_force_table(6))
         assert sum(c.degree_prunes for c in r.classes) > 0
 
-    @pytest.mark.parametrize("n, prev_ex", [(7, -1), (7, upper_bound(6).floor() + 1), (3, 0)])
-    def test_rejects_bad_prev_ex(self, n, prev_ex):
-        with pytest.raises(ValueError, match="prev_ex"):
-            branch_and_bound_ex(n, prev_ex=prev_ex)
+    @pytest.mark.parametrize(
+        "n, proven",
+        [
+            (7, EX[:6]),
+            (7, EX[:8]),
+            (7, EX[:6] + (-1,)),
+            (7, EX[:6] + (upper_bound(6).floor() + 1,)),
+            (7, EX[:6] + (True,)),
+            (7, EX[:6] + (4.0,)),
+            (7, EX[:6] + ("4",)),
+            (7, (0, 1, 0, 1, 3, 3, 4)),
+            (3, (0, 0, 1)),
+            (7, 4),
+        ],
+        ids=[
+            "short", "long", "negative", "above-bound", "bool", "float", "str",
+            "nonzero-below-3", "nonzero-at-n3", "not-a-sequence",
+        ],
+    )
+    def test_rejects_bad_proven(self, n, proven):
+        with pytest.raises(ValueError, match="proven"):
+            branch_and_bound_ex(n, proven=proven)
+
+    def test_accepts_upper_bounds_in_proven(self):
+        # floor(upper_bound(m)) stands in for a row the budget cut
+        bounds = (0, 0, 0) + tuple(upper_bound(m).floor() for m in range(3, 8))
+        r = branch_and_bound_ex(8, proven=bounds)
+        assert (r.max_edges, r.optimal) == (6, True)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            Hypergraph(9, [(0, 1, 2)]),
+            Hypergraph(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+            ((0, 1, 2),),
+        ],
+        ids=["too-many-vertices", "not-free", "not-a-hypergraph"],
+    )
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            branch_and_bound_ex(8, seed=seed)
+
+    def test_seed_counts_only_when_larger_than_greedy(self):
+        # at n = 9 the greedy finds 7 edges and the row-8 witness has 6, so
+        # the search is the unseeded one; at n = 11 the row-10 witness (10
+        # edges) beats the greedy's 9 and, with nothing larger, is the witness
+        rows = ex_table(10)
+        assert branch_and_bound_ex(9, seed=rows[5].witness) == branch_and_bound_ex(9)
+        r = branch_and_bound_ex(11, proven=EX + (10,), seed=rows[-1].witness)
+        assert (r.max_edges, r.optimal, r.nodes_explored) == (10, True, 8057)
+        assert r.witness.edges == rows[-1].witness.edges
 
     def test_class_counts_add_up(self):
         # one include and one exclude child per expanded node, and every leaf
         # of the binary tree is a pruned node
-        r = branch_and_bound_ex(8)
-        assert [c.limit for c in r.classes] == [2, 1, 0]
-        assert sum(c.nodes for c in r.classes) == r.nodes_explored
-        for c in r.classes:
-            assert c.completed and not c.cap_stop
-            assert c.includes == c.excludes
-            assert c.nodes == 1 + c.includes + c.excludes
-            assert c.bound_prunes + c.degree_prunes == c.includes + 1
+        rows = ex_table(9)[-2:]
+        assert sum(c.set_deletion_prunes for r in rows for c in r.classes) > 0
+        for r in [branch_and_bound_ex(8), *rows]:
+            assert [c.limit for c in r.classes] == [2, 1, 0]
+            assert sum(c.nodes for c in r.classes) == r.nodes_explored
+            for c in r.classes:
+                assert c.completed and not c.cap_stop
+                assert c.includes == c.excludes
+                assert c.nodes == 1 + c.includes + c.excludes
+                assert c.bound_prunes + c.degree_prunes + c.set_deletion_prunes == c.includes + 1
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -204,6 +264,68 @@ class TestRootClasses:
         # the root-class lemma: some class holds a maximizer
         best = max(naive_class_best(n, f, i) for i, f in SECOND_EDGES.items() if max(f) < n)
         assert best == brute_force_ex(n).max_edges
+
+
+def _free_by_definition(triples):
+    """The triples kept in order while no four kept edges carry a Berge C4."""
+    kept = []
+    for t in triples:
+        if t not in kept and not any(four_edges_carry_c4((*three, t)) for three in combinations(kept, 3)):
+            kept.append(t)
+    return kept
+
+
+class TestSetDeletion:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(min_value=3, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.sampled_from(list(combinations(range(n), 3))), max_size=40)
+        )
+    ))
+    def test_lemma_holds_for_every_vertex_set(self, case):
+        # |F| <= ex(n - |K|) + #{e in F : e meets K} for every K
+        n, triples = case
+        edges = _free_by_definition(triples)
+        for k in range(n + 1):
+            for K in combinations(range(n), k):
+                met = sum(1 for e in edges if set(e) & set(K))
+                assert len(edges) <= EX[n - k] + met
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_killed_nodes_hold_no_better_completion(self, n, monkeypatch):
+        # every node the prune kills, in every class and for every incumbent
+        # up to ex(n) + 2, has no free S <= F <= S + C above the incumbent;
+        # the table is brute force's for n <= 7. The prune fires only with
+        # k = 1 there, so n = 8 (ex(7) from the search) covers k = 2 and 3
+        kills = []
+        real = search_module._deletion_dead
+
+        def spy(deg, edges, candidates, proven, best):
+            k = real(deg, edges, candidates, proven, best)
+            if k:
+                kills.append((list(edges), list(candidates), best, k))
+            return k
+
+        monkeypatch.setattr(search_module, "_deletion_dead", spy)
+        triples = list(combinations(range(n), 3))
+        proven = brute_force_table(n) if n <= 7 else EX[:n]
+        for best in range(EX[n] + 3) if n <= 7 else [EX[n]]:
+            for i, f in search_module._root_classes(n):
+                search_module._explore_class(n, triples, i, f, best, len(triples), None, proven)
+        assert {k for *_, k in kills} == ({1} if n <= 7 else {2, 3})
+        for edges, candidates, best, _ in kills:
+            assert not free_completion_above(edges, candidates, best)
+
+    def test_lowered_entry_misreads_a_row(self):
+        # a mutation check: ex(5) = 3 enters row 7 only through the k = 2
+        # prune, and lowering it by one makes row 7 read 5 and still claim
+        # optimal, which test_rows_through_10_are_proven would refuse
+        proven = list(brute_force_table(7))
+        assert branch_and_bound_ex(7, proven=proven).max_edges == 6
+        proven[5] -= 1
+        r = branch_and_bound_ex(7, proven=proven)
+        assert (r.max_edges, r.optimal) == (5, True)
+        assert sum(c.set_deletion_prunes for c in r.classes) > 0
 
 
 class TestExTable:
@@ -238,10 +360,10 @@ class TestExTable:
     def test_rows_through_10_are_proven(self):
         """ex(n) = 6, 6, 7, 10 for n = 7..10, every row proven optimal.
 
-        Each row runs with the previous row's averaging cap and degree
-        prune. Keying orbits by |t & T| alone, instead of t & T, merges
-        orbits that no permutation of the untouched vertices joins; that
-        mutation reads row 10 as 9 and still calls it optimal.
+        Each row runs with the averaging cap and the set-deletion prune of
+        the rows before it. Keying orbits by |t & T| alone, instead of
+        t & T, merges orbits that no permutation of the untouched vertices
+        joins; that mutation reads row 10 as 9 and still calls it optimal.
         """
         rows = ex_table(10)
         assert [(r.n, r.max_edges, r.optimal) for r in rows[4:]] == [
@@ -257,18 +379,33 @@ class TestExTable:
         real = search_module.branch_and_bound_ex
 
         def spy(n, **kwargs):
-            calls.append((n, kwargs["prev_ex"]))
+            calls.append((n, kwargs["proven"], kwargs["seed"]))
             return real(n, **kwargs)
 
         monkeypatch.setattr(search_module, "branch_and_bound_ex", spy)
         rows = ex_table(8, budget=10)
-        # row 7 is cut by the budget, so row 8 runs without the prunes
-        assert calls == [(3, None), (4, 1), (5, 3), (6, 3), (7, 4), (8, None)]
+        # row 7 is cut by the budget, so row 8 gets floor(upper_bound(7)) for it
+        assert [(n, proven) for n, proven, _ in calls] == [
+            (n, EX[:n]) for n in range(3, 8)
+        ] + [(8, EX[:7] + (upper_bound(7).floor(),))]
+        # each row from n = 4 on is seeded with the witness of the row before
+        assert [seed for *_, seed in calls] == [None] + [r.witness for r in rows[:-1]]
         assert [r.optimal for r in rows] == [True] * 4 + [False] * 2
 
     def test_node_counts_are_pinned(self):
-        # rows 4..7 run with the prunes from the row before
-        assert [r.nodes_explored for r in ex_table(8)] == [0, 3, 16, 49, 77, 1089]
+        # rows 4..9 run with the prunes from the rows before
+        assert [r.nodes_explored for r in ex_table(9)] == [0, 3, 16, 49, 77, 433, 1365]
+
+    def test_default_budget_proves_rows_11_and_12(self):
+        # row 11 is seeded with the row-10 witness, and both rows prove
+        # inside the default budget
+        rows = ex_table(12)
+        assert [(r.n, r.max_edges, r.optimal, r.nodes_explored) for r in rows[-2:]] == [
+            (11, 10, True, 8057), (12, 12, True, 57615),
+        ]
+        for r in rows[-2:]:
+            assert r.witness.edge_count == r.max_edges
+            assert not any(search_module._four_edges_support_c4(q) for q in combinations(r.witness.edges, 4))
 
     def test_format_layout(self):
         text = format_ex_table(ex_table(4))
