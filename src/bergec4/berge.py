@@ -11,9 +11,10 @@ walked. Every length walks the one generator _cycle_candidates, which skips,
 before any matching, the cycles on which two consecutive positions have the
 same sole edge; from length 4 up that is the only two-position failure of
 Hall's condition. The census lists its unrepresented 4-cycles from the same
-walk at length 4. Every BC4 verdict (is_bc4_free, and through it census,
-check, construct and verify) comes from Bc4FreeBuilder's pinned-edge check,
-which needs no cycle enumeration and no generic matching. The builder keeps
+walk at length 4. is_bc4_free, the verdict of check, construct and verify,
+comes from Bc4FreeBuilder's pinned-edge check, which needs no cycle
+enumeration and no generic matching; the census reads its own verdict off
+the 4-cycle classes it counts. The builder keeps
 each neighbourhood twice, as a set and as an int bitset: the set to iterate
 the first inner vertex, the bitset to intersect two neighbourhoods in one
 big-integer AND. The walk reads the shadow as bitsets the same way. The
@@ -168,10 +169,11 @@ def _cycle_candidates(
     The neighbourhoods are int bitsets read off shadow(h), as in
     Bc4FreeBuilder, so they take up to n^2/8 bytes; each is also sorted
     once per walk into nbrs, which the walk iterates, at one list per
-    vertex and a pointer per neighbour. At k = 4 find_berge_cycle and
-    census build them only after is_bc4_free has returned and its builder
-    is released, so the peak stays near the builder's: traced peaks were
-    26.6 MB for find_berge_cycle(h, 4) against is_bc4_free's 25.5 MB on
+    vertex and a pointer per neighbour. At k = 4 find_berge_cycle builds
+    them only after is_bc4_free has returned and its builder is released,
+    so the peak stays near the builder's; census, which runs no builder,
+    builds them only when some 4-cycle has no representative edge. Traced
+    peaks were 26.6 MB for find_berge_cycle(h, 4) against is_bc4_free's 25.5 MB on
     n = MAX_VERTICES with disjoint triples and a K4^(3) on the top four
     ids, and 2.0 MB for the whole walk, pair index included, against
     3.05 MB on the q = 16 construction. At every other length no builder

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from bergec4.hypergraph import Edge, Hypergraph
@@ -41,24 +40,6 @@ class Block:
     leaf_edges: tuple[int, ...]
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def _is_type1(edges: Sequence[Edge]) -> bool:
     # an edge meeting the anchor in a pair has one vertex outside it, and two
     # such edges meet outside the anchor iff those vertices coincide
@@ -80,17 +61,27 @@ def decompose(h: Hypergraph) -> tuple[Block, ...]:
     vertex count gives the vertex set (its keys), the leaf edges (holding a
     vertex counted once) and the TYPE2 test (3 edges on 4 vertices).
     """
-    uf = _UnionFind(h.edge_count)
+    parent = list(range(h.edge_count))
     first_owner: dict[tuple[int, int], int] = {}
-    for i, e in enumerate(h.edges):
-        for p in combinations(e, 2):
-            if p in first_owner:
-                uf.union(first_owner[p], i)
-            else:
-                first_owner[p] = i
+    for i, (a, b, c) in enumerate(h.edges):
+        for p in ((a, b), (a, c), (b, c)):
+            j = first_owner.setdefault(p, i)
+            if j == i:
+                continue
+            # root walks that halve their paths; a root is the least edge of
+            # its tree, since a union hangs the larger root under the smaller
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            r = i
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            if r != j:
+                parent[max(r, j)] = min(r, j)
     groups: dict[int, list[int]] = {}
     for i in range(h.edge_count):
-        groups.setdefault(uf.find(i), []).append(i)
+        # parent[i] < i unless i is a root, and parent[i] already points at its root
+        parent[i] = root = parent[parent[i]]
+        groups.setdefault(root, []).append(i)
     blocks: list[Block] = []
     # groups was filled in increasing i: its keys come in order of each
     # block's least edge, and each list is already sorted
@@ -98,7 +89,9 @@ def decompose(h: Hypergraph) -> tuple[Block, ...]:
         indices = tuple(members)
         member_edges = [h.edges[i] for i in indices]
         count = Counter(v for e in member_edges for v in e)
-        leaves = tuple(i for i, e in zip(indices, member_edges) if any(count[v] == 1 for v in e))
+        leaves = tuple(
+            i for i, (a, b, c) in zip(indices, member_edges) if count[a] == 1 or count[b] == 1 or count[c] == 1
+        )
         if len(indices) == 3 and len(count) == 4:
             kind = BlockType.TYPE2
         else:

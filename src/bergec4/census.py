@@ -16,7 +16,9 @@ alone.
 - Codegree count. The 3-paths with ends x < z are the c(x, z) middles, so
   the shadow has (1/2) sum C(c(x, z), 2) 4-cycles, each met once from either
   diagonal. |p2e[xz]| of those middles close a hyperedge; the others are good
-  unless the path lies on a rare cycle.
+  unless the path lies on a rare cycle. Only the histogram of the values
+  c(x, z) >= 1 is kept; the 3-path total, sum c^2 and the 4-cycle count are
+  read off it.
 - Good-path histogram. The claims need each pair's good-path count only
   through pairs[k], the number of pairs with k good paths: the largest k
   and sum_k k pairs[k]. The codegree pass counts each pair's open middles,
@@ -27,7 +29,10 @@ alone.
   an S holding the hyperedges {x,y,c} and {x,y,d} spans K4 or K4 minus cd in
   the shadow: 1 + 2[c ~ d] cycles, all with the same k >= 2. The pair loop
   meets S once per two of its edges and counts it from its two lowest-index
-  edges.
+  edges. A bucket p2e[xy] of b edges whose apexes (third vertices) are
+  pairwise non-adjacent spans C(b, 2) K4-minus sets, b - 1 on each of its
+  edges, and is counted in one step; every bucket of the constructions is
+  of this kind.
 - Rare classes. A cycle's diagonals are a perfect matching of S. With k = 2
   the diagonal {x, y} is covered twice, so only the other two cycles of a
   K4 set can be rare. With k >= 3 every perfect matching holds a pair
@@ -38,12 +43,37 @@ alone.
   closes one cycle on e, one next to all three closes three. Less the cycles
   of e's sets with k >= 2, that is e's count of k = 1 cycles, and only edges
   with a positive count are searched for them.
-- hist[0] = four_cycles - sum_{k >= 1} hist[k]. A cycle without
-  representatives is a Berge C4, so this is 0 on free inputs. Only when it is
-  positive does the census read find_berge_cycle's walk at length 4,
-  berge._cycle_candidates(h, p2e, 4), to list the unrepresented ones.
+- hist[0] = four_cycles - sum_{k >= 1} hist[k]. Only when it is positive
+  does the census read find_berge_cycle's walk at length 4,
+  berge._cycle_candidates(h, p2e, 4), to list the unrepresented cycles.
 
-The BC4 verdict comes from is_bc4_free, the package's one production detector.
+The BC4 verdict comes from the same classes. A 4-cycle is a Berge C4 iff its
+four pairs have distinct representatives, so h is BC4-free iff no cycle of
+any class has them. Edges outside S meet S in at most two vertices, so each
+lies on at most one pair of a cycle on S; only an edge inside S can serve
+two positions.
+
+- k = 0: every candidate edge lies on one pair, so the four nonempty lists
+  are disjoint, and the cycle is a Berge C4.
+- k = 4: S carries K4^(3), and every cycle on S is a Berge C4.
+- k = 1, edge e inside S and w the fourth vertex: the cycle is w, p, v, r
+  with v the vertex of e opposite w, and it is a Berge C4 unless e is the
+  only edge on both vp and vr (the sole-edge lemma of
+  berge._cycle_candidates). Such a cycle exists iff w ~ p and w ~ r, and
+  the k = 1 sets are the ones the census lists for rarity anyway.
+- k = 2 with apexes c, d not adjacent (K4 minus cd, the edges {x, y, c} and
+  {x, y, d}): the one cycle x, c, y, d is a Berge C4 iff c is flagged and
+  d is flagged, where c is flagged when xc or yc lies on two or more edges.
+  So a bucket p2e[xy] whose apexes are pairwise non-adjacent holds such a
+  cycle iff two of them are flagged. A bucket with two adjacent apexes
+  c ~ d and a third edge {x, y, g} needs no flags: x, c, d, y is a Berge C4
+  on {x, y, c, d}, with {x, y, g} on yx and any edge on cd, which the K4
+  rule below finds.
+- k = 2 with c ~ d, and k = 3: S spans K4 in the shadow, and each of its
+  three cycles is matched by berge._distinct_representatives.
+
+So bc4_free needs no builder and no second pair index. is_bc4_free stays the
+detector of check, verify and construct, and the tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -51,10 +81,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from operator import mul
 
-from bergec4.berge import _cycle_candidates, is_bc4_free
+from bergec4.berge import _cycle_candidates, _distinct_representatives
 from bergec4.blocks import block_degrees, decompose
 from bergec4.bounds import InequalityCheck, check_inequality, good_paths_bound
 from bergec4.hypergraph import Hypergraph, Shadow, count_three_paths, pair_to_edges, shadow
@@ -74,9 +104,11 @@ class FourCycleRecord:
 class CensusReport:
     """Counts and witnesses for the 3-path / 4-cycle census of one hypergraph.
 
-    bc4_free is is_bc4_free(h). The four claims are "<=" InequalityChecks
-    built by check_inequality, as in verify_chain; they are computed on every
-    input, and their pass flags are only meaningful when bc4_free is True.
+    bc4_free is True iff h has no Berge C4, read off the census's 4-cycle
+    classes (module docstring); it equals is_bc4_free(h). The four claims
+    are "<=" InequalityChecks built by check_inequality, as in
+    verify_chain; they are computed on every input, and their pass flags
+    are only meaningful when bc4_free is True.
     rare_cycles are ordered by (v0, v1, v3, v2) of their canonical vertices.
     per_pair_good_histogram maps k >= 1 to the number of pairs x1 < x3 with
     exactly k good 3-paths x1, x2, x3, sorted by k; per_pair_bound.lhs is
@@ -148,51 +180,76 @@ def _cycles_on(
 def _codegree_pass(
     adj: Shadow, p2e: dict[tuple[int, int], list[int]], m: int
 ) -> tuple[Counter[int], list[int], int, int]:
-    """Pairs x < z counted by their number k >= 1 of middles closing no hyperedge.
+    """Pairs x < z counted by their number k of middles closing no hyperedge.
 
     Also returns, per edge index, the number of 4-cycles it represents, the
-    3-path total sum c(x, z) and the 4-cycle count. Codegrees are counted one
-    low end x at a time and only their values are kept, since the claims read
-    the counts and never the pairs.
+    3-path total sum c(x, z) and the 4-cycle count. Each low end x counts
+    its codegrees in one Counter over one chained list of middles' upper
+    neighbours, and only their values are kept, in one histogram over all
+    pairs: the 3-path total and sum c^2 are read off it, and so is the
+    open-middle histogram, once each shadow pair's c(x, z) moves to
+    c(x, z) - |p2e[xz]|. Its count at k = 0 leaves out the pairs with no
+    common neighbour.
     """
     nbrs = [sorted(a) for a in adj]
-    open_middles: Counter[int] = Counter()
+    values: Counter[int] = Counter()  # c -> pairs x < z with c(x, z) = c >= 1
     through = [0] * m  # per edge e: sum over pairs xy in e of c(x, y) - 1
-    total = 0
-    squares = 0
+    closed = []  # per shadow pair x < z: c(x, z)
+    opened = []  # and its count of open middles, c(x, z) - |p2e[xz]|
     for x, nx in enumerate(nbrs):
-        codeg: Counter[int] = Counter()
-        for y in nx:
-            ny = nbrs[y]
-            codeg.update(ny[bisect_right(ny, x) :])
-        counts = codeg.values()
-        total += sum(counts)
-        squares += sum(map(mul, counts, counts))
+        codeg = Counter(chain.from_iterable([ny[bisect_right(ny, x) :] for ny in map(nbrs.__getitem__, nx)]))
+        values.update(codeg.values())
         for z in nx[bisect_right(nx, x) :]:
             on_pair = p2e[(x, z)]
             c = codeg[z]
             for i in on_pair:
                 through[i] += c - 1
-            if c == len(on_pair):
-                del codeg[z]
-            else:
-                codeg[z] = c - len(on_pair)
-        open_middles.update(codeg.values())
-    return open_middles, through, total, (squares - total) // 4
+            closed.append(c)
+            opened.append(c - len(on_pair))
+    total = sum(map(mul, values.keys(), values.values()))
+    squares = sum(c * c * pairs for c, pairs in values.items())
+    values.subtract(closed)
+    values.update(opened)
+    return values, through, total, (squares - total) // 4
+
+
+def _is_berge(cycle: tuple[int, ...], p2e: dict[tuple[int, int], list[int]]) -> bool:
+    """Do the cycle's consecutive pairs have distinct representative edges?"""
+    pairs = zip(cycle, cycle[1:] + cycle[:1])
+    return _distinct_representatives([p2e[(u, v) if u < v else (v, u)] for u, v in pairs]) is not None
 
 
 def _represented_sets(
     h: Hypergraph, adj: Shadow, p2e: dict[tuple[int, int], list[int]], through: list[int]
-) -> tuple[Counter[int], list[tuple[tuple[int, int, int, int], tuple[int, ...]]]]:
-    """The histogram for k >= 1, and the 4-sets whose cycles may be rare, with their edges."""
+) -> tuple[Counter[int], list[tuple[tuple[int, int, int, int], tuple[int, ...]]], bool]:
+    """The histogram for k >= 1, and the 4-sets whose cycles may be rare, with their edges.
+
+    Also returns whether no cycle with k = 1, 2 or 3 is a Berge C4, by the
+    rules of the module docstring; the checks stop once one is found.
+    """
     edges = h.edges
     histogram: Counter[int] = Counter()
     inside = [0] * len(edges)  # per edge: cycles on its 4-sets holding two or more edges
     candidates = []
+    free = True
+
+    def shared(u: int, v: int) -> bool:
+        return len(p2e[(u, v) if u < v else (v, u)]) > 1
+
     for (x, y), on_pair in p2e.items():
-        if len(on_pair) < 2:
+        size = len(on_pair)
+        if size < 2:
             continue
         thirds = [sum(edges[i]) - x - y for i in on_pair]
+        apexes = set(thirds)
+        if all(apexes.isdisjoint(adj[c]) for c in thirds):
+            # every two edges of the bucket span a K4 minus cd, one cycle each
+            histogram[2] += size * (size - 1) // 2
+            for i in on_pair:
+                inside[i] += size - 1
+            if free:
+                free = sum(1 for c in thirds if shared(x, c) or shared(y, c)) < 2
+            continue
         for (i, c), (j, d) in combinations(zip(on_pair, thirds), 2):
             if d not in adj[c]:
                 # K4 minus cd: one cycle, its diagonal {x, y} covered twice
@@ -209,16 +266,24 @@ def _represented_sets(
                 inside[r] += 3
             if len(reps) == 2:
                 candidates.append((quad, reps))
+            if free and len(reps) < 4 and any(_is_berge(cycle, p2e) for cycle in _cycles_on(adj, quad)):
+                free = False
     for i, (a, b, c) in enumerate(edges):
         ones = through[i] - inside[i]
         if not ones:
             continue
         histogram[1] += ones
+        ab, ac, bc = shared(a, b), shared(a, c), shared(b, c)
+        # the cycles w, p, v, r on e and w that are Berge C4s, by their ends
+        # p, r: those with vp or vr on a second edge
+        berge_ends = [ends for ends, yes in (((b, c), ab or ac), ((a, c), ab or bc), ((a, b), ac or bc)) if yes]
         for w in (adj[a] & adj[b] | adj[a] & adj[c] | adj[b] & adj[c]) - {a, b, c}:
             quad = tuple(sorted((a, b, c, w)))
             if len(reps := _representatives(h, quad)) == 1:
                 candidates.append((quad, reps))
-    return histogram, candidates
+                if free and any(p in adj[w] and r in adj[w] for p, r in berge_ends):
+                    free = False
+    return histogram, candidates, free
 
 
 def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
@@ -232,13 +297,12 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
         raise ValueError(f"diagonal scope must be one of {_SCOPES}, got {diagonal_scope!r}")
     adj = shadow(h)
     p2e = pair_to_edges(h)
-    free = is_bc4_free(h)
     m = h.edge_count
 
     pair_hist, through, total, four_cycles = _codegree_pass(adj, p2e, m)
     if total != count_three_paths(adj):
         raise RuntimeError("3-path census disagrees with the degree identity")
-    histogram, candidates = _represented_sets(h, adj, p2e, through)
+    histogram, candidates, free = _represented_sets(h, adj, p2e, through)
     rare_records = [
         FourCycleRecord(cycle, reps)
         for quad, reps in candidates
@@ -251,14 +315,7 @@ def census(h: Hypergraph, diagonal_scope: str = "induced") -> CensusReport:
         for cycle, _ in _cycle_candidates(h, p2e, 4):
             if not _representatives(h, tuple(sorted(cycle))) and _rare(h, cycle, (), p2e, diagonal_scope):
                 rare_records.append(FourCycleRecord(cycle, ()))
-    unrepresented = histogram[0] + histogram[4]
-    if free and unrepresented:
-        # a cycle with no representative edge would itself yield a Berge C4,
-        # and four representative edges form a K4^(3), which contains one
-        raise RuntimeError(
-            f"{unrepresented} shadow 4-cycles have 0 or 4 representative edges"
-            " in a BC4-free hypergraph"
-        )
+    free = free and not histogram[0] and not histogram[4]
     rare_records.sort(key=lambda r: (r.vertices[0], r.vertices[1], r.vertices[3], r.vertices[2]))
 
     # a non-edge 3-path on a rare cycle is not good, but pair_hist still

@@ -6,9 +6,11 @@ search, 3-paths by triple loops, rare 4-cycles from scratch, type-1 blocks
 by pairwise intersections, the edge bound by bisection of the exact
 inequality, and the best edge set of each search root class by exhaustive
 extension with a four-edge cycle test of its own. walker_census is the
-census that walks every 4-cycle and 3-path; it shares the BC4 verdict and
-the block degrees with the package, and checks the census's counting
-against listing at sizes the naive oracles cannot reach.
+census that walks every 4-cycle and 3-path; it shares the block degrees
+with the package, and checks the census's counting against listing at
+sizes the naive oracles cannot reach. Its bc4_free is is_bc4_free(h), the
+builder's verdict, so it is also an independent check of the census's
+verdict, which the census reads off its own 4-cycle classes.
 memo_free_greedy likewise shares the builder: it is random_bc4free without
 the dead-pair memo and over tuples, not packed codes, so it checks the memo
 and the encoding, not the builder's verdict.

@@ -171,11 +171,10 @@ def _assert_matches_walker(h: Hypergraph) -> None:
             assert getattr(rep, field) == getattr(oracle, field), (field, scope, h.edges)
 
 
-def _cyclic_q16() -> Hypergraph:
+def _cyclic_q16(base: Hypergraph, variant: int = 0) -> Hypergraph:
     # the q = 16 construction plus one point triple {91, a, b}: a and b share
     # a line with 91, so the triple closes Berge C4s through that line's pair
-    base = lower_bound_construction(16)
-    a, b = sorted(random.Random(0).sample(range(92, 16 * 16 + 16 + 1), 2))
+    a, b = sorted(random.Random(variant).sample(range(92, 16 * 16 + 16 + 1), 2))
     assert (91, a, b) not in base.edge_set
     return Hypergraph(base.n, base.edges + ((91, a, b),))
 
@@ -210,8 +209,8 @@ class TestWalkerOracle:
             if q <= 11:
                 _assert_matches_walker(h)
 
-    def test_cyclic_q16(self):
-        h = _cyclic_q16()
+    def test_cyclic_q16(self, construction_family):
+        h = _cyclic_q16(construction_family[16])
         assert not is_bc4_free(h)
         _assert_matches_walker(h)
 
@@ -231,6 +230,54 @@ class TestWalkerOracle:
     def test_unrepresented_cycle_inputs(self, h):
         assert census(h).representative_histogram.get(0, 0) >= 1
         _assert_matches_walker(h)
+
+
+# (id, n, edges, free, k): each input has a 4-cycle whose 4-set holds k
+# edges, on the named side of that class's verdict rule (census module
+# docstring), and on the "free" side no other cycle is a Berge C4
+VERDICT_CASES = [
+    # k = 1: edge {0, 1, 2} inside {0, 1, 2, 3}, opposite vertex 1
+    ("k1-both-pairs-sole", 6, ((0, 1, 2), (0, 3, 4), (2, 3, 5)), True, 1),
+    ("k1-one-pair-shared", 7, ((0, 1, 2), (0, 3, 4), (2, 3, 5), (1, 2, 6)), False, 1),
+    # the same shared pair {1, 2}, but 3 is next to 0 and 1: opposite vertex 2
+    ("k1-one-pair-shared-opposite-2", 7, ((0, 1, 2), (0, 3, 4), (1, 3, 5), (1, 2, 6)), False, 1),
+    # 3 is next to 0, 1 and 2: three k = 1 cycles on {0, 1, 2, 3}
+    ("k1-three-cycles-all-sole", 7, ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 3, 6)), True, 1),
+    # {0, 1} gains an edge: the cycles opposite 0 and 1 are Berge, the one opposite 2 is not
+    ("k1-three-cycles-one-open", 8, ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 3, 6), (0, 1, 7)), False, 1),
+    # K4 minus {2, 3} on the bucket {0, 1}: 2 flagged by {0, 2}, 3 by {1, 3}
+    ("k4-minus-both-flagged", 6, ((0, 1, 2), (0, 1, 3), (0, 2, 4), (1, 3, 5)), False, 2),
+    ("k4-minus-one-flagged", 7, ((0, 1, 2), (0, 1, 3), (0, 2, 4), (3, 5, 6)), True, 2),
+    # {0, 1, 2, 3} spans K4 in the shadow with k = 2 ({2, 3} from outside) and k = 3
+    ("k4-shadow-k2-free", 6, ((0, 1, 2), (0, 1, 3), (2, 3, 4), (2, 3, 5)), True, 2),
+    ("k4-shadow-k2-berge", 6, ((0, 1, 2), (0, 1, 3), (2, 3, 4), (0, 1, 5)), False, 2),
+    ("k4-shadow-k3-free", 6, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (3, 4, 5)), True, 3),
+    ("k4-shadow-k3-berge", 5, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 1, 4)), False, 3),
+    ("k0", 8, UNREPRESENTED_C4, False, 0),
+    ("k4", 4, ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)), False, 4),
+]
+
+
+class TestCountedVerdict:
+    """census reads bc4_free off its 4-cycle classes; is_bc4_free and brute force agree."""
+
+    @pytest.mark.parametrize(
+        "n, edges, free, k", [case[1:] for case in VERDICT_CASES], ids=[case[0] for case in VERDICT_CASES]
+    )
+    def test_rule_sides(self, n, edges, free, k):
+        h = Hypergraph(n, edges)
+        rep = census(h)
+        assert k in rep.representative_histogram
+        assert rep.bc4_free == is_bc4_free(h) == (not naive_berge_cycle_exists(h)) == free
+
+    def test_constructions(self, construction_family):
+        for q, h in construction_family.items():
+            assert census(h).bc4_free == is_bc4_free(h) is True, q
+
+    @pytest.mark.parametrize("variant", range(16))
+    def test_cyclic_q16_variants(self, construction_family, variant):
+        h = _cyclic_q16(construction_family[16], variant)
+        assert census(h).bc4_free == is_bc4_free(h) is False
 
 
 class TestRarePathRemoval:
