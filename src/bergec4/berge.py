@@ -15,7 +15,7 @@ walk at length 4. is_bc4_free, the verdict of check, construct and verify,
 comes from Bc4FreeBuilder's pinned-edge check, which needs no cycle
 enumeration and no generic matching; the census reads its own verdict off
 the 4-cycle classes it counts. The builder keeps
-each neighbourhood twice, as a set and as an int bitset: the set to iterate
+each neighbourhood twice, as a list and as an int bitset: the list to iterate
 the first inner vertex, the bitset to intersect two neighbourhoods in one
 big-integer AND. The walk reads the shadow as bitsets the same way. The
 bitsets assume small vertex ids, which Hypergraph.from_text bounds by
@@ -25,7 +25,6 @@ MAX_VERTICES.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from bergec4.hypergraph import (
@@ -255,9 +254,21 @@ def is_bc4_free(h: Hypergraph) -> bool:
     one at a time and the first rejection decides, since a hypergraph is
     BC4-free iff every prefix insertion is accepted. It returns no witness;
     find_berge_cycle(h, 4) gives the canonical one.
+
+    The edges go in through closing_pair_unchecked and _append, not
+    try_add, so none is validated again: a Hypergraph's edges are sorted
+    triples a < b < c in [0, n), no two equal, so each is a valid triple
+    that is not yet an edge of the builder when it goes in, which is all
+    that try_add's validation establishes. The verdict is try_add's, edge
+    for edge.
     """
     builder = Bc4FreeBuilder(h.n)
-    return all(builder.try_add(e) for e in h.edges)
+    closing_pair, append = builder.closing_pair_unchecked, builder._append
+    for e in h.edges:
+        if closing_pair(e) is not None:
+            return False
+        append(e)
+    return True
 
 
 class Bc4FreeBuilder:
@@ -298,15 +309,21 @@ class Bc4FreeBuilder:
     branch_and_bound_ex(8) from 0.11-0.12 to 0.14-0.16 s and is_bc4_free on
     the q = 16 construction from 0.046-0.057 to 0.064-0.065 s (2-vCPU VM).
 
-    Neighbourhoods are kept twice: _adj[v] as a set and _bits[v] as an int
+    Neighbourhoods are kept twice: _adj[v] as a list and _bits[v] as an int
     with bit u set iff {u, v} is a shadow pair, both updated where a pair's
-    edge bucket is created or deleted. The scan walks w over the set, which
-    is cheaper than peeling bits from an int, and finds the z candidates as
-    the bitset _bits[x] & _bits[w], which is usually 0 and then skips w
-    without a set allocation. Dropping either representation measured
-    slower on a 2-vCPU VM: bits alone (w peeled from _bits[y]) took
-    is_bc4_free on the q=16 construction from 0.036 s to 0.063 s, and sets
-    alone, with an isdisjoint pre-test, to 0.093 s.
+    edge bucket is created or deleted, so each list holds each neighbour
+    once. The scan walks w over the list, which is cheaper than peeling bits
+    from an int, and finds the z candidates as the bitset _bits[x] & _bits[w],
+    which is usually 0 and then skips w without a set allocation. Dropping
+    either representation measured slower on a 2-vCPU VM: bits alone (w
+    peeled from _bits[y]) took is_bc4_free on the q=16 construction from
+    0.036 s to 0.063 s, and sets alone, with an isdisjoint pre-test, to
+    0.093 s. Lists in place of sets took it from 28.3-28.5 ms to
+    21.1-22.0 ms, and ex_table(8) from 12.8-13.5 ms to 10.6 ms (best of 25
+    and of 9, one process, same VM). Every caller but the search only
+    appends; pop's list.remove is O(deg), and a search degree is at most
+    SEARCH_MAX_N - 1 = 12. No verdict and no closing_pair answer depends
+    on the order of a list.
 
     The bitsets pay off for small vertex ids, not for few edges: an int
     whose top bit is u takes about u/30 machine words, so every AND costs
@@ -322,7 +339,7 @@ class Bc4FreeBuilder:
     def __init__(self, n: int):
         self.n = n
         self.edges: list[Edge] = []
-        self._adj: list[set[int]] = [set() for _ in range(n)]
+        self._adj: list[list[int]] = [[] for _ in range(n)]
         self._bits: list[int] = [0] * n
         self._pair_edges: dict[Pair, list[int]] = {}
 
@@ -340,21 +357,25 @@ class Bc4FreeBuilder:
     def _append(self, e: Edge) -> None:
         idx = len(self.edges)
         self.edges.append(e)
-        for p in combinations(e, 2):
-            bucket = self._pair_edges.setdefault(p, [])
-            if not bucket:
-                u, v = p
-                self._adj[u].add(v)
-                self._adj[v].add(u)
-                self._bits[u] |= 1 << v
-                self._bits[v] |= 1 << u
-            bucket.append(idx)
+        a, b, c = e
+        p2e, adj, bits = self._pair_edges, self._adj, self._bits
+        for u, v in ((a, b), (a, c), (b, c)):
+            bucket = p2e.get((u, v))
+            if bucket is None:
+                p2e[(u, v)] = [idx]
+                adj[u].append(v)
+                adj[v].append(u)
+                bits[u] |= 1 << v
+                bits[v] |= 1 << u
+            else:
+                bucket.append(idx)
 
     def pop(self) -> None:
         """Remove the most recently added edge."""
         e = self.edges.pop()
         idx = len(self.edges)
-        for p in combinations(e, 2):
+        a, b, c = e
+        for p in ((a, b), (a, c), (b, c)):
             bucket = self._pair_edges[p]
             if bucket[-1] != idx:
                 raise RuntimeError(f"pair {p} does not end with edge {idx}: pop out of order")
@@ -362,8 +383,8 @@ class Bc4FreeBuilder:
             if not bucket:
                 del self._pair_edges[p]
                 u, v = p
-                self._adj[u].discard(v)
-                self._adj[v].discard(u)
+                self._adj[u].remove(v)
+                self._adj[v].remove(u)
                 self._bits[u] &= ~(1 << v)
                 self._bits[v] &= ~(1 << u)
 

