@@ -48,7 +48,7 @@ def _load(path: str) -> Hypergraph:
 
 
 def _csv(values) -> str:
-    return ",".join(str(v) for v in values)
+    return ",".join(map(str, values))
 
 
 def _witness_lines(h: Hypergraph, w: BergeCycleWitness) -> list[str]:

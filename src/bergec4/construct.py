@@ -4,17 +4,35 @@ The dense family clones the right side of a C4-free bipartite incidence
 graph: for every right vertex v a fresh v' is created and every graph edge
 uv becomes the hyperedge {u, v, v'}. With the point/line incidence graph of
 PG(2, q) this gives n = 3(q^2+q+1) vertices and (q+1)(q^2+q+1) edges.
+
+Clone lemma: expand_to_hypergraph(g) is BC4-free iff g is C4-free. Two
+distinct clone edges {u, v, v'} and {w, x, x'} meet, if at all, in their
+left vertex (u = w) or in their right pair (v = x), never in both. Take a
+Berge C4: distinct vertices p_1..p_4 and distinct edges e_1..e_4 with p_i
+in e_(i-1) and e_i (indices mod 4), and call e_(i-1) & e_i the i-th
+meeting. Two consecutive meetings are not both at a left vertex: both would
+be the one left vertex of e_i, so p_i = p_(i+1). Two consecutive meetings
+at right pairs are both at the one right pair of e_i, so three consecutive
+ones would put p_i, p_(i+1), p_(i+2) in a set of two. So the meetings
+alternate, and e_1..e_4 are the clone edges of uv, u'v, u'v', uv' for left
+u != u' and right v != v': a C4 u v u' v' of g. Conversely, a C4 u v u' v'
+of g lifts to the Berge C4 with vertices u, v, u', v' on the clone edges of
+uv, u'v, u'v', uv'. So lower_bound_construction takes the BC4-freeness of
+its output from is_c4_free on the incidence graph and does not run the
+hypergraph detector.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import reduce
+from itertools import product, repeat
 from math import isqrt
+from operator import or_
 import random
 
-from bergec4.berge import Bc4FreeBuilder, is_bc4_free
+from bergec4.berge import Bc4FreeBuilder
 from bergec4.hypergraph import Hypergraph
 
 # random_bc4free shuffles all C(n, 3) triples as 4-byte codes, so memory
@@ -25,11 +43,12 @@ from bergec4.hypergraph import Hypergraph
 # so the cap may not pass 256. Larger n is refused before anything is built.
 RANDOM_MAX_N = 200
 
-# projective_plane_incidence builds q x q field tables and tests all
-# (q^2+q+1)^2 point/line pairs, so work grows as q^4 (q = 64: 2.2 s and a
-# 50.5 MB traced peak in-process, and CLI `construct --q 64` 3.2 s and
-# 119 MB max RSS, on a 2-vCPU Xeon VM); larger q is refused before the
-# field is built.
+# projective_plane_incidence solves one linear equation per line over q x q
+# field tables, so work grows as q^3, and is_c4_free's (q+1)(q^2+q+1) unions
+# of (q^2+q+1)-bit sets make the C4 check about q^5 / 30 digit operations
+# (q = 64: lower_bound_construction 0.45-0.7 s and a 75 MB traced peak
+# in-process, and CLI `construct --q 64` 0.60-1.05 s and 109 MB max RSS, on
+# a 2-vCPU Xeon VM); larger q is refused before the field is built.
 CONSTRUCT_MAX_Q = 64
 
 
@@ -56,12 +75,24 @@ class BipartiteGraph:
 
 
 def is_c4_free(g: BipartiteGraph) -> bool:
-    """True iff no two left vertices share two right neighbors."""
-    nbrs: list[set[int]] = [set() for _ in range(g.left_count)]
+    """True iff no two left vertices share two right neighbors.
+
+    Left vertices a and b share right neighbors v and w iff b lies in both
+    N(v) - {a} and N(w) - {a}. So g is C4-free iff, for every left a, the
+    sets N(v) - {a} over the right neighbors v of a are pairwise disjoint,
+    that is, iff the union of the N(v), which holds a once, has
+    1 + sum(|N(v)| - 1) members. Each N(v) is a bitset of left vertices, so
+    the test is E unions and one popcount per left vertex.
+    """
+    right = [0] * g.right_count
+    left: list[list[int]] = [[] for _ in range(g.left_count)]
     for u, v in g.edges:
-        nbrs[u].add(v)
-    for a, b in combinations(range(g.left_count), 2):
-        if len(nbrs[a] & nbrs[b]) >= 2:
+        right[v] |= 1 << u
+        left[u].append(v)
+    others = [m.bit_count() - 1 for m in right]  # |N(v)| - 1
+    for a, vs in enumerate(left):
+        union = reduce(or_, map(right.__getitem__, vs), 1 << a)
+        if union.bit_count() - 1 != sum(map(others.__getitem__, vs)):
             return False
     return True
 
@@ -115,12 +146,13 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
-def _field_tables(q: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Addition and multiplication tables (add[a][b], mul[a][b]) of GF(q), q = p^k.
+def _field_tables(q: int) -> tuple[list[list[int]], list[list[int]], list[int], list[int]]:
+    """Tables (add, mul, neg, inv) of GF(q), q = p^k: add[a][b], mul[a][b], -a, 1/a.
 
     Element x stands for the polynomial whose coefficients, low to high, are
     the base-p digits of x; products are reduced modulo the first monic
-    irreducible polynomial of degree k in _monic_polys order.
+    irreducible polynomial of degree k in _monic_polys order. inv[0] is 0,
+    which has no inverse.
     """
     p, k = _prime_power(q)
     modulus = next(f for f in _monic_polys(p, k) if _is_irreducible(f, p))
@@ -138,37 +170,58 @@ def _field_tables(q: int) -> tuple[list[list[int]], list[list[int]]]:
 
     add = [[value([(u + v) % p for u, v in zip(da, db)]) for db in digits] for da in digits]
     mul = [[times(da, db) for db in digits] for da in digits]
-    return add, mul
+    neg = [row.index(0) for row in add]
+    inv = [0] + [mul[x].index(1) for x in range(1, q)]
+    return add, mul, neg, inv
 
 
 def projective_plane_incidence(q: int) -> BipartiteGraph:
     """Point/line incidence graph of PG(2, q): (q^2+q+1) + (q^2+q+1) vertices.
 
-    Both points and lines are the canonical projective triples over GF(q);
-    a point (x, y, z) lies on line (a, b, c) when ax + by + cz = 0. Two
-    points share exactly one line, so the graph is C4-free (girth 6); this
-    is confirmed by a direct neighborhood check for q <= 16. Raises
-    ValueError for q above CONSTRUCT_MAX_Q.
+    Both points and lines are the canonical projective triples over GF(q),
+    (1, 0, 0), (x, 1, 0) and (x, y, 1) in that order; a point (x, y, z)
+    lies on line (a, b, c) when ax + by + cz = 0. Each line's q + 1 points
+    are solved for, one point form at a time, with the negation and inverse
+    tables: q^3 work, not a test of every point/line pair. The relation is
+    symmetric, so the points on line i are also the lines through point i;
+    read that way the pairs come out in order, and sorting them is one
+    linear pass. Two points share exactly one line, so the graph is C4-free
+    (girth 6); is_c4_free confirms it for every q. Raises ValueError for q
+    above CONSTRUCT_MAX_Q.
     """
     if q > CONSTRUCT_MAX_Q:
         raise ValueError(f"q must be at most {CONSTRUCT_MAX_Q}, got {q}")
-    add, mul = _field_tables(q)
+    add, mul, neg, inv = _field_tables(q)
     triples: list[tuple[int, int, int]] = [(1, 0, 0)]
     triples.extend((x, 1, 0) for x in range(q))
     triples.extend((x, y, 1) for x in range(q) for y in range(q))
     count = len(triples)
     if count != q * q + q + 1:
         raise RuntimeError(f"PG(2, {q}) has {count} points, expected {q * q + q + 1}")
+    minus_inv = [neg[x] for x in inv]  # -1/x
+    base = q + 1  # (x, y, 1) has index base + q*x + y, (x, 1, 0) has 1 + x
     edges = []
-    for li, (a, b, c) in enumerate(triples):
-        ma, mb, mc = mul[a], mul[b], mul[c]
-        for pi, (x, y, z) in enumerate(triples):
-            if add[add[ma[x]][mb[y]]][mc[z]] == 0:
-                edges.append((pi, li))
+    for i, (a, b, c) in enumerate(triples):
+        if a == 0:
+            on = [0]  # (1, 0, 0)
+            if b == 0:  # c = 1: every (x, 1, 0) and no (x, y, 1)
+                on.extend(range(1, base))
+            else:  # (x, y, 1) with y = -c/b, for every x
+                on.extend(range(base + mul[c][minus_inv[b]], count, q))
+        else:
+            r = minus_inv[a]
+            on = [1 + mul[b][r]]  # (x, 1, 0) with x = -b/a
+            if b == 0:  # (x, y, 1) with x = -c/a, for every y
+                start = base + q * mul[c][r]
+                on.extend(range(start, start + q))
+            else:  # (x, y, 1) with y = -(ax + c)/b, for every x
+                ys = map(mul[minus_inv[b]].__getitem__, map(add[c].__getitem__, mul[a]))
+                on.extend(map(int.__add__, range(base, count, q), ys))
+        edges.extend(zip(repeat(i), on))
     g = BipartiteGraph(count, count, tuple(sorted(edges)))
     if g.edge_count != (q + 1) * count:
         raise RuntimeError(f"PG(2, {q}) has {g.edge_count} incidences, expected {(q + 1) * count}")
-    if q <= 16 and not is_c4_free(g):
+    if not is_c4_free(g):
         raise RuntimeError(f"incidence graph for q={q} is not C4-free")
     return g
 
@@ -178,26 +231,27 @@ def expand_to_hypergraph(g: BipartiteGraph) -> Hypergraph:
 
     Vertex layout: the L left vertices keep ids 0..L-1, the R right
     originals take L..L+R-1 and their clones L+R..L+2R-1 in the same order.
-    The result has L + 2R vertices and |E(g)| edges.
+    The result has L + 2R vertices and |E(g)| edges. Each triple is
+    u < L + v < L + R + v, and the triples are distinct because g has no
+    duplicate pair, so the Hypergraph is built without a second check.
     """
     left, right = g.left_count, g.right_count
-    edges = [(u, left + v, left + right + v) for u, v in g.edges]
-    return Hypergraph(left + 2 * right, edges)
+    edges = tuple(sorted((u, left + v, left + right + v) for u, v in g.edges))
+    return Hypergraph._trusted(left + 2 * right, edges, frozenset(edges))
 
 
 def lower_bound_construction(q: int) -> Hypergraph:
     """Cloned projective-plane incidence hypergraph: dense and BC4-free.
 
-    n = 3(q^2+q+1), |E| = (q+1)(q^2+q+1); BC4-freeness is detector-checked
-    at generation time for q <= 16.
+    n = 3(q^2+q+1), |E| = (q+1)(q^2+q+1). BC4-freeness follows by the clone
+    lemma (module docstring) from the C4 check that
+    projective_plane_incidence runs for every q.
     """
     g = projective_plane_incidence(q)
     h = expand_to_hypergraph(g)
     count = q * q + q + 1
     if h.n != 3 * count or h.edge_count != (q + 1) * count:
         raise RuntimeError(f"construction for q={q} has n={h.n}, m={h.edge_count}")
-    if q <= 16 and not is_bc4_free(h):
-        raise RuntimeError(f"construction for q={q} is not BC4-free")
     return h
 
 

@@ -31,7 +31,10 @@ witness, excess_degree_within is the excess degree inside one block,
 combined_inequality_holds is the chain's combined inequality as an expanded
 quadratic, without_isolated_vertices compacts a hypergraph's vertex ids, and
 adjacency builds a graph's adjacency tuple, in the form shadow returns, from
-its vertex pairs.
+its vertex pairs. all_pairs_incidence is PG(2, q)'s incidence graph by a test
+of every point/line pair, and pairwise_c4_free is the C4 test by the
+neighbourhood intersection of every two left vertices: the definitions that
+projective_plane_incidence and is_c4_free are held equal to.
 """
 
 from collections import Counter
@@ -44,6 +47,7 @@ from bergec4.berge import Bc4FreeBuilder, BergeCycleWitness, _distinct_represent
 from bergec4.blocks import Block, block_degrees, decompose
 from bergec4.bounds import check_inequality
 from bergec4.census import CensusReport, FourCycleRecord
+from bergec4.construct import BipartiteGraph, _field_tables
 from bergec4.hypergraph import Hypergraph, Shadow, pair_to_edges, shadow
 
 
@@ -278,6 +282,32 @@ def memo_free_greedy(n: int, target_m: int, seed: int) -> Hypergraph:
             break
         builder.try_add(t)
     return builder.to_hypergraph()
+
+
+def all_pairs_incidence(q: int) -> BipartiteGraph:
+    """PG(2, q)'s point/line incidence graph by testing all (q^2+q+1)^2 pairs.
+
+    Points and lines are the canonical triples (1, 0, 0), (x, 1, 0),
+    (x, y, 1) in that order, and point (x, y, z) lies on line (a, b, c)
+    when ax + by + cz = 0 over the add and mul tables of _field_tables.
+    """
+    add, mul, _, _ = _field_tables(q)
+    triples = [(1, 0, 0), *((x, 1, 0) for x in range(q)), *((x, y, 1) for x in range(q) for y in range(q))]
+    edges = []
+    for li, (a, b, c) in enumerate(triples):
+        ma, mb, mc = mul[a], mul[b], mul[c]
+        for pi, (x, y, z) in enumerate(triples):
+            if add[add[ma[x]][mb[y]]][mc[z]] == 0:
+                edges.append((pi, li))
+    return BipartiteGraph(len(triples), len(triples), tuple(sorted(edges)))
+
+
+def pairwise_c4_free(g: BipartiteGraph) -> bool:
+    """No two left vertices share two right neighbours, by every pair's intersection."""
+    nbrs: list[set[int]] = [set() for _ in range(g.left_count)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+    return all(len(nbrs[a] & nbrs[b]) < 2 for a, b in combinations(range(g.left_count), 2))
 
 
 def four_edges_carry_c4(quad) -> bool:

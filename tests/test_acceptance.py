@@ -65,6 +65,8 @@ def test_criterion_3_construction_verification(construction_family):
         count = q * q + q + 1
         assert h.n == 3 * count
         assert h.edge_count == (q + 1) * count
+        # the construction takes its freeness from the C4 check by the clone
+        # lemma; the detector checks that route here
         assert is_bc4_free(h)
         ratios.append(float(edge_ratio(h.n, h.edge_count)))
     for a, b in zip(ratios, ratios[1:]):

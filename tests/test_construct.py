@@ -5,13 +5,14 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import memo_free_greedy, naive_berge_cycle_exists
+from oracles import all_pairs_incidence, memo_free_greedy, naive_berge_cycle_exists, pairwise_c4_free
 
 from bergec4.berge import is_bc4_free
 from bergec4.blocks import BlockType, decompose
+import bergec4.construct as construct
 from bergec4.construct import (
     CONSTRUCT_MAX_Q,
     RANDOM_MAX_N,
@@ -64,14 +65,18 @@ class TestProjectivePlane:
             projective_plane_incidence(q)
 
 
-@pytest.mark.parametrize(
-    "q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
-)
+FIELD_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49]
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
 def test_field_axioms(q):
-    add, mul = _field_tables(q)
+    add, mul, neg, inv = _field_tables(q)
     elements = range(q)
     for a in elements:
         assert add[a][0] == a and mul[a][1] == a
+        assert add[a][neg[a]] == 0
+        if a:
+            assert mul[a][inv[a]] == 1
         assert sum(add[a][b] == 0 for b in elements) == 1
         if a:
             assert sum(mul[a][b] == 1 for b in elements) == 1
@@ -79,6 +84,42 @@ def test_field_axioms(q):
             ab = mul[a][b]
             for c in elements:
                 assert mul[a][add[b][c]] == add[ab][mul[a][c]]
+
+
+@pytest.mark.parametrize("q", [q for q in FIELD_ORDERS if q <= 32])
+def test_incidence_equals_all_pairs_scan(q):
+    assert projective_plane_incidence(q) == all_pairs_incidence(q)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    left = draw(st.integers(1, 7))
+    right = draw(st.integers(1, 7))
+    cells = [(u, v) for u in range(left) for v in range(right)]
+    # bit i of the mask keeps cell i, so dense and sparse graphs both come up
+    mask = draw(st.integers(0, (1 << len(cells)) - 1))
+    pairs = [cell for i, cell in enumerate(cells) if mask >> i & 1]
+    # any edge order: the C4 check and the expansion must not rely on sorted input
+    return BipartiteGraph(left, right, tuple(draw(st.permutations(pairs))))
+
+
+class TestC4AndCloneLemma:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(bipartite_graphs())
+    # left 0 meets right 0, 1, 3 and left 1 meets 0, 2, 3: a C4 on neither
+    # left vertex's consecutive right neighbours
+    @example(BipartiteGraph(2, 4, ((0, 0), (0, 1), (0, 3), (1, 0), (1, 2), (1, 3))))
+    @example(BipartiteGraph(3, 2, ((0, 0), (0, 1))))  # left vertices without neighbours
+    def test_c4_check_oracle_clone_lemma_and_expansion(self, g):
+        free = is_c4_free(g)
+        assert free == pairwise_c4_free(g)
+        left, right = g.left_count, g.right_count
+        h = expand_to_hypergraph(g)
+        # built without validation, it equals the validated Hypergraph
+        expected = Hypergraph(left + 2 * right, [(u, left + v, left + right + v) for u, v in g.edges])
+        assert h == expected and h.edge_set == expected.edge_set
+        # the clone lemma, both ways
+        assert is_bc4_free(h) == free
 
 
 class TestExpand:
@@ -125,6 +166,11 @@ class TestLowerBoundConstruction:
         assert CONSTRUCT_MAX_Q < 81
         with pytest.raises(ValueError, match="at most"):
             lower_bound_construction(81)
+
+    def test_c4_check_runs_above_q16(self, monkeypatch):
+        monkeypatch.setattr(construct, "is_c4_free", lambda g: False)
+        with pytest.raises(RuntimeError, match="not C4-free"):
+            lower_bound_construction(17)
 
     def test_q2_is_bc4_free_by_naive_oracle(self):
         h = lower_bound_construction(2)

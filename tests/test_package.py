@@ -135,9 +135,10 @@ def test_exact_arithmetic_only():
 def test_one_route_to_each_cycle_answer():
     # every other module asks find_berge_cycle for cycles, which owns the
     # one walk, read directly only by census's listing of unrepresented
-    # 4-cycles; the plain walk lives in the test oracles. Only construct
-    # asks the builder's verdict directly (census reads its verdict off its
-    # own 4-cycle classes); __init__ only re-exports is_bc4_free
+    # 4-cycles; the plain walk lives in the test oracles. No other module
+    # asks the builder's verdict directly: census reads its verdict off its
+    # own 4-cycle classes and construct takes its own from the C4 check by
+    # the clone lemma; __init__ only re-exports is_bc4_free
     package = Path(bergec4.__file__).parent
     names = {
         path.stem: set(_referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
@@ -146,7 +147,7 @@ def test_one_route_to_each_cycle_answer():
     }
     assert [stem for stem, used in names.items() if "_canonical_cycles" in used] == []
     assert [stem for stem, used in names.items() if "_cycle_candidates" in used] == ["berge", "census"]
-    assert [stem for stem, used in names.items() if "is_bc4_free" in used] == ["berge", "construct"]
+    assert [stem for stem, used in names.items() if "is_bc4_free" in used] == ["berge"]
 
 
 THREAD_MODULES = {"concurrent.futures", "threading"}
