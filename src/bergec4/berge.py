@@ -295,19 +295,28 @@ class Bc4FreeBuilder:
     c in C - {b} exist and differ). A candidate is rejected before anything
     is mutated; only a kept edge is added.
 
-    The same check is exposed three ways: try_add adds a kept triple;
+    The same check is exposed four ways: try_add adds a kept triple;
     closing_pair mutates nothing and names the first pair of the triple that
-    closes a C4, or None when try_add would keep it; and
-    closing_pair_unchecked is closing_pair without the validation, for a
-    caller that builds its own sorted new triples. closing_pair is
-    validation and then that call. The search's candidate filter takes its
-    triples from combinations(range(n), 3), none of them in S, so it calls
-    closing_pair_unchecked and only compares the answer with None;
-    random_bc4free, which only adds edges, remembers the pair as one byte
-    of a 64 KiB bytearray indexed by x << 8 | y. That memo lives in the
-    caller, not here: a builder-wide dead-pair set, cleared on pop, slowed
-    branch_and_bound_ex(8) from 0.11-0.12 to 0.14-0.16 s and is_bc4_free on
-    the q = 16 construction from 0.046-0.057 to 0.064-0.065 s (2-vCPU VM).
+    closes a C4, or None when try_add would keep it; closing_pair_unchecked
+    is closing_pair without the validation, for a caller that builds its
+    own sorted new triples; and closes(x, y) is the verdict on one pair,
+    which the other three ask pair by pair. closing_pair is validation and
+    then closing_pair_unchecked. Callers:
+    - random_bc4free asks closing_pair and then try_add. It only adds
+      edges, so it remembers each closing pair as one byte of a 64 KiB
+      bytearray indexed by x << 8 | y and skips later triples through it;
+    - the search's greedy seed (search._greedy) keeps the same memo as a
+      set of pairs; it asks try_add, and closing_pair_unchecked for the
+      pair to remember when try_add rejects;
+    - the search's candidate filter asks closes once per vertex pair that
+      still has a candidate, and drops every candidate through a pair that
+      closes; it adds an edge with try_add and removes it with pop;
+    - is_bc4_free asks closing_pair_unchecked and then _append, inside
+      this module.
+    The dead-pair memos live in the callers, not here: a builder-wide
+    dead-pair set, cleared on pop, slowed branch_and_bound_ex(8) from
+    0.11-0.12 to 0.14-0.16 s and is_bc4_free on the q = 16 construction
+    from 0.046-0.057 to 0.064-0.065 s (2-vCPU VM).
 
     Neighbourhoods are kept twice: _adj[v] as a list and _bits[v] as an int
     with bit u set iff {u, v} is a shadow pair, both updated where a pair's
@@ -388,8 +397,13 @@ class Bc4FreeBuilder:
                 self._bits[u] &= ~(1 << v)
                 self._bits[v] &= ~(1 << u)
 
-    def _closes_c4(self, x: int, y: int) -> bool:
-        """Is there a Berge 3-path y -> w -> z -> x over the current edges?"""
+    def closes(self, x: int, y: int) -> bool:
+        """Is there a Berge 3-path y -> w -> z -> x over the current edges?
+
+        Then a new edge through the pair {x, y} closes a Berge C4, whatever
+        its third vertex. x and y must be distinct vertex ids in [0, n);
+        nothing is checked.
+        """
         bits = self._bits
         p2e = self._pair_edges
         # z ranges over the common neighbours of x and w other than y
@@ -423,7 +437,7 @@ class Bc4FreeBuilder:
         """
         e = self._new_edge(triple)
         a, b, c = e
-        if self._closes_c4(a, b) or self._closes_c4(a, c) or self._closes_c4(b, c):
+        if self.closes(a, b) or self.closes(a, c) or self.closes(b, c):
             return False
         self._append(e)
         return True
@@ -446,11 +460,11 @@ class Bc4FreeBuilder:
         a tuple of pairs, so that the call costs what a plain verdict costs.
         """
         a, b, c = e
-        if self._closes_c4(a, b):
+        if self.closes(a, b):
             return a, b
-        if self._closes_c4(a, c):
+        if self.closes(a, c):
             return a, c
-        if self._closes_c4(b, c):
+        if self.closes(b, c):
             return b, c
         return None
 

@@ -61,8 +61,21 @@ class BipartiteGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        # bulk checks by column bounds and set size, which pass exactly when
+        # the loop below does; the loop runs only to name the first bad pair
+        edges = self.edges
+        if edges:
+            us, vs = zip(*edges)
+            if (
+                0 <= min(us)
+                and max(us) < self.left_count
+                and 0 <= min(vs)
+                and max(vs) < self.right_count
+                and len(set(edges)) == len(edges)
+            ):
+                return
         seen = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if not (0 <= u < self.left_count and 0 <= v < self.right_count):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if (u, v) in seen:

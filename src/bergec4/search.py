@@ -4,10 +4,17 @@ Two independent routes. The production route, behind ex_table and the
 search command, is a depth-first branch-and-bound on Bc4FreeBuilder,
 walked as one loop over an explicit stack. It pins two edges of largest
 intersection as the root of each of three root classes, keeps per node
-the list of triples that can still join the current set, and branches on
-a whole orbit of that list under the permutations of the untouched
-vertices: one child includes the first candidate, the other excludes its
-orbit. It prunes a node whose size plus candidate count cannot beat the
+the triples that can still join the current set, and branches on a whole
+orbit of them under the permutations of the untouched vertices: one
+child includes the first candidate, the other excludes its orbit. Edge
+sets and candidate sets are int bitmasks over the indices of
+combinations(range(n), 3), with the masks of the triples through each
+vertex and each vertex pair built once per n (_TripleMasks), so an
+orbit, a meet filter or a deletion count is a few big-integer ANDs and
+popcounts. The C4 filter after an include asks the builder once per
+vertex pair that still has a candidate (the dead-pair lemma of
+random_bc4free: a pair's verdict does not depend on the third vertex). It
+prunes a node whose size plus candidate count cannot beat the
 incumbent and, given the proven table of ex(m) for m < n, a node where
 deleting some vertex set K would leave too few edges: ex(n - k) plus the
 edges that can still meet K is no more than the incumbent (the
@@ -28,17 +35,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Callable, Sequence
 
-from bergec4.berge import Bc4FreeBuilder
+from bergec4.berge import Bc4FreeBuilder, is_bc4_free
 from bergec4.bounds import decimal_str, edge_ratio, upper_bound
-from bergec4.hypergraph import Edge, Hypergraph
+from bergec4.hypergraph import Edge, Hypergraph, Pair
 
-# every n from 7 up builds all C(n, 3) triples and runs the greedy seed over
-# them before any node budget applies, so larger n is refused before any
-# search runs; ex_table proves every row through n = 13 at the default
-# 200,000-node budget (row 13 visits 123,423 nodes, and ex_table(13) takes
-# about 7 s on a 2-vCPU Xeon VM), while row 14 needs about two million
+# every n from 7 up builds all C(n, 3) triples, their masks and the greedy
+# seed over them before any node budget applies, so larger n is refused
+# before any search runs; ex_table proves every row through n = 13 at the
+# default 200,000-node budget (row 13 visits 123,423 nodes, and
+# ex_table(13) takes about 3 s on a 2-vCPU Xeon VM), while row 14 needs about
+# two million
 SEARCH_MAX_N = 13
 
 
@@ -158,9 +166,28 @@ def brute_force_ex(n: int) -> SearchResult:
 
 
 def _greedy(n: int, triples: Sequence[Edge]) -> list[Edge]:
+    """The triples kept in order while the set stays BC4-free.
+
+    triples are sorted and distinct, as combinations gives them. With the
+    dead-pair lemma of random_bc4free, a pair that closes a Berge C4 is
+    remembered and every later triple through it is skipped without a
+    builder call; the kept edges are those of try_add on every triple.
+    A triple goes to try_add first, and closing_pair_unchecked names the
+    pair to remember only when try_add rejects it, so a trace of try_add
+    still sees the greedy's rejections (at n = 13 it keeps 11 triples and
+    rejects 55). Asking closing_pair_unchecked first would skip try_add's
+    validation on the rejections: 0.96 against 1.9 ms at n = 13 on a
+    2-vCPU Xeon VM, about 1% of a search row from n = 9 up.
+    """
     builder = Bc4FreeBuilder(n)
+    dead: set[Pair] = set()
     for t in triples:
-        builder.try_add(t)
+        a, b, c = t
+        if (a, b) in dead or (a, c) in dead or (b, c) in dead:
+            continue
+        if not builder.try_add(t):
+            # t was rejected against these same edges, so some pair closes
+            dead.add(builder.closing_pair_unchecked(t))
     return list(builder.edges)
 
 
@@ -175,14 +202,43 @@ def _root_classes(n: int) -> list[tuple[int, Edge]]:
     return [(i, f) for i, f in _SECOND_EDGES if f[2] < n]
 
 
-def _meet(u: Edge, t: Edge) -> int:
-    """How many vertices the triples u and t share."""
-    return (u[0] in t) + (u[1] in t) + (u[2] in t)
+@dataclass(frozen=True)
+class _TripleMasks:
+    """Triple sets on n vertices as ints: bit j stands for triples[j].
+
+    triples is combinations(range(n), 3), so the lowest set bit of a mask
+    is its least triple. contain[v] holds the triples through vertex v and
+    pairs lists (mask, x, y) for every vertex pair x < y, the mask holding
+    the triples through both. over[i][j] holds the triples that meet
+    triples[j] in more than i vertices, triples[j] itself included.
+    """
+
+    triples: list[Edge]
+    contain: list[int]
+    pairs: list[tuple[int, int, int]]
+    over: tuple[list[int], list[int], list[int]]
+
+
+def _triple_masks(n: int) -> _TripleMasks:
+    triples = list(combinations(range(n), 3))
+    contain = [0] * n
+    for j, (a, b, c) in enumerate(triples):
+        bit = 1 << j
+        contain[a] |= bit
+        contain[b] |= bit
+        contain[c] |= bit
+    pair = {(x, y): contain[x] & contain[y] for x, y in combinations(range(n), 2)}
+    over = (
+        [contain[a] | contain[b] | contain[c] for a, b, c in triples],
+        [pair[a, b] | pair[a, c] | pair[b, c] for a, b, c in triples],
+        [1 << j for j in range(len(triples))],
+    )
+    return _TripleMasks(triples, contain, [(m, x, y) for (x, y), m in pair.items()], over)
 
 
 def _explore_class(
     n: int,
-    triples: list[Edge],
+    masks: _TripleMasks,
     limit: int,
     second: Edge,
     seed_best: int,
@@ -195,54 +251,63 @@ def _explore_class(
     The class holds _ROOT_EDGE and `second`, and every two of its edges meet
     in at most `limit` vertices. A node is an edge set S, held by the
     builder, with its candidates C: triples that the builder would keep
-    next to S (closing_pair is None), that meet each edge of S in at most
-    `limit` vertices, and that no exclusion on the path removed. Both
-    filter conditions are monotone (a triple blocked by S is blocked by
-    every superset of S), so the node stands for the largest class member
-    F with S <= F <= S + C, and a node with size + len(C) <= best cannot
-    beat the incumbent.
+    next to S (no pair of theirs closes a Berge C4), that meet each edge of
+    S in at most `limit` vertices, and that no exclusion on the path
+    removed. Both filter conditions are monotone (a triple blocked by S is
+    blocked by every superset of S), so the node stands for the largest
+    class member F with S <= F <= S + C, and a node with size + |C| <= best
+    cannot beat the incumbent.
 
-    With T the vertices that S touches, the orbit of a candidate t under
-    the permutations of the other vertices is {u in C : u & T = t & T}. A
-    node branches on the orbit O of its first candidate t: the include
-    child adds t and keeps C minus t, filtered against t; the exclude child
-    keeps C minus O. The include child is visited first, and the exclude
-    child waits on a stack with the builder size to return to. With
-    `proven` (ex(m), or a proven upper bound on it, for every m < n), a node
-    is also dead when _deletion_dead names a vertex set K whose deletion
-    leaves too few edges; deg holds the degree of each vertex in S. The
-    candidates come from `triples`, which are sorted and not in S, so the
-    filter asks closing_pair_unchecked. The search stops once best reaches
-    `cap`.
+    S and C are int masks over the triple indices of `masks` (bit j is
+    masks.triples[j]), so |C| is a popcount and the first candidate is the
+    lowest set bit. With T the vertices that S touches, the orbit of a
+    candidate t under the permutations of the other vertices is
+    {u in C : u & T = t & T}: C AND contain[v] for each v in t & T, less
+    contain[v] for each v in T - t. A node branches on the orbit O of its
+    first candidate t: the include child adds t and keeps C less
+    over[limit][t], filtered against t; the exclude child keeps C - O. The
+    include filter rests on the dead-pair lemma of random_bc4free: whether
+    a pair closes a Berge C4 does not depend on the third vertex of the
+    triple, and a pair that closes one at a node closes one at every
+    descendant. So the filter asks the builder once about each pair that
+    still has a candidate (C AND its pair mask is not 0), and a pair that
+    closes drops all its triples at once; a pair with no candidate left is
+    not asked again below this node. The include child is visited first,
+    and the exclude child waits on a stack with the builder size, S and C
+    to return to. With `proven` (ex(m), or a proven upper bound on it, for
+    every m < n), a node is also dead when _deletion_dead names a vertex
+    set K whose deletion leaves too few edges. The search stops once best
+    reaches `cap`.
 
     Returns (witness when it beats seed_best, counts with the best size). The
     incumbent is local to the class (seeded with seed_best), never shared
     with sibling classes, so the visited node set is a pure function of the
     arguments and does not depend on the classes searched before it.
     """
+    triples, contain, pairs, over = masks.triples, masks.contain, masks.pairs, masks.over[limit]
     builder = Bc4FreeBuilder(n)
+    closes = builder.closes
     deg = [0] * n
+    edges, candidates = 0, (1 << len(triples)) - 1
     for e in (_ROOT_EDGE, second):
         if not builder.try_add(e):
             raise RuntimeError(f"root class edge {e} is not BC4-free")
         for v in e:
             deg[v] += 1
-    # a pinned edge meets itself in 3 > limit vertices, so neither is a candidate
-    closing_pair = builder.closing_pair_unchecked
-    candidates = [
-        t
-        for t in triples
-        if _meet(t, _ROOT_EDGE) <= limit and _meet(t, second) <= limit and closing_pair(t) is None
-    ]
+        j = triples.index(e)
+        edges |= 1 << j
+        # a pinned edge meets itself in 3 > limit vertices, so neither is a candidate
+        candidates &= ~over[j]
+    candidates = _drop_closing(candidates, pairs, closes)
     best = seed_best
     best_edges: list[Edge] | None = None
     nodes = includes = excludes = bound_prunes = degree_prunes = set_deletion_prunes = 0
     cap_stop = False
-    # the exclude children still to visit: the builder size to return to and
-    # their candidates
-    pending: list[tuple[int, list[Edge]]] = []
+    # the exclude children still to visit: the builder size to return to,
+    # their edge mask and their candidates
+    pending: list[tuple[int, int, int]] = []
     while True:
-        # visit the node the builder holds, whose candidates are `candidates`
+        # visit the node the builder holds, whose masks are edges and candidates
         nodes += 1
         if budget is not None and nodes > budget:
             break
@@ -252,27 +317,34 @@ def _explore_class(
         if best >= cap:
             cap_stop = True
             break
-        if size + len(candidates) <= best:
+        if size + candidates.bit_count() <= best:
             bound_prunes += 1
-        elif proven is not None and (k := _deletion_dead(deg, builder.edges, candidates, proven, best)):
+        elif proven is not None and (k := _deletion_dead(edges, candidates, contain, proven, best)):
             if k == 1:
                 degree_prunes += 1
             else:
                 set_deletion_prunes += 1
         else:
-            t = candidates[0]
-            key = [v for v in t if deg[v]]
-            pending.append((size, [u for u in candidates if [v for v in u if deg[v]] != key]))
-            # t had no closing pair against this same set, so try_add keeps it
-            builder.try_add(t)
+            low = candidates & -candidates
+            j = low.bit_length() - 1
+            t = triples[j]
+            orbit = candidates
+            for v in range(n):
+                if deg[v]:
+                    orbit &= contain[v] if v in t else ~contain[v]
+            pending.append((size, edges, candidates & ~orbit))
+            # no pair of t closes a C4 against this same set, so try_add keeps it
+            if not builder.try_add(t):
+                raise RuntimeError(f"candidate {t} closes a Berge C4")
             for v in t:
                 deg[v] += 1
-            candidates = [u for u in candidates[1:] if _meet(u, t) <= limit and closing_pair(u) is None]
+            edges |= low
+            candidates = _drop_closing(candidates & ~over[j], pairs, closes)
             includes += 1
             continue
         if not pending:
             break
-        size, candidates = pending.pop()
+        size, edges, candidates = pending.pop()
         while len(builder) > size:
             for v in builder.edges[-1]:
                 deg[v] -= 1
@@ -285,40 +357,36 @@ def _explore_class(
     return best_edges, stats
 
 
-def _deletion_dead(
-    deg: list[int], edges: list[Edge], candidates: list[Edge], proven: Sequence[int], best: int
-) -> int:
+def _drop_closing(candidates: int, pairs: list[tuple[int, int, int]], closes: Callable[[int, int], bool]) -> int:
+    """candidates less the triples through every pair (x, y) that closes a Berge C4.
+
+    Each pair that still has a candidate is asked once, in the order of
+    pairs; a pair whose triples an earlier pair dropped is not asked.
+    """
+    for mask, x, y in pairs:
+        if candidates & mask and closes(x, y):
+            candidates &= ~mask
+    return candidates
+
+
+def _deletion_dead(edges: int, candidates: int, contain: Sequence[int], proven: Sequence[int], best: int) -> int:
     """The least k for which deleting K kills the node, or 0 when no k does.
 
-    reach(v) counts the edges of S + C at v, where S is `edges` with the
-    vertex degrees `deg`, and C is `candidates`. K is the k vertices of
-    least reach, ties broken by vertex id, for k = 1..n - 3. The node is
-    dead when proven[n - k] + #{e in S + C : e meets K} <= best. Every
-    count comes from one pass: an edge meets K exactly when its lowest
-    position in the reach order is below k.
+    edges and candidates are the masks of S and C, and contain[v] the mask
+    of the triples through v (see _TripleMasks). reach(v) counts the edges
+    of S + C at v: the popcount of (S | C) AND contain[v]. K is the k
+    vertices of least reach, ties broken by vertex id, for k = 1..n - 3.
+    The node is dead when proven[n - k] + #{e in S + C : e meets K} <=
+    best; the edges that meet K are (S | C) AND the union of contain[v]
+    over K, grown one vertex at a time.
     """
-    n = len(deg)
-    reach = list(deg)
-    for a, b, c in candidates:
-        reach[a] += 1
-        reach[b] += 1
-        reach[c] += 1
-    order = sorted(range(n), key=reach.__getitem__)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    lowest = [0] * n
-    for group in edges, candidates:
-        for a, b, c in group:
-            # min() written out: this loop is most of the prune's cost
-            p, q, r = pos[a], pos[b], pos[c]
-            if q < p:
-                p = q
-            lowest[p if p < r else r] += 1
+    n = len(contain)
+    live = edges | candidates
+    reach = [(live & m).bit_count() for m in contain]
     met = 0
-    for k in range(1, n - 2):
-        met += lowest[k - 1]
-        if proven[n - k] + met <= best:
+    for k, v in enumerate(sorted(range(n), key=reach.__getitem__)[: n - 3], 1):
+        met |= contain[v]
+        if proven[n - k] + (live & met).bit_count() <= best:
             return k
     return 0
 
@@ -378,7 +446,7 @@ def branch_and_bound_ex(
     - candidate bound: a node's candidates are the only triples that can
       still join it, because a triple the builder rejects next to S, or
       that meets an edge of S in more than i vertices, is rejected next to
-      every superset of S. So a node with size + len(candidates) <= the
+      every superset of S. So a node with size + |candidates| <= the
       incumbent is dead (_explore_class);
     - orbital branching (Ostrowski, Linderoth, Rossi, Smriglio): let U be
       the vertices no edge of S touches. Every permutation of U fixes S,
@@ -426,11 +494,10 @@ def branch_and_bound_ex(
         proven = _check_proven(n, proven)
         if n >= 4:
             cap = min(cap, n * proven[n - 1] // (n - 3))
-    triples = list(combinations(range(n), 3))
-    best_edges = _greedy(n, triples)
+    masks = _triple_masks(n)
+    best_edges = _greedy(n, masks.triples)
     if seed is not None:
-        # the greedy keeps every edge of a free set, and only of a free set
-        if not isinstance(seed, Hypergraph) or seed.n > n or len(_greedy(n, seed.edges)) < seed.edge_count:
+        if not isinstance(seed, Hypergraph) or seed.n > n or not is_bc4_free(seed):
             raise ValueError(f"seed must be a BC4-free Hypergraph on at most {n} vertices")
         if seed.edge_count > len(best_edges):
             best_edges = list(seed.edges)
@@ -443,7 +510,7 @@ def branch_and_bound_ex(
         if remaining is not None and remaining <= 0:
             completed = False
             break
-        edges, stats = _explore_class(n, triples, limit, second, start, cap, remaining, proven)
+        edges, stats = _explore_class(n, masks, limit, second, start, cap, remaining, proven)
         classes.append(stats)
         if remaining is not None:
             remaining -= stats.nodes

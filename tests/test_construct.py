@@ -152,6 +152,20 @@ class TestBipartiteGraph:
         with pytest.raises(ValueError, match="duplicate"):
             BipartiteGraph(1, 1, ((0, 0), (0, 0)))
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((0, 0), (0, 0), (2, 0)), r"duplicate edge \(0, 0\)"),
+            (((2, 0), (0, 0), (0, 0)), r"edge \(2, 0\) out of range"),
+            (((0, -1),), r"edge \(0, -1\) out of range"),
+            (((0, 0), (1, 2)), r"edge \(1, 2\) out of range"),
+        ],
+    )
+    def test_first_bad_pair_is_named(self, edges, message):
+        # the bulk checks only find a fault; the pair loop names the first one
+        with pytest.raises(ValueError, match=message):
+            BipartiteGraph(2, 2, edges)
+
 
 class TestLowerBoundConstruction:
     @pytest.mark.parametrize("q", [2, 3, 4, 5])

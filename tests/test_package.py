@@ -78,11 +78,11 @@ def test_no_dead_private_helpers():
     assert found == []
 
 
-BUILDER_PRIVATE = {"_closes_c4", "_new_edge", "_append", "_adj", "_bits", "_pair_edges"}
+BUILDER_PRIVATE = {"_new_edge", "_append", "_adj", "_bits", "_pair_edges"}
 
 
 def test_builder_internals_stay_in_berge():
-    # other modules use Bc4FreeBuilder through try_add, pop and closing_pair
+    # other modules use Bc4FreeBuilder through try_add, pop, closes and closing_pair
     package = Path(bergec4.__file__).parent
     found = [
         f"{path.name}:{node.lineno} {node.attr}"
@@ -135,10 +135,11 @@ def test_exact_arithmetic_only():
 def test_one_route_to_each_cycle_answer():
     # every other module asks find_berge_cycle for cycles, which owns the
     # one walk, read directly only by census's listing of unrepresented
-    # 4-cycles; the plain walk lives in the test oracles. No other module
-    # asks the builder's verdict directly: census reads its verdict off its
-    # own 4-cycle classes and construct takes its own from the C4 check by
-    # the clone lemma; __init__ only re-exports is_bc4_free
+    # 4-cycles; the plain walk lives in the test oracles. Besides search,
+    # which checks its seed with it, no other module asks the builder's
+    # whole-graph verdict: census reads its verdict off its own 4-cycle
+    # classes and construct takes its own from the C4 check by the clone
+    # lemma; __init__ only re-exports is_bc4_free
     package = Path(bergec4.__file__).parent
     names = {
         path.stem: set(_referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
@@ -147,7 +148,7 @@ def test_one_route_to_each_cycle_answer():
     }
     assert [stem for stem, used in names.items() if "_canonical_cycles" in used] == []
     assert [stem for stem, used in names.items() if "_cycle_candidates" in used] == ["berge", "census"]
-    assert [stem for stem, used in names.items() if "is_bc4_free" in used] == ["berge"]
+    assert [stem for stem, used in names.items() if "is_bc4_free" in used] == ["berge", "search"]
 
 
 THREAD_MODULES = {"concurrent.futures", "threading"}

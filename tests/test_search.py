@@ -1,3 +1,5 @@
+import json
+import random
 import sys
 import threading
 from itertools import combinations
@@ -9,13 +11,16 @@ from hypothesis import strategies as st
 
 from oracles import four_edges_carry_c4, free_completion_above, naive_berge_cycle_exists, naive_class_best
 
-from bergec4.berge import is_bc4_free
+from bergec4.berge import Bc4FreeBuilder, is_bc4_free
 from bergec4.bounds import upper_bound
 from bergec4.hypergraph import Hypergraph
 from bergec4 import search as search_module
 from bergec4.search import SEARCH_MAX_N, branch_and_bound_ex, brute_force_ex, ex_table, format_ex_table
 
 GOLDEN = Path(__file__).parent / "golden" / "ex_table_n6.tsv"
+# every root class's ClassStats and witness for n = 4..10, from the search
+# before it ran on triple-index masks
+CLASS_PINS = Path(__file__).parent / "golden" / "explore_class_n4_10.json"
 # the greedy seed at n = 7, and the n = 7 optimum found by the full search
 SUNFLOWER_7 = tuple((0, 1, v) for v in range(2, 7))
 TWO_K4_MINUS_7 = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6))
@@ -118,6 +123,19 @@ class TestBranchAndBound:
         r = branch_and_bound_ex(20, node_budget=2000)
         assert (r.max_edges, r.nodes_explored, r.optimal) == (18, 2001, False)
         assert sys.getrecursionlimit() == before
+
+    @pytest.mark.parametrize("n", range(3, SEARCH_MAX_N + 1))
+    def test_greedy_memo_keeps_the_try_add_edges(self, n):
+        # the dead-pair memo skips only triples that try_add would reject,
+        # in combinations order and in a shuffled one
+        triples = list(combinations(range(n), 3))
+        shuffled = list(triples)
+        random.Random(n).shuffle(shuffled)
+        for order in (triples, shuffled):
+            builder = Bc4FreeBuilder(n)
+            for t in order:
+                builder.try_add(t)
+            assert search_module._greedy(n, order) == builder.edges
 
     def test_zero_budget_returns_greedy_lower_bound(self):
         r = branch_and_bound_ex(7, node_budget=0)
@@ -251,9 +269,9 @@ class TestRootClasses:
     def test_class_bests_match_oracle(self, n):
         # each class's own best (seed 0, no cap) against exhaustive extension
         # of its pinned pair under its intersection limit, without the builder
-        triples = list(combinations(range(n), 3))
+        masks = search_module._triple_masks(n)
         got = {
-            i: search_module._explore_class(n, triples, i, f, 0, len(triples), None)[1].best
+            i: search_module._explore_class(n, masks, i, f, 0, len(masks.triples), None)[1].best
             for i, f in search_module._root_classes(n)
         }
         want = {i: naive_class_best(n, f, i) for i, f in SECOND_EDGES.items() if max(f) < n}
@@ -264,6 +282,49 @@ class TestRootClasses:
         # the root-class lemma: some class holds a maximizer
         best = max(naive_class_best(n, f, i) for i, f in SECOND_EDGES.items() if max(f) < n)
         assert best == brute_force_ex(n).max_edges
+
+
+class TestPinnedSearch:
+    def test_class_stats_and_witnesses_are_pinned(self):
+        # every root class for n = 4..10 at seed_best 0, ex(n) - 1 and
+        # ex(n), with and without the proven table, at the cap that
+        # branch_and_bound_ex would use; dropping vertex 0, 3 or 6 from the
+        # orbit mask, the dead-pair clear or a vertex of the deletion union
+        # moves some count or witness
+        ex = EX + (10,)
+        pins = json.loads(CLASS_PINS.read_text())
+        for n in range(4, 11):
+            # row by row, so that a broken search fails at the first row it moves
+            got = []
+            masks = search_module._triple_masks(n)
+            for proven in (None, ex[:n]):
+                cap = upper_bound(n).floor()
+                if proven is not None:
+                    cap = min(cap, n * proven[n - 1] // (n - 3))
+                for seed in (0, ex[n] - 1, ex[n]):
+                    for i, f in search_module._root_classes(n):
+                        w, stats = search_module._explore_class(n, masks, i, f, seed, cap, None, proven)
+                        got.append({
+                            "n": n, "proven": proven is not None, "seed": seed, "limit": i,
+                            "stats": [getattr(stats, k) for k in stats.__dataclass_fields__], "witness": w,
+                        })
+            assert json.loads(json.dumps(got)) == [pin for pin in pins if pin["n"] == n]
+
+    def test_builder_pair_tests_are_pinned(self, monkeypatch):
+        # a deterministic cost guard: ex_table(8) asks the builder 3,925
+        # pair questions (6,544 when each candidate triple asked about its
+        # three pairs at every include)
+        calls = []
+        real = Bc4FreeBuilder.closes
+
+        def count(self, x, y):
+            calls.append((x, y))
+            return real(self, x, y)
+
+        monkeypatch.setattr(Bc4FreeBuilder, "closes", count)
+        rows = ex_table(8)
+        assert [r.nodes_explored for r in rows] == [0, 3, 16, 49, 77, 433]
+        assert len(calls) == 3925
 
 
 def _free_by_definition(triples):
@@ -300,18 +361,22 @@ class TestSetDeletion:
         kills = []
         real = search_module._deletion_dead
 
-        def spy(deg, edges, candidates, proven, best):
-            k = real(deg, edges, candidates, proven, best)
+        masks = search_module._triple_masks(n)
+
+        def decode(mask):
+            return [t for j, t in enumerate(masks.triples) if mask >> j & 1]
+
+        def spy(edges, candidates, contain, proven, best):
+            k = real(edges, candidates, contain, proven, best)
             if k:
-                kills.append((list(edges), list(candidates), best, k))
+                kills.append((decode(edges), decode(candidates), best, k))
             return k
 
         monkeypatch.setattr(search_module, "_deletion_dead", spy)
-        triples = list(combinations(range(n), 3))
         proven = brute_force_table(n) if n <= 7 else EX[:n]
         for best in range(EX[n] + 3) if n <= 7 else [EX[n]]:
             for i, f in search_module._root_classes(n):
-                search_module._explore_class(n, triples, i, f, best, len(triples), None, proven)
+                search_module._explore_class(n, masks, i, f, best, len(masks.triples), None, proven)
         assert {k for *_, k in kills} == ({1} if n <= 7 else {2, 3})
         for edges, candidates, best, _ in kills:
             assert not free_completion_above(edges, candidates, best)
