@@ -255,19 +255,18 @@ def is_bc4_free(h: Hypergraph) -> bool:
     BC4-free iff every prefix insertion is accepted. It returns no witness;
     find_berge_cycle(h, 4) gives the canonical one.
 
-    The edges go in through closing_pair_unchecked and _append, not
-    try_add, so none is validated again: a Hypergraph's edges are sorted
-    triples a < b < c in [0, n), no two equal, so each is a valid triple
-    that is not yet an edge of the builder when it goes in, which is all
-    that try_add's validation establishes. The verdict is try_add's, edge
-    for edge.
+    The edges go in through closing_pair and add, which trust their
+    caller: a Hypergraph's edges are sorted triples a < b < c in [0, n), no
+    two equal, so each is a valid triple that is not yet an edge of the
+    builder when it goes in, which is all that try_add's validation
+    establishes. The verdict is try_add's, edge for edge.
     """
     builder = Bc4FreeBuilder(h.n)
-    closing_pair, append = builder.closing_pair_unchecked, builder._append
+    closing_pair, add = builder.closing_pair, builder.add
     for e in h.edges:
         if closing_pair(e) is not None:
             return False
-        append(e)
+        add(e)
     return True
 
 
@@ -295,24 +294,24 @@ class Bc4FreeBuilder:
     c in C - {b} exist and differ). A candidate is rejected before anything
     is mutated; only a kept edge is added.
 
-    The same check is exposed four ways: try_add adds a kept triple;
-    closing_pair mutates nothing and names the first pair of the triple that
-    closes a C4, or None when try_add would keep it; closing_pair_unchecked
-    is closing_pair without the validation, for a caller that builds its
-    own sorted new triples; and closes(x, y) is the verdict on one pair,
-    which the other three ask pair by pair. closing_pair is validation and
-    then closing_pair_unchecked. Callers:
-    - random_bc4free asks closing_pair and then try_add. It only adds
-      edges, so it remembers each closing pair as one byte of a 64 KiB
+    try_add(triple) is the only method that validates: it raises
+    ValueError unless the triple is 3 distinct int vertex ids in [0, n)
+    that are not already an edge, then asks closing_pair and adds a kept
+    triple. The others trust their caller and check nothing: closes(x, y)
+    is the verdict on one pair; closing_pair(e) names the first pair of a
+    sorted new triple e that closes a C4, or None; add(e) adds a sorted new
+    triple that closes none; pop removes the last edge. Callers:
+    - random_bc4free asks closing_pair and adds a triple it passes. It only
+      adds edges, so it remembers each closing pair as one byte of a 64 KiB
       bytearray indexed by x << 8 | y and skips later triples through it;
     - the search's greedy seed (search._greedy) keeps the same memo as a
-      set of pairs; it asks try_add, and closing_pair_unchecked for the
-      pair to remember when try_add rejects;
+      set of pairs; it asks try_add, and closing_pair for the pair to
+      remember when try_add rejects;
     - the search's candidate filter asks closes once per vertex pair that
       still has a candidate, and drops every candidate through a pair that
-      closes; it adds an edge with try_add and removes it with pop;
-    - is_bc4_free asks closing_pair_unchecked and then _append, inside
-      this module.
+      closes; it pins the two root edges and includes a candidate with add,
+      and removes it with pop;
+    - is_bc4_free asks closing_pair and then add.
     The dead-pair memos live in the callers, not here: a builder-wide
     dead-pair set, cleared on pop, slowed branch_and_bound_ex(8) from
     0.11-0.12 to 0.14-0.16 s and is_bc4_free on the q = 16 construction
@@ -355,15 +354,12 @@ class Bc4FreeBuilder:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def _new_edge(self, triple: Sequence[int]) -> Edge:
-        """The sorted triple; ValueError unless it is a new edge (see canonical_edge)."""
-        e = canonical_edge(triple, self.n)
-        for i in self._pair_edges.get(e[:2], ()):
-            if self.edges[i] == e:
-                raise ValueError(f"duplicate edge {e}")
-        return e
+    def add(self, e: Edge) -> None:
+        """Add e, a sorted triple in range that is not an edge and closes no Berge C4.
 
-    def _append(self, e: Edge) -> None:
+        Nothing is checked: a caller that passes anything else leaves the
+        builder in a state whose verdicts mean nothing.
+        """
         idx = len(self.edges)
         self.edges.append(e)
         a, b, c = e
@@ -433,31 +429,27 @@ class Bc4FreeBuilder:
         Only Berge C4s through the new edge are looked for, so the verdict
         assumes the current edges are BC4-free, as they are when every edge
         came through try_add. Raises ValueError unless the triple is 3
-        distinct int vertex ids in [0, n) that are not already an edge.
+        distinct int vertex ids in [0, n) that are not already an edge (see
+        canonical_edge).
         """
-        e = self._new_edge(triple)
-        a, b, c = e
-        if self.closes(a, b) or self.closes(a, c) or self.closes(b, c):
+        e = canonical_edge(triple, self.n)
+        for i in self._pair_edges.get(e[:2], ()):
+            if self.edges[i] == e:
+                raise ValueError(f"duplicate edge {e}")
+        if self.closing_pair(e) is not None:
             return False
-        self._append(e)
+        self.add(e)
         return True
 
-    def closing_pair(self, triple: Sequence[int]) -> Pair | None:
-        """The first of ab, ac, bc that closes a Berge C4; None when try_add would keep it.
+    def closing_pair(self, e: Edge) -> Pair | None:
+        """The first of ab, ac, bc that closes a Berge C4; None when try_add would keep e.
 
-        The verdict on a pair does not depend on the triple's third vertex,
-        and a closing pair stays closing while edges are only added (see
-        random_bc4free). Nothing is mutated; raises ValueError exactly where
-        try_add does, then answers as closing_pair_unchecked.
-        """
-        return self.closing_pair_unchecked(self._new_edge(triple))
-
-    def closing_pair_unchecked(self, e: Edge) -> Pair | None:
-        """closing_pair for a triple already known to be sorted, in range and not an edge.
-
-        Nothing is checked, so a caller that passes anything else gets a
-        meaningless answer. The three tests are written out, not looped over
-        a tuple of pairs, so that the call costs what a plain verdict costs.
+        e must be a sorted triple a < b < c in [0, n) that is not an edge;
+        nothing is checked or mutated. The verdict on a pair does not depend
+        on the triple's third vertex, and a closing pair stays closing while
+        edges are only added (see random_bc4free). The three tests are
+        written out, not looped over a tuple of pairs, so that the call
+        costs what a plain verdict costs.
         """
         a, b, c = e
         if self.closes(a, b):

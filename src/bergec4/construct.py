@@ -310,7 +310,10 @@ def random_bc4free(n: int, target_m: int, seed: int) -> Hypergraph:
     one for as long as edges are only added. The greedy never pops, so it
     remembers each pair that Bc4FreeBuilder.closing_pair names and skips
     every later triple through a remembered pair with three lookups; the
-    kept edges are the same as with try_add on every triple.
+    kept edges are the same as with try_add on every triple. Each code
+    decodes to a sorted triple that is not yet an edge, since every triple
+    comes once, so a triple that closing_pair passes goes in with add,
+    without a second check.
 
     Layout: triple a < b < c is the code a << 16 | b << 8 | c in one
     array("I"), filled in combinations(range(n), 3) order, and the memo is
@@ -346,9 +349,7 @@ def random_bc4free(n: int, target_m: int, seed: int) -> Hypergraph:
             x, y = pair
             dead[x << 8 | y] = 1
             continue
-        # closing_pair found no closing pair against these same edges, so
-        # try_add keeps t
-        builder.try_add(t)
+        builder.add(t)
         if len(builder) >= target_m:
             break
     return builder.to_hypergraph()

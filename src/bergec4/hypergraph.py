@@ -55,7 +55,7 @@ def canonical_edge(triple: Iterable[int], n: int) -> Edge:
         raise HypergraphError(f"edge {triple!r} is not 3 vertex ids") from None
     if type(a) is int and type(b) is int and type(c) is int:
         # three compare-and-swaps instead of sorted(): this runs on every
-        # Bc4FreeBuilder insertion, where a list sort costs more
+        # Bc4FreeBuilder.try_add, where a list sort costs more
         if a > b:
             a, b = b, a
         if b > c:

@@ -42,11 +42,11 @@ from bergec4.bounds import decimal_str, edge_ratio, upper_bound
 from bergec4.hypergraph import Edge, Hypergraph, Pair
 
 # every n from 7 up builds all C(n, 3) triples, their masks and the greedy
-# seed over them before any node budget applies, so larger n is refused
-# before any search runs; ex_table proves every row through n = 13 at the
-# default 200,000-node budget (row 13 visits 123,423 nodes, and
-# ex_table(13) takes about 3 s on a 2-vCPU Xeon VM), while row 14 needs about
-# two million
+# seed over them before any node budget applies, so ex_table and
+# branch_and_bound_ex refuse larger n before any of it runs; ex_table proves
+# every row through n = 13 at the default 200,000-node budget (row 13 visits
+# 123,423 nodes, and ex_table(13) takes about 3 s on a 2-vCPU Xeon VM),
+# while row 14 needs about two million
 SEARCH_MAX_N = 13
 
 
@@ -172,12 +172,12 @@ def _greedy(n: int, triples: Sequence[Edge]) -> list[Edge]:
     dead-pair lemma of random_bc4free, a pair that closes a Berge C4 is
     remembered and every later triple through it is skipped without a
     builder call; the kept edges are those of try_add on every triple.
-    A triple goes to try_add first, and closing_pair_unchecked names the
-    pair to remember only when try_add rejects it, so a trace of try_add
-    still sees the greedy's rejections (at n = 13 it keeps 11 triples and
-    rejects 55). Asking closing_pair_unchecked first would skip try_add's
-    validation on the rejections: 0.96 against 1.9 ms at n = 13 on a
-    2-vCPU Xeon VM, about 1% of a search row from n = 9 up.
+    A triple goes to try_add first, and closing_pair names the pair to
+    remember only when try_add rejects it, so a trace of try_add still
+    sees the greedy's rejections (at n = 13 it keeps 11 triples and
+    rejects 55). Asking closing_pair first, then add, as random_bc4free
+    does, would skip try_add's validation: 0.96 against 1.9 ms at n = 13
+    on a 2-vCPU Xeon VM, about 1% of a search row from n = 9 up.
     """
     builder = Bc4FreeBuilder(n)
     dead: set[Pair] = set()
@@ -187,7 +187,7 @@ def _greedy(n: int, triples: Sequence[Edge]) -> list[Edge]:
             continue
         if not builder.try_add(t):
             # t was rejected against these same edges, so some pair closes
-            dead.add(builder.closing_pair_unchecked(t))
+            dead.add(builder.closing_pair(t))
     return list(builder.edges)
 
 
@@ -249,35 +249,39 @@ def _explore_class(
     """Orbital include/exclude DFS over the edge sets of one root class.
 
     The class holds _ROOT_EDGE and `second`, and every two of its edges meet
-    in at most `limit` vertices. A node is an edge set S, held by the
-    builder, with its candidates C: triples that the builder would keep
-    next to S (no pair of theirs closes a Berge C4), that meet each edge of
-    S in at most `limit` vertices, and that no exclusion on the path
-    removed. Both filter conditions are monotone (a triple blocked by S is
-    blocked by every superset of S), so the node stands for the largest
-    class member F with S <= F <= S + C, and a node with size + |C| <= best
-    cannot beat the incumbent.
+    in at most `limit` vertices. A node is an edge set S with its
+    candidates C: triples that the builder would keep next to S (no pair of
+    theirs closes a Berge C4), that meet each edge of S in at most `limit`
+    vertices, and that no exclusion on the path removed. Both filter
+    conditions are monotone (a triple blocked by S is blocked by every
+    superset of S), so the node stands for the largest class member F with
+    S <= F <= S + C, and a node with size + |C| <= best cannot beat the
+    incumbent.
 
     S and C are int masks over the triple indices of `masks` (bit j is
     masks.triples[j]), so |C| is a popcount and the first candidate is the
-    lowest set bit. With T the vertices that S touches, the orbit of a
-    candidate t under the permutations of the other vertices is
-    {u in C : u & T = t & T}: C AND contain[v] for each v in t & T, less
-    contain[v] for each v in T - t. A node branches on the orbit O of its
-    first candidate t: the include child adds t and keeps C less
-    over[limit][t], filtered against t; the exclude child keeps C - O. The
-    include filter rests on the dead-pair lemma of random_bc4free: whether
-    a pair closes a Berge C4 does not depend on the third vertex of the
-    triple, and a pair that closes one at a node closes one at every
-    descendant. So the filter asks the builder once about each pair that
-    still has a candidate (C AND its pair mask is not 0), and a pair that
-    closes drops all its triples at once; a pair with no candidate left is
-    not asked again below this node. The include child is visited first,
-    and the exclude child waits on a stack with the builder size, S and C
-    to return to. With `proven` (ex(m), or a proven upper bound on it, for
-    every m < n), a node is also dead when _deletion_dead names a vertex
-    set K whose deletion leaves too few edges. The search stops once best
-    reaches `cap`.
+    lowest set bit. The builder holds the edges of S only to answer closes.
+    S touches vertex v iff S AND contain[v] is not 0, and with T the
+    touched vertices, the orbit of a candidate t under the permutations of
+    the other vertices is {u in C : u & T = t & T}: C AND contain[v] for
+    each v in t & T, less contain[v] for each v in T - t. A node branches
+    on the orbit O of its first candidate t: the include child adds t and
+    keeps C less over[limit][t], filtered against t; the exclude child
+    keeps C - O. The include filter rests on the dead-pair lemma of
+    random_bc4free: whether a pair closes a Berge C4 does not depend on the
+    third vertex of the triple, and a pair that closes one at a node closes
+    one at every descendant. So the filter asks the builder once about each
+    pair that still has a candidate (C AND its pair mask is not 0), and a
+    pair that closes drops all its triples at once; a pair with no
+    candidate left is not asked again below this node. Each pair of a
+    candidate was asked and passed against S, so the include adds t with
+    the builder's unchecked add; two edges carry no Berge C4, so the pinned
+    pair goes in the same way. The include child is visited first, and the
+    exclude child waits on a stack with its S and C; returning to it pops
+    the builder down to |S| edges. With `proven` (ex(m), or a proven upper
+    bound on it, for every m < n), a node is also dead when _deletion_dead
+    names a vertex set K whose deletion leaves too few edges. The search
+    stops once best reaches `cap`.
 
     Returns (witness when it beats seed_best, counts with the best size). The
     incumbent is local to the class (seeded with seed_best), never shared
@@ -287,13 +291,9 @@ def _explore_class(
     triples, contain, pairs, over = masks.triples, masks.contain, masks.pairs, masks.over[limit]
     builder = Bc4FreeBuilder(n)
     closes = builder.closes
-    deg = [0] * n
     edges, candidates = 0, (1 << len(triples)) - 1
     for e in (_ROOT_EDGE, second):
-        if not builder.try_add(e):
-            raise RuntimeError(f"root class edge {e} is not BC4-free")
-        for v in e:
-            deg[v] += 1
+        builder.add(e)
         j = triples.index(e)
         edges |= 1 << j
         # a pinned edge meets itself in 3 > limit vertices, so neither is a candidate
@@ -303,11 +303,10 @@ def _explore_class(
     best_edges: list[Edge] | None = None
     nodes = includes = excludes = bound_prunes = degree_prunes = set_deletion_prunes = 0
     cap_stop = False
-    # the exclude children still to visit: the builder size to return to,
-    # their edge mask and their candidates
-    pending: list[tuple[int, int, int]] = []
+    # the exclude children still to visit: their edge mask and their candidates
+    pending: list[tuple[int, int]] = []
     while True:
-        # visit the node the builder holds, whose masks are edges and candidates
+        # visit the node whose masks are edges and candidates; the builder holds the edges
         nodes += 1
         if budget is not None and nodes > budget:
             break
@@ -329,25 +328,19 @@ def _explore_class(
             j = low.bit_length() - 1
             t = triples[j]
             orbit = candidates
-            for v in range(n):
-                if deg[v]:
-                    orbit &= contain[v] if v in t else ~contain[v]
-            pending.append((size, edges, candidates & ~orbit))
-            # no pair of t closes a C4 against this same set, so try_add keeps it
-            if not builder.try_add(t):
-                raise RuntimeError(f"candidate {t} closes a Berge C4")
-            for v in t:
-                deg[v] += 1
+            for v, mask in enumerate(contain):
+                if edges & mask:
+                    orbit &= mask if v in t else ~mask
+            pending.append((edges, candidates & ~orbit))
+            builder.add(t)
             edges |= low
             candidates = _drop_closing(candidates & ~over[j], pairs, closes)
             includes += 1
             continue
         if not pending:
             break
-        size, edges, candidates = pending.pop()
-        while len(builder) > size:
-            for v in builder.edges[-1]:
-                deg[v] -= 1
+        edges, candidates = pending.pop()
+        for _ in range(len(builder) - edges.bit_count()):
             builder.pop()
         excludes += 1
     completed = budget is None or nodes <= budget
@@ -421,6 +414,12 @@ def branch_and_bound_ex(
 ) -> SearchResult:
     """Orbital depth-first search, one subtree per root class.
 
+    ValueError unless 3 <= n <= SEARCH_MAX_N, before the triple masks are
+    built. The search adds each candidate to its builder unchecked, on the
+    word of its own filter, so the witness it returns is checked whole by
+    is_bc4_free, and a witness that carries a Berge C4 raises RuntimeError
+    instead of being returned.
+
     proven holds, for every m < n, ex(m) or a proven upper bound on it,
     such as floor(upper_bound(m)) for a row the budget cut. It turns on the
     averaging cap and the set-deletion prune; None leaves them off.
@@ -484,8 +483,8 @@ def branch_and_bound_ex(
     it. A node budget is shared: each class gets what the classes before
     it left, and a class that finds it spent is not started.
     """
-    if n < 3:
-        raise ValueError(f"branch and bound requires n >= 3, got {n}")
+    if not 3 <= n <= SEARCH_MAX_N:
+        raise ValueError(f"branch and bound requires 3 <= n <= {SEARCH_MAX_N}, got {n}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _check_budget(node_budget)
@@ -518,8 +517,11 @@ def branch_and_bound_ex(
             completed = False
         if edges is not None and stats.best > best_size:
             best_size, best_edges = stats.best, edges
+    witness = Hypergraph(n, best_edges)
+    if not is_bc4_free(witness):
+        raise RuntimeError(f"the n = {n} search returned a witness that carries a Berge C4")
     nodes = sum(c.nodes for c in classes)
-    return SearchResult(n, best_size, Hypergraph(n, best_edges), completed, nodes, tuple(classes))
+    return SearchResult(n, best_size, witness, completed, nodes, tuple(classes))
 
 
 def check_table_args(n_max: int, budget: int | None) -> None:

@@ -78,20 +78,41 @@ def test_no_dead_private_helpers():
     assert found == []
 
 
-BUILDER_PRIVATE = {"_new_edge", "_append", "_adj", "_bits", "_pair_edges"}
+BUILDER_PRIVATE = {"_adj", "_bits", "_pair_edges"}
 
 
 def test_builder_internals_stay_in_berge():
-    # other modules use Bc4FreeBuilder through try_add, pop, closes and closing_pair
+    # every other module, and berge.py outside Bc4FreeBuilder, uses the
+    # builder through try_add, closes, closing_pair, add and pop
     package = Path(bergec4.__file__).parent
-    found = [
-        f"{path.name}:{node.lineno} {node.attr}"
-        for path in sorted(package.glob("*.py"))
-        if path.name != "berge.py"
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Attribute) and node.attr in BUILDER_PRIVATE
-    ]
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        outside = [n for n in tree.body if not (isinstance(n, ast.ClassDef) and n.name == "Bc4FreeBuilder")]
+        found.extend(
+            f"{path.name}:{node.lineno} {node.attr}"
+            for top in outside
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr in BUILDER_PRIVATE
+        )
     assert found == []
+
+
+def test_only_try_add_validates():
+    # closes, closing_pair, add and pop trust their caller; the one method
+    # of Bc4FreeBuilder that checks a triple, or raises ValueError, is try_add
+    tree = ast.parse((Path(bergec4.__file__).parent / "berge.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Bc4FreeBuilder")
+    found = [
+        method.name
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Name) and node.id in ("canonical_edge", "ValueError")
+            for node in ast.walk(method)
+        )
+    ]
+    assert found == ["try_add"]
 
 
 FLOAT_CALLS = {"float", "round"}

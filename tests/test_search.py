@@ -118,11 +118,30 @@ class TestBranchAndBound:
         assert r.witness.edges == witness
 
     def test_deep_search_leaves_recursion_limit_alone(self):
-        # m = C(20, 3) = 1,140 triples: a DFS deeper than the default limit
+        # the search walks an explicit stack at the largest n it accepts
         before = sys.getrecursionlimit()
-        r = branch_and_bound_ex(20, node_budget=2000)
-        assert (r.max_edges, r.nodes_explored, r.optimal) == (18, 2001, False)
+        r = branch_and_bound_ex(SEARCH_MAX_N, node_budget=2000)
+        assert (r.max_edges, r.nodes_explored, r.optimal) == (11, 2001, False)
         assert sys.getrecursionlimit() == before
+
+    @pytest.mark.parametrize("n", [SEARCH_MAX_N + 1, 20])
+    def test_large_n_refused_before_the_masks(self, n, monkeypatch):
+        def refuse(n):
+            raise AssertionError("masks built")
+
+        monkeypatch.setattr(search_module, "_triple_masks", refuse)
+        with pytest.raises(ValueError, match=f"3 <= n <= {SEARCH_MAX_N}"):
+            branch_and_bound_ex(n, node_budget=0)
+        with pytest.raises(AssertionError, match="masks built"):
+            branch_and_bound_ex(SEARCH_MAX_N, node_budget=0)
+
+    @pytest.mark.parametrize("proven", [None, EX[:7]])
+    def test_witness_that_carries_a_c4_raises(self, proven, monkeypatch):
+        # a filter that drops nothing lets the include add triples that
+        # close a Berge C4; the output check refuses the witness
+        monkeypatch.setattr(search_module, "_drop_closing", lambda candidates, pairs, closes: candidates)
+        with pytest.raises(RuntimeError, match="carries a Berge C4"):
+            branch_and_bound_ex(7, proven=proven)
 
     @pytest.mark.parametrize("n", range(3, SEARCH_MAX_N + 1))
     def test_greedy_memo_keeps_the_try_add_edges(self, n):
@@ -311,9 +330,10 @@ class TestPinnedSearch:
             assert json.loads(json.dumps(got)) == [pin for pin in pins if pin["n"] == n]
 
     def test_builder_pair_tests_are_pinned(self, monkeypatch):
-        # a deterministic cost guard: ex_table(8) asks the builder 3,925
-        # pair questions (6,544 when each candidate triple asked about its
-        # three pairs at every include)
+        # a deterministic cost guard: ex_table(8) asks the builder 3,073
+        # pair questions (3,925 when each include asked again about the
+        # candidate's three pairs, 6,544 when each candidate triple asked
+        # about its three pairs at every include)
         calls = []
         real = Bc4FreeBuilder.closes
 
@@ -324,7 +344,7 @@ class TestPinnedSearch:
         monkeypatch.setattr(Bc4FreeBuilder, "closes", count)
         rows = ex_table(8)
         assert [r.nodes_explored for r in rows] == [0, 3, 16, 49, 77, 433]
-        assert len(calls) == 3925
+        assert len(calls) == 3073
 
 
 def _free_by_definition(triples):
