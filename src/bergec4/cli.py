@@ -5,6 +5,11 @@ byte-identical output. Reports start with '#'-prefixed metadata (schema,
 tool version, command, input digest) followed by a tab-separated payload.
 Exit codes: 0 success, 1 property-check failure, 2 input or argument error,
 3 refusal (hypothesis not met).
+
+Import policy: this module loads no other bergec4 module at import time.
+Each ``cmd_*`` imports the modules it runs when it runs, so ``--version``
+loads no library module and ``check`` loads only ``hypergraph`` and
+``berge``. Library modules keep their imports at the top.
 """
 
 from __future__ import annotations
@@ -14,13 +19,6 @@ import functools
 import sys
 
 import bergec4
-from bergec4.berge import BergeCycleWitness, find_berge_cycle
-from bergec4.blocks import block_degrees, decompose
-from bergec4.bounds import HypothesisError, verify_chain
-from bergec4.census import census
-from bergec4.construct import lower_bound_construction, random_bc4free
-from bergec4.hypergraph import Hypergraph, degree_profile, shadow
-from bergec4.search import check_table_args, ex_table, format_ex_table, format_stats
 
 SCHEMA = "bergec4.report.v1"
 
@@ -42,7 +40,9 @@ def _header(command: str, digest: str | None = None, extra: list[str] | None = N
     return lines
 
 
-def _load(path: str) -> Hypergraph:
+def _load(path: str) -> bergec4.Hypergraph:
+    from bergec4.hypergraph import Hypergraph
+
     with open(path, "r", encoding="utf-8") as fh:
         return Hypergraph.from_text(fh.read())
 
@@ -51,7 +51,7 @@ def _csv(values) -> str:
     return ",".join(map(str, values))
 
 
-def _witness_lines(h: Hypergraph, w: BergeCycleWitness) -> list[str]:
+def _witness_lines(h: bergec4.Hypergraph, w: bergec4.BergeCycleWitness) -> list[str]:
     lines = [
         f"vertices\t{_csv(w.vertices)}",
         f"edge_indices\t{_csv(w.edge_indices)}",
@@ -61,6 +61,8 @@ def _witness_lines(h: Hypergraph, w: BergeCycleWitness) -> list[str]:
 
 
 def cmd_shadow(args) -> int:
+    from bergec4.hypergraph import degree_profile, shadow
+
     h = _load(args.input)
     adj = shadow(h)
     pairs = [(x, y) for x, a in enumerate(adj) for y in sorted(a) if x < y]
@@ -78,6 +80,8 @@ def cmd_shadow(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from bergec4.berge import find_berge_cycle
+
     if args.length < 2:
         raise ValueError(f"cycle length must be >= 2, got {args.length}")
     h = _load(args.input)
@@ -94,6 +98,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_blocks(args) -> int:
+    from bergec4.blocks import block_degrees, decompose
+
     h = _load(args.input)
     blocks = decompose(h)
     db = block_degrees(h, blocks)
@@ -116,6 +122,8 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from bergec4.census import census
+
     h = _load(args.input)
     report = census(h, diagonal_scope=args.diagonal_scope)
     note = "" if report.bc4_free else "\thypothesis not met"
@@ -141,6 +149,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from bergec4.bounds import HypothesisError, verify_chain
+
     h = _load(args.input)
     lines = _header("verify", h.digest())
     try:
@@ -166,6 +176,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from bergec4.construct import lower_bound_construction
+
     h = lower_bound_construction(args.q)
     lines = _header("construct", extra=[f"# q {args.q}"])
     lines.append(h.to_text().rstrip("\n"))
@@ -174,6 +186,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_random(args) -> int:
+    from bergec4.construct import random_bc4free
+
     h = random_bc4free(args.n, args.m, args.seed)
     lines = _header("random", extra=[f"# n {args.n}", f"# m {args.m}", f"# seed {args.seed}"])
     lines.append(h.to_text().rstrip("\n"))
@@ -182,6 +196,8 @@ def cmd_random(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from bergec4.search import check_table_args, ex_table, format_ex_table, format_stats
+
     # bad arguments, then an unwritable stats path, fail before any row is searched
     check_table_args(args.n_max, args.budget)
     if args.stats is None:

@@ -509,7 +509,9 @@ class TestClosingPair:
     def test_closing_pair_then_add_is_try_add(self, case):
         # two builders in step: one inserts each sorted new triple with
         # try_add, the other adds it when closing_pair passes it; None pops
-        # both; every step leaves them the same edges, bits and pair index
+        # both; every step leaves them the same edges, bits and pair index,
+        # and those of the trusted one are the shadow and pair index of its
+        # edges, so a fault in add, which both builders share, shows too
         n, steps = case
         checked, trusted = Bc4FreeBuilder(n), Bc4FreeBuilder(n)
         for e in steps:
@@ -525,6 +527,14 @@ class TestClosingPair:
             assert trusted.edges == checked.edges
             assert trusted._bits == checked._bits
             assert trusted._pair_edges == checked._pair_edges
+            h = Hypergraph(n, trusted.edges)
+            expected = shadow(h)
+            assert [set(a) for a in trusted._adj] == [set(a) for a in expected]
+            assert trusted._bits == [sum(1 << u for u in a) for a in expected]
+            # Hypergraph sorts its edges, so indices are compared as the edges they name
+            assert {p: sorted(trusted.edges[i] for i in b) for p, b in trusted._pair_edges.items()} == {
+                p: [h.edges[i] for i in b] for p, b in pair_to_edges(h).items()
+            }
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.integers(min_value=4, max_value=10).flatmap(

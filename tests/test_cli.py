@@ -8,7 +8,7 @@ import pytest
 
 from conftest import SRC_DIR, loose_cycle, run_cli
 
-from bergec4 import berge, cli
+from bergec4 import berge, cli, search
 from bergec4.berge import find_berge_cycle
 from bergec4.construct import lower_bound_construction
 from bergec4.hypergraph import MAX_VERTICES, Hypergraph
@@ -103,7 +103,7 @@ class TestCheckCommand:
         assert f"edge_indices\t{','.join(map(str, w.edge_indices))}\n" in out
 
         swept = []
-        monkeypatch.setattr(cli, "find_berge_cycle", lambda h, length: swept.append(length))
+        monkeypatch.setattr(berge, "find_berge_cycle", lambda h, length: swept.append(length))
         assert cli.main(["check", k4m_file, "--length", "5"]) == 0
         assert swept == [5]
 
@@ -325,7 +325,7 @@ class TestSearchCommand:
         def no_search(*args, **kwargs):
             raise AssertionError("ex_table ran before the stats path was opened")
 
-        monkeypatch.setattr(cli, "ex_table", no_search)
+        monkeypatch.setattr(search, "ex_table", no_search)
         assert cli.main(["search", "--n-max", "11", "--stats", path]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "No such file or directory" in err

@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from collections import Counter
 from pathlib import Path
@@ -7,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import bergec4
+from conftest import SRC_DIR
 
 
 def test_no_assert_statements():
@@ -34,12 +38,10 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
 
 
 def test_no_unused_imports():
-    # __init__.py imports to re-export; every other module must use what it imports
+    # every module, __init__.py included, must use what it imports
     package = Path(bergec4.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         found.extend(
@@ -63,7 +65,9 @@ def _referenced_names(node: ast.AST) -> list[str]:
 
 
 def test_no_dead_private_helpers():
-    # a module-level _helper must be used somewhere outside its own body
+    # a module-level _helper must be used somewhere outside its own body;
+    # dunder functions (the package's __getattr__ and __dir__) are called
+    # by the interpreter, not by the code
     package = Path(bergec4.__file__).parent
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
     uses = Counter(name for tree in trees for name in _referenced_names(tree))
@@ -73,6 +77,7 @@ def test_no_dead_private_helpers():
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
         and uses[node.name] == _referenced_names(node).count(node.name)
     ]
     assert found == []
@@ -262,3 +267,97 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(getattr(bergec4, name), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+
+
+def test_all_lists_the_public_names():
+    assert sorted(bergec4.__all__) == PUBLIC_NAMES
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from bergec4 import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC_NAMES
+    assert [name for name in PUBLIC_NAMES if namespace[name] is not getattr(bergec4, name)] == []
+
+
+def test_unknown_name_is_a_plain_attribute_error():
+    assert not hasattr(bergec4, "no_such_name")
+    with pytest.raises(AttributeError, match=r"^module 'bergec4' has no attribute 'no_such_name'$"):
+        bergec4.no_such_name
+
+
+def test_package_names_are_read_from_their_module(monkeypatch):
+    # nothing is cached in the package: a rebinding in the defining module,
+    # and its undoing, are both seen through bergec4
+    from bergec4 import berge
+
+    original = berge.is_bc4_free
+
+    def replacement(h):
+        return True
+
+    with monkeypatch.context() as patch:
+        patch.setattr(berge, "is_bc4_free", replacement)
+        assert bergec4.is_bc4_free is replacement
+    assert bergec4.is_bc4_free is original
+    assert "is_bc4_free" not in vars(bergec4)
+
+
+def _modules_after(code: str) -> set[str]:
+    """The bergec4 submodules a fresh interpreter holds after running ``code``."""
+    probe = (
+        f"{code}\nimport sys\n"
+        "print('modules', *sorted(m.removeprefix('bergec4.') for m in sys.modules if m.startswith('bergec4.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        check=True,
+    )
+    last = proc.stdout.splitlines()[-1].split()
+    assert last[0] == "modules", proc.stdout
+    return set(last[1:])
+
+
+def test_package_import_loads_no_module():
+    assert _modules_after("import bergec4") == set()
+
+
+def test_version_loads_only_the_cli():
+    code = (
+        "import bergec4.cli\n"
+        "try:\n"
+        "    bergec4.cli.main(['--version'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+    )
+    assert _modules_after(code) == {"cli"}
+
+
+# the bergec4 modules each command loads, the command's own imports and theirs
+COMMAND_MODULES = {
+    "shadow": {"cli", "hypergraph"},
+    "check": {"cli", "hypergraph", "berge"},
+    "blocks": {"cli", "hypergraph", "blocks"},
+    "census": {"cli", "hypergraph", "berge", "blocks", "bounds", "census"},
+    "verify": {"cli", "hypergraph", "berge", "blocks", "bounds"},
+    "construct": {"cli", "hypergraph", "berge", "construct"},
+    "random": {"cli", "hypergraph", "berge", "construct"},
+    "search": {"cli", "hypergraph", "berge", "blocks", "bounds", "search"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_its_modules(command, tmp_path):
+    path = tmp_path / "q2.txt"
+    path.write_text(bergec4.lower_bound_construction(2).to_text(), encoding="utf-8")
+    argv = {
+        "construct": ["construct", "--q", "2"],
+        "random": ["random", "--n", "8", "--m", "4", "--seed", "1"],
+        "search": ["search", "--n-max", "5"],
+    }.get(command, [command, str(path)])
+    code = f"import bergec4.cli\nif bergec4.cli.main({argv!r}) != 0:\n    raise SystemExit('command failed')"
+    assert _modules_after(code) == COMMAND_MODULES[command]
