@@ -4,15 +4,15 @@ All sides are evaluated in exact integer/rational arithmetic; the fractional
 binomial convention is C(x, 2) = x(x-1)/2 so that averages can be plugged in.
 Combining the chain gives the quadratic 10E^2 - 25nE - n^2(n-1) <= 0 in the
 edge count E, whose largest root n(25 + sqrt(40n + 585))/20 is carried
-exactly as a quadratic surd.
+exactly by EdgeBound, which gives it out only as its integer floor, a
+rational enclosure or a rounded decimal string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 from fractions import Fraction
-from math import isfinite, isqrt
+from math import isqrt
 from typing import Sequence
 
 from bergec4.berge import BergeCycleWitness, find_berge_cycle
@@ -59,86 +59,50 @@ def check_inequality(label: str, lhs, rhs, relation: str) -> InequalityCheck:
     return InequalityCheck(label, lhs, rhs, relation, ok)
 
 
-@total_ordering
+@dataclass(frozen=True)
 class EdgeBound:
     """Largest E with n*C(4E/n,2) + 4n*C(E/n,2) <= 2*C(n,2) + 21E, kept exact.
 
-    The value is n(25 + sqrt(D))/20 with D = 40n + 585. Comparisons against
-    rationals, the integer floor, the enclosure and decimal rendering all go
-    through _scaled_floor (floor(value * s) by an integer square root), so no
-    floating point is involved.
+    The value is n(25 + sqrt(D))/20 with D = 40n + 585. The integer floor,
+    the enclosure and the decimal rendering all go through _scaled_floor
+    (floor(value * s) by an integer square root), so no floating point is
+    involved. Equality and hashing come from the dataclass, by n.
     """
 
-    __slots__ = ("n", "discriminant")
+    n: int
 
-    def __init__(self, n: int):
-        if n < 3:
-            raise ValueError(f"edge bound requires n >= 3, got {n}")
-        self.n = n
-        self.discriminant = 40 * n + 585
-
-    def is_rational(self) -> bool:
-        s = isqrt(self.discriminant)
-        return s * s == self.discriminant
-
-    def as_fraction(self) -> Fraction:
-        """Exact value when the discriminant is a perfect square."""
-        s = isqrt(self.discriminant)
-        if s * s != self.discriminant:
-            raise ValueError("bound is irrational for this n")
-        return Fraction(self.n * (25 + s), 20)
-
-    def compare(self, other: Fraction | int) -> int:
-        """Sign of (self - other): -1, 0, or +1, exactly."""
-        q = Fraction(other)
-        # low = floor(value * b) for q = a/b; value * b lies in [low, low + 1)
-        low = self._scaled_floor(q.denominator)
-        if low != q.numerator:
-            return 1 if low > q.numerator else -1
-        return 0 if self.is_rational() and self.as_fraction() == q else 1
-
-    def __float__(self) -> float:
-        return self.n * (25 + self.discriminant**0.5) / 20
-
-    def __lt__(self, other) -> bool:
-        return self.compare(other) < 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, EdgeBound):
-            return self.n == other.n
-        # finite floats too: total_ordering derives <= and > through ==
-        if isinstance(other, (int, Fraction)) or isinstance(other, float) and isfinite(other):
-            return self.compare(other) == 0
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # equal numbers hash alike: a rational bound hashes as its value
-        return hash(self.as_fraction()) if self.is_rational() else hash(("EdgeBound", self.n))
-
-    def __repr__(self) -> str:
-        return f"EdgeBound(n={self.n}, value={self.n}*(25+sqrt({self.discriminant}))/20)"
+    def __post_init__(self):
+        if type(self.n) is not int or self.n < 3:
+            raise ValueError(f"edge bound requires an int n >= 3, got {self.n!r}")
 
     def _scaled_floor(self, scale: int) -> int:
         # floor(value * scale) via floor((25*n*scale + sqrt(D*(n*scale)^2)) / 20)
         t = self.n * scale
-        return (25 * t + isqrt(self.discriminant * t * t)) // 20
+        return (25 * t + isqrt((40 * self.n + 585) * t * t)) // 20
 
     def floor(self) -> int:
         return self._scaled_floor(1)
 
     def enclosure(self, places: int = 12) -> tuple[Fraction, Fraction]:
         """Rational lo <= value <= hi with hi - lo = 10**-places."""
-        scale = 10**places
+        scale = _decimal_scale(places)
         lo = Fraction(self._scaled_floor(scale), scale)
         return lo, lo + Fraction(1, scale)
 
     def decimal(self, places: int) -> str:
         """Decimal rendering, round-to-nearest (ties, only possible for
         rational values, round half up)."""
-        scale = 10**places
+        scale = _decimal_scale(places)
         # floor((floor(10*v*scale) + 5) / 10) = floor(v*scale + 1/2), exactly
         rounded = (self._scaled_floor(10 * scale) + 5) // 10
         return decimal_str(Fraction(rounded, scale), places)
+
+
+def _decimal_scale(places: int) -> int:
+    """10**places, refusing what is not an int >= 0 (10**-1 would be a float)."""
+    if type(places) is not int or places < 0:
+        raise ValueError(f"places must be an int >= 0, got {places!r}")
+    return 10**places
 
 
 def upper_bound(n: int) -> EdgeBound:

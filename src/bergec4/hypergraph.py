@@ -55,7 +55,9 @@ def canonical_edge(triple: Iterable[int], n: int) -> Edge:
         raise HypergraphError(f"edge {triple!r} is not 3 vertex ids") from None
     if type(a) is int and type(b) is int and type(c) is int:
         # three compare-and-swaps instead of sorted(): this runs on every
-        # Bc4FreeBuilder.try_add, where a list sort costs more
+        # edge of Hypergraph.__init__ (builder output, search witnesses, the
+        # benchmark's q16-cyclic set-up) and on every try_add of
+        # search._greedy, where a list sort costs more
         if a > b:
             a, b = b, a
         if b > c:
@@ -78,8 +80,8 @@ class Hypergraph:
     __slots__ = ("n", "edges", "edge_set", "_shadow")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
-        if n < 0:
-            raise HypergraphError(f"vertex count must be non-negative, got {n}")
+        if type(n) is not int or n < 0:
+            raise HypergraphError(f"vertex count must be a non-negative int, got {n!r}")
         canon = sorted(canonical_edge(e, n) for e in edges)
         for a, b in zip(canon, canon[1:]):
             if a == b:

@@ -385,8 +385,8 @@ def _deletion_dead(edges: int, candidates: int, contain: Sequence[int], proven: 
 
 
 def _check_budget(node_budget: int | None) -> None:
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node budget must be >= 0, got {node_budget}")
+    if node_budget is not None and (type(node_budget) is not int or node_budget < 0):
+        raise ValueError(f"node budget must be None or an int >= 0, got {node_budget!r}")
 
 
 def _check_proven(n: int, proven: Sequence[int]) -> tuple[int, ...]:
@@ -414,11 +414,11 @@ def branch_and_bound_ex(
 ) -> SearchResult:
     """Orbital depth-first search, one subtree per root class.
 
-    ValueError unless 3 <= n <= SEARCH_MAX_N, before the triple masks are
-    built. The search adds each candidate to its builder unchecked, on the
-    word of its own filter, so the witness it returns is checked whole by
-    is_bc4_free, and a witness that carries a Berge C4 raises RuntimeError
-    instead of being returned.
+    ValueError unless n is an int (not a bool) in [3, SEARCH_MAX_N], before
+    the triple masks are built. The search adds each candidate to its
+    builder unchecked, on the word of its own filter, so the witness it
+    returns is checked whole by is_bc4_free, and a witness that carries a
+    Berge C4 raises RuntimeError instead of being returned.
 
     proven holds, for every m < n, ex(m) or a proven upper bound on it,
     such as floor(upper_bound(m)) for a row the budget cut. It turns on the
@@ -483,8 +483,8 @@ def branch_and_bound_ex(
     it. A node budget is shared: each class gets what the classes before
     it left, and a class that finds it spent is not started.
     """
-    if not 3 <= n <= SEARCH_MAX_N:
-        raise ValueError(f"branch and bound requires 3 <= n <= {SEARCH_MAX_N}, got {n}")
+    if type(n) is not int or not 3 <= n <= SEARCH_MAX_N:
+        raise ValueError(f"branch and bound requires an int 3 <= n <= {SEARCH_MAX_N}, got {n!r}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     _check_budget(node_budget)
@@ -527,11 +527,11 @@ def branch_and_bound_ex(
 def check_table_args(n_max: int, budget: int | None) -> None:
     """ValueError unless ex_table(n_max, budget) accepts its arguments.
 
-    n_max must lie in [3, SEARCH_MAX_N] and budget be None or >= 0; a
-    caller can check them before it starts anything else.
+    n_max must be an int (not a bool) in [3, SEARCH_MAX_N] and budget None
+    or an int >= 0; a caller can check them before it starts anything else.
     """
-    if not 3 <= n_max <= SEARCH_MAX_N:
-        raise ValueError(f"n_max must be in [3, {SEARCH_MAX_N}], got {n_max}")
+    if type(n_max) is not int or not 3 <= n_max <= SEARCH_MAX_N:
+        raise ValueError(f"n_max must be in [3, {SEARCH_MAX_N}] and an int, got {n_max!r}")
     _check_budget(budget)
 
 

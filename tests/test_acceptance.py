@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -50,11 +51,12 @@ def test_criterion_1_exact_extremal_table():
 def test_criterion_2_upper_bound_dominance():
     rows = ex_table(8, budget=200_000)
     for r in rows:
-        assert upper_bound(r.n) >= r.max_edges, f"bound violated at n={r.n}"
+        assert upper_bound(r.n).floor() >= r.max_edges, f"bound violated at n={r.n}"
     partial = [r for r in rows if r.n >= 7]
     assert partial, "table must include n=7,8 rows"
-    ratio = float(upper_bound(10**6)) * (10**0.5) / (10**6) ** 1.5
-    assert abs(ratio - 1) < 0.02
+    # value * sqrt(10) / n^1.5 within 2% of 1, compared squared and exactly
+    lo = upper_bound(10**6).enclosure(12)[0]
+    assert 1 < 10 * lo * lo / (10**6) ** 3 < Fraction(102, 100) ** 2
     _report(2, "max_edges <= exact quadratic root, 2% asymptote at n=10^6")
 
 

@@ -36,6 +36,23 @@ class TestUpperBound:
         with pytest.raises(ValueError):
             upper_bound(2)
 
+    def test_rejects_non_int_n(self):
+        for n in (3.5, 5.0, Fraction(5), True, "5"):
+            with pytest.raises(ValueError, match="int n"):
+                EdgeBound(n)
+
+    def test_rejects_bad_places(self):
+        bound = upper_bound(5)
+        for places in (-1, -2, True, 2.0):
+            with pytest.raises(ValueError, match="places"):
+                bound.decimal(places)
+            with pytest.raises(ValueError, match="places"):
+                bound.enclosure(places)
+
+    def test_equal_and_hashed_by_n(self):
+        assert upper_bound(17) == EdgeBound(17) and upper_bound(17) != upper_bound(18)
+        assert upper_bound(17) in {EdgeBound(17)} and upper_bound(17) not in {upper_bound(18)}
+
     def test_root_is_boundary_of_feasibility(self):
         for n in (3, 4, 5, 6, 7, 10, 16, 21, 50, 137):
             bound = upper_bound(n)
@@ -49,9 +66,8 @@ class TestUpperBound:
     def test_agrees_with_bisection_oracle(self):
         for n in (3, 4, 7, 16, 33, 100):
             lo, hi = bisect_upper_bound(n)
-            bound = upper_bound(n)
-            assert bound.compare(lo) >= 0
-            assert bound.compare(hi) <= 0
+            low, high = upper_bound(n).enclosure(12)
+            assert low <= hi and lo <= high, n
 
     def test_expansion_matches_original_form(self):
         for n in range(3, 40):
@@ -60,30 +76,19 @@ class TestUpperBound:
                 assert (lhs <= rhs) == combined_inequality_holds(n, m)
 
     def test_rational_case(self):
-        bound = upper_bound(16)
-        assert bound.is_rational()
-        assert bound.as_fraction() == 48
-        assert bound == 48
+        bound = upper_bound(16)  # exactly 48
         assert bound.floor() == 48
         assert bound.decimal(6) == "48.000000"
-
-    def test_irrational_bound_has_no_fraction(self):
-        assert not upper_bound(17).is_rational()
-        with pytest.raises(ValueError, match="irrational"):
-            upper_bound(17).as_fraction()
-
-    def test_comparisons(self):
-        bound = upper_bound(4)  # about 10.458938
-        assert bound > 10 and bound >= 10
-        assert bound < 11 and bound <= 11
-        assert bound > Fraction(10458937, 10**6)
-        assert bound < Fraction(10458938, 10**6)
+        assert bound.enclosure(6)[0] == 48
 
     def test_decimal_matches_float(self):
+        # the rounded decimal lies within half a unit in its last place of
+        # the value, which the enclosure pins down exactly
+        half = Fraction(1, 2 * 10**6)
         for n in (3, 4, 5, 21, 100, 12345):
-            want = float(upper_bound(n))
-            got = float(upper_bound(n).decimal(6))
-            assert abs(want - got) < 1e-5
+            lo, hi = upper_bound(n).enclosure(12)
+            got = Fraction(upper_bound(n).decimal(6))
+            assert lo - half <= got <= hi + half, n
 
     def test_decimal_ties_round_half_up(self):
         # rational bounds can sit exactly half way between two renderings;
@@ -102,60 +107,19 @@ class TestUpperBound:
                 want = str(q // scale) + (f".{q % scale:0{places}d}" if places else "")
                 assert upper_bound(n).decimal(places) == want, (n, places)
         assert ties == 21
-        assert upper_bound(91).as_fraction() == Fraction(819, 2)
+        assert upper_bound(91).enclosure(12)[0] == Fraction(819, 2)
         assert upper_bound(91).decimal(0) == "410"
 
-    def test_ordering_at_rational_bounds(self):
-        # compare's equality branch: value * b == a only for a rational bound
-        rational = 0
-        eps = Fraction(1, 10**15)
-        for n in range(3, 20_001):
-            bound = upper_bound(n)
-            if not bound.is_rational():
-                continue
-            rational += 1
-            f = bound.as_fraction()
-            assert bound == f and not bound < f, n
-            assert bound < f + eps and bound > f - eps, n
-        assert rational == 86
-
     def test_ordering_matches_expanded_quadratic(self):
-        # bound >= m exactly when m satisfies the combined inequality (m >= 0)
+        # the floor and the enclosure's low end satisfy the combined
+        # inequality (m >= 0); floor + 1 and the high end, both above the
+        # bound, do not
         for n in range(3, 2_001):
             bound = upper_bound(n)
             f = bound.floor()
-            for m in (f, f + 1, *bound.enclosure(12)):
-                assert (bound >= m) == combined_inequality_holds(n, m), (n, m)
-
-    def test_float_ordering_at_rational_bound(self):
-        bound = upper_bound(16)  # exactly 48
-        assert bound == 48.0 and bound <= 48.0 and bound >= 48.0
-        assert not bound < 48.0 and not bound > 48.0
-        assert 48.0 <= bound and not 48.0 < bound
-        assert bound != float("nan") and not bound == float("inf")
-
-    def test_hash_agrees_with_equality(self):
-        # a bound equal to a number must hash like it, or sets and dicts miss it
-        rational = floats = 0
-        for n in range(3, 20_001):
-            bound = upper_bound(n)
-            if not bound.is_rational():
-                continue
-            rational += 1
-            f = bound.as_fraction()
-            values = [f]
-            if f.denominator == 1:
-                values.append(f.numerator)
-            if Fraction(float(f)) == f:
-                floats += 1
-                values.append(float(f))
-            for v in values:
-                assert bound == v and hash(bound) == hash(v), (n, v)
-                assert v in {bound} and bound in {v: n}, (n, v)
-        assert rational == 86 and floats > 0
-        assert 48 in {upper_bound(16)} and upper_bound(16) in {48: 1}
-        # an irrational bound equals only the bound of the same n, and hashes alike
-        assert upper_bound(17) in {EdgeBound(17)} and upper_bound(17) not in {upper_bound(18)}
+            lo, hi = bound.enclosure(12)
+            assert combined_inequality_holds(n, f) and combined_inequality_holds(n, lo), n
+            assert not combined_inequality_holds(n, f + 1) and not combined_inequality_holds(n, hi), n
 
     def test_strictly_monotone(self):
         # consecutive bounds differ by more than 1, so coarse enclosures decide
@@ -167,15 +131,17 @@ class TestUpperBound:
             prev_hi = hi
 
     def test_normalized_limit_one_sided(self):
-        # value * sqrt(10) / n^1.5 stays above 1 and decreases toward it
+        # value * sqrt(10) / n^1.5 stays above 1 and decreases toward it;
+        # compared squared, as 10 * value^2 / n^3, on the enclosure's low end
         prev = None
         for n in (10, 100, 1000, 10**4, 10**5, 10**6):
-            ratio = float(upper_bound(n)) * (10**0.5) / n**1.5
+            lo = upper_bound(n).enclosure(12)[0]
+            ratio = 10 * lo * lo / n**3
             assert ratio > 1
             if prev is not None:
                 assert ratio < prev
             prev = ratio
-        assert abs(float(upper_bound(10**6)) * (10**0.5) / 10**9 - 1) < 0.02
+        assert ratio < Fraction(102, 100) ** 2
 
 
 class TestEdgeRatio:

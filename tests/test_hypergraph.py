@@ -45,6 +45,11 @@ class TestConstruction:
         with pytest.raises(HypergraphError):
             Hypergraph(-1, [])
 
+    @pytest.mark.parametrize("n", [3.5, 4.0, True, "4"])
+    def test_non_int_vertex_count_rejected(self, n):
+        with pytest.raises(HypergraphError, match="non-negative int"):
+            Hypergraph(n, [])
+
     def test_equality_ignores_input_order(self):
         a = Hypergraph(5, [(0, 1, 2), (1, 2, 3)])
         b = Hypergraph(5, [(3, 2, 1), (2, 1, 0)])

@@ -136,24 +136,13 @@ def _float_arithmetic(node: ast.AST) -> str | None:
 
 
 def test_exact_arithmetic_only():
-    # every number the package reports is exact; EdgeBound.__float__ is the one
-    # deliberate conversion to floating point
+    # every number the package reports is exact: no float anywhere in it
     package = Path(bergec4.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = {
-            id(sub)
-            for cls in tree.body
-            if isinstance(cls, ast.ClassDef) and cls.name == "EdgeBound"
-            for method in cls.body
-            if isinstance(method, ast.FunctionDef) and method.name == "__float__"
-            for sub in ast.walk(method)
-        }
         found.extend(
-            f"{path.name}:{node.lineno} {what}"
-            for node in ast.walk(tree)
-            if id(node) not in allowed and (what := _float_arithmetic(node))
+            f"{path.name}:{node.lineno} {what}" for node in ast.walk(tree) if (what := _float_arithmetic(node))
         )
     assert found == []
 

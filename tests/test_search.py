@@ -15,7 +15,14 @@ from bergec4.berge import Bc4FreeBuilder, is_bc4_free
 from bergec4.bounds import upper_bound
 from bergec4.hypergraph import Hypergraph
 from bergec4 import search as search_module
-from bergec4.search import SEARCH_MAX_N, branch_and_bound_ex, brute_force_ex, ex_table, format_ex_table
+from bergec4.search import (
+    SEARCH_MAX_N,
+    branch_and_bound_ex,
+    brute_force_ex,
+    check_table_args,
+    ex_table,
+    format_ex_table,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "ex_table_n6.tsv"
 # every root class's ClassStats and witness for n = 4..10, from the search
@@ -282,6 +289,21 @@ class TestBranchAndBound:
         with pytest.raises(ValueError):
             branch_and_bound_ex(7, node_budget=-1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: branch_and_bound_ex(5.0), id="float-n"),
+            pytest.param(lambda: branch_and_bound_ex(5, node_budget=2.5), id="float-budget"),
+            pytest.param(lambda: branch_and_bound_ex(5, node_budget=True), id="bool-budget"),
+            pytest.param(lambda: ex_table(7.0), id="float-n_max"),
+            pytest.param(lambda: ex_table(7, 2.5), id="table-float-budget"),
+            pytest.param(lambda: check_table_args(5, budget=False), id="table-bool-budget"),
+        ],
+    )
+    def test_rejects_non_int_size_or_budget(self, call):
+        with pytest.raises(ValueError, match="int"):
+            call()
+
 
 class TestRootClasses:
     @pytest.mark.parametrize("n", [4, 5, 6])
@@ -420,7 +442,7 @@ class TestExTable:
 
     def test_upper_bound_dominates(self):
         for r in ex_table(8, budget=20_000):
-            assert upper_bound(r.n) >= r.max_edges
+            assert upper_bound(r.n).floor() >= r.max_edges
 
     def test_monotone_in_n(self):
         rows = ex_table(8, budget=200_000)
