@@ -170,9 +170,11 @@ def _cycle_candidates(
     once per walk into nbrs, which the walk iterates, at one list per
     vertex and a pointer per neighbour. At k = 4 find_berge_cycle builds
     them only after is_bc4_free has returned and its builder is released,
-    so the peak stays near the builder's; census, which runs no builder,
-    builds them only when some 4-cycle has no representative edge. Traced
-    peaks were 26.6 MB for find_berge_cycle(h, 4) against is_bc4_free's 25.5 MB on
+    so the peak stays near the builder's. census runs no builder but
+    builds the same bitsets for its codegree pass and drops them when the
+    pass returns, before it walks, which it does only when some 4-cycle
+    has no representative edge. Traced peaks were 26.6 MB for
+    find_berge_cycle(h, 4) against is_bc4_free's 25.5 MB on
     n = MAX_VERTICES with disjoint triples and a K4^(3) on the top four
     ids, and 2.0 MB for the whole walk, pair index included, against
     3.05 MB on the q = 16 construction. At every other length no builder

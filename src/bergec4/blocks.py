@@ -14,9 +14,10 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
-from bergec4.hypergraph import Edge, Hypergraph
+from bergec4.hypergraph import Hypergraph
 
 
 class BlockType(enum.Enum):
@@ -29,26 +30,16 @@ class BlockType(enum.Enum):
 class Block:
     """One block: member edge indices, covered vertices, shape, leaf edges.
 
-    classification tests the type definitions directly (TYPE2 wins if both
-    hold); leaf_edges are the member edges owning a vertex that no other
-    member edge meets.
+    classification is TYPE2 for 3 edges on 4 vertices and TYPE1 by the
+    vertex-count lemma of decompose, which no 3 edges on 4 vertices meet;
+    leaf_edges are the member edges owning a vertex that no other member
+    edge meets.
     """
 
     edge_indices: tuple[int, ...]
     vertex_set: frozenset[int]
     classification: BlockType
     leaf_edges: tuple[int, ...]
-
-
-def _is_type1(edges: Sequence[Edge]) -> bool:
-    # an edge meeting the anchor in a pair has one vertex outside it, and two
-    # such edges meet outside the anchor iff those vertices coincide
-    sets = [frozenset(e) for e in edges]
-    for anchor in sets:
-        outside = [f - anchor for f in sets if f != anchor]
-        if all(len(o) == 1 for o in outside) and len(set(outside)) == len(outside):
-            return True
-    return False
 
 
 def decompose(h: Hypergraph) -> tuple[Block, ...]:
@@ -59,7 +50,19 @@ def decompose(h: Hypergraph) -> tuple[Block, ...]:
     Union-find over edges keyed by their vertex pairs: edges sharing a pair
     share exactly two vertices, which is the chain relation. Per block, one
     vertex count gives the vertex set (its keys), the leaf edges (holding a
-    vertex counted once) and the TYPE2 test (3 edges on 4 vertices).
+    vertex counted once), the TYPE2 test (3 edges on 4 vertices) and the
+    TYPE1 test, by this lemma.
+
+    Lemma. A block of b edges is TYPE1 iff it has b + 2 vertices and some
+    edge's three vertex counts sum to 2b + 1. The counts of an edge e sum
+    to 3 + sum over the other edges f of |e & f|, and |e & f| <= 2. If e is
+    the distinguished edge, each f meets it in a pair and so adds one
+    vertex outside e, distinct from every other f's since the pairwise
+    intersections lie in e: b + 2 vertices and a sum of 3 + 2(b - 1).
+    Conversely a sum of 2b + 1 forces |e & f| = 2 for all b - 1 edges f,
+    each f has one vertex outside e, and b + 2 vertices make those b - 1
+    vertices distinct, so two edges f, f' meet inside e. The test is
+    O(b) per block.
     """
     parent = list(range(h.edge_count))
     first_owner: dict[tuple[int, int], int] = {}
@@ -88,14 +91,17 @@ def decompose(h: Hypergraph) -> tuple[Block, ...]:
     for members in groups.values():
         indices = tuple(members)
         member_edges = [h.edges[i] for i in indices]
-        count = Counter(v for e in member_edges for v in e)
+        count = Counter(chain.from_iterable(member_edges))
         leaves = tuple(
             i for i, (a, b, c) in zip(indices, member_edges) if count[a] == 1 or count[b] == 1 or count[c] == 1
         )
-        if len(indices) == 3 and len(count) == 4:
+        size = len(indices)
+        if size == 3 and len(count) == 4:
             kind = BlockType.TYPE2
+        elif len(count) == size + 2 and any(count[a] + count[b] + count[c] == 2 * size + 1 for a, b, c in member_edges):
+            kind = BlockType.TYPE1
         else:
-            kind = BlockType.TYPE1 if _is_type1(member_edges) else BlockType.OTHER
+            kind = BlockType.OTHER
         blocks.append(Block(indices, frozenset(count), kind, leaves))
     return tuple(blocks)
 

@@ -148,12 +148,12 @@ def edge_ratio(n: int, m: int) -> Fraction:
 
     Exact: the value is sqrt(m^2 n)/n^2, its decimal exponent is found by
     integer comparisons (exact for any n >= 1 and m >= 0), and the rounding
-    goes through an integer square root.
+    goes through an integer square root. n and m must be ints, not bools.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be >= 1 and an int, got {n!r}")
+    if type(m) is not int or m < 0:
+        raise ValueError(f"m must be >= 0 and an int, got {m!r}")
     if m == 0:
         return Fraction(0)
     # decimal exponent k of a/b = m^2/n^3 = value^2: 10^k <= a/b < 10^(k+1)

@@ -199,9 +199,11 @@ def projective_plane_incidence(q: int) -> BipartiteGraph:
     symmetric, so the points on line i are also the lines through point i;
     read that way the pairs come out in order, and sorting them is one
     linear pass. Two points share exactly one line, so the graph is C4-free
-    (girth 6); is_c4_free confirms it for every q. Raises ValueError for q
-    above CONSTRUCT_MAX_Q.
+    (girth 6); is_c4_free confirms it for every q. Raises ValueError for a
+    q that is not an int or above CONSTRUCT_MAX_Q.
     """
+    if type(q) is not int:
+        raise ValueError(f"q must be an int prime power, got {q!r}")
     if q > CONSTRUCT_MAX_Q:
         raise ValueError(f"q must be at most {CONSTRUCT_MAX_Q}, got {q}")
     add, mul, neg, inv = _field_tables(q)
@@ -301,7 +303,8 @@ def random_bc4free(n: int, target_m: int, seed: int) -> Hypergraph:
     greedily while the result stays BC4-free, stopping at target_m or
     exhaustion. The sample is biased by the greedy order; it is a
     falsification-test generator, not a uniform one. Raises ValueError for
-    n outside [3, RANDOM_MAX_N].
+    n outside [3, RANDOM_MAX_N], a negative target_m, and any of the three
+    that is not an int (a bool or a float included).
 
     Dead-pair lemma: whether a pair {x, y} closes a Berge C4 depends only on
     the pair and the current edges, through a Berge 3-path y -> w -> z -> x
@@ -325,10 +328,12 @@ def random_bc4free(n: int, target_m: int, seed: int) -> Hypergraph:
     still takes about half of random_bc4free(80, C(80, 3), 1): 0.016 of
     0.030-0.035 s on a 2-vCPU Xeon VM, where random.shuffle took 0.029 s.
     """
-    if not 3 <= n <= RANDOM_MAX_N:
-        raise ValueError(f"n must be in [3, {RANDOM_MAX_N}], got {n}")
-    if target_m < 0:
-        raise ValueError(f"target_m must be >= 0, got {target_m}")
+    if type(n) is not int or not 3 <= n <= RANDOM_MAX_N:
+        raise ValueError(f"n must be in [3, {RANDOM_MAX_N}] and an int, got {n!r}")
+    if type(target_m) is not int or target_m < 0:
+        raise ValueError(f"target_m must be >= 0 and an int, got {target_m!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     builder = Bc4FreeBuilder(n)
     if target_m == 0:
         return builder.to_hypergraph()

@@ -25,9 +25,12 @@ Shadow = tuple[frozenset[int], ...]
 # build per-vertex tables, so n alone sets their cost: the 10-byte input
 # "1000000 0" took census 6.8 s and 470 MB. Bc4FreeBuilder's bitsets take up
 # to n^2/8 bytes, 32 MB here; at n = 100,000 a free 600 KB input of disjoint
-# triples made check peak at 967 MB. find_berge_cycle's walk keeps the same
-# bitsets, and at lengths other than 4, where no builder runs first, they set
-# its peak: 31.4 MB traced for length 5 on n // 3 such triples here.
+# triples made check peak at 967 MB. census builds the same bitsets for its
+# codegree pass: on n // 3 disjoint triples (2i, 2i+1, n-1-i) here it
+# peaked at 31.6 MB traced (11.8 MB before the pass used bitsets), against
+# 28.6 MB for is_bc4_free. find_berge_cycle's walk keeps the same bitsets,
+# and at lengths other than 4, where no builder runs first, they set its
+# peak: 31.4 MB traced for length 5 on n // 3 such triples here.
 MAX_VERTICES = 16_384
 
 

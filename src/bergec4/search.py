@@ -141,8 +141,8 @@ def brute_force_ex(n: int) -> SearchResult:
     found is the lexicographically least maximizer. nodes_explored is the
     number of free sets, the empty set included.
     """
-    if not 3 <= n <= 6:
-        raise ValueError(f"brute force supports 3 <= n <= 6, got {n}")
+    if type(n) is not int or not 3 <= n <= 6:
+        raise ValueError(f"brute force supports 3 <= n <= 6 and an int n, got {n!r}")
     triples = list(combinations(range(n), 3))
     chosen: list[Edge] = []
     best: list[Edge] = []

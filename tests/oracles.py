@@ -2,13 +2,13 @@
 
 Everything here but walker_census recomputes results straight from the
 definitions with no shared machinery: Berge cycles by exhaustive ordered-tuple
-search, 3-paths by triple loops, rare 4-cycles from scratch, type-1 blocks
-by pairwise intersections, the edge bound by bisection of the exact
-inequality, and the best edge set of each search root class by exhaustive
-extension with a four-edge cycle test of its own. walker_census is the
-census that walks every 4-cycle and 3-path; it shares the block degrees
-with the package, and checks the census's counting against listing at
-sizes the naive oracles cannot reach. Its bc4_free is is_bc4_free(h), the
+search, 3-paths by triple loops, codegrees one middle at a time, rare
+4-cycles from scratch, type-1 blocks by pairwise intersections, the edge
+bound by bisection of the exact inequality, and the best edge set of each
+search root class by exhaustive extension with a four-edge cycle test of
+its own. walker_census is the census that walks every 4-cycle and 3-path;
+it shares the block degrees with the package, and checks the census's
+counting against listing at sizes the naive oracles cannot reach. Its bc4_free is is_bc4_free(h), the
 builder's verdict, so it is also an independent check of the census's
 verdict, which the census reads off its own 4-cycle classes.
 memo_free_greedy likewise shares the builder: it is random_bc4free without
@@ -206,6 +206,18 @@ def naive_count_three_paths(adj: Shadow) -> int:
                 if x != u != y and u in adj[x] and y in adj[u]:
                     count += 1
     return count
+
+
+def naive_codegrees(adj: Shadow) -> dict[tuple[int, int], int]:
+    """c(x, z) = |N(x) & N(z)| for each pair x < z with c >= 1, counted one middle at a time.
+
+    adj is symmetric, so y is a common neighbour of x and z iff both lie in adj[y].
+    """
+    counts: Counter[tuple[int, int]] = Counter()
+    for y, nbrs in enumerate(adj):
+        for x, z in combinations(sorted(nbrs), 2):
+            counts[(x, z)] += 1
+    return dict(counts)
 
 
 def naive_four_cycles(adj: Shadow) -> list[tuple[int, int, int, int]]:

@@ -156,6 +156,20 @@ class TestEdgeRatio:
         with pytest.raises(ValueError):
             edge_ratio(3, -1)
 
+    @pytest.mark.parametrize(
+        "n, m, prefix",
+        [
+            (3.5, 1, "n must be >= 1"),
+            (True, 1, "n must be >= 1"),
+            (4, 2.5, "m must be >= 0"),
+            (4, False, "m must be >= 0"),
+        ],
+        ids=["float-n", "bool-n", "float-m", "bool-m"],
+    )
+    def test_rejects_non_int_args(self, n, m, prefix):
+        with pytest.raises(ValueError, match=f"{prefix} and an int"):
+            edge_ratio(n, m)
+
     def test_rounding_against_float(self):
         rng = random.Random(7)
         for _ in range(200):

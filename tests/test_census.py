@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_hypergraph
 from oracles import (
     naive_berge_cycle_exists,
+    naive_codegrees,
     naive_four_cycles,
     naive_is_good,
     naive_rare_cycles,
@@ -20,7 +22,7 @@ from bergec4.berge import is_bc4_free
 from bergec4.bounds import InequalityCheck
 from bergec4.census import census
 from bergec4.construct import lower_bound_construction, random_bc4free
-from bergec4.hypergraph import Hypergraph, count_three_paths, shadow
+from bergec4.hypergraph import Hypergraph, count_three_paths, pair_to_edges, shadow
 
 SCOPES = ("induced", "global")
 # four edges, each meeting the cycle 0,1,2,3 in one of its sides: a 4-cycle
@@ -230,6 +232,56 @@ class TestWalkerOracle:
     def test_unrepresented_cycle_inputs(self, h):
         assert census(h).representative_histogram.get(0, 0) >= 1
         _assert_matches_walker(h)
+
+
+def codegree_ladder(top: int) -> Hypergraph:
+    """c(0, z_k) = k for k = 1..top: edges {0, y_i, a_i} and {y_i, z_k, b_ki} for i <= k.
+
+    y_i = i, a_i = top + i, z_k = 2 top + k, and each b_ki is a vertex of its own.
+    """
+    edges = [(0, i, top + i) for i in range(1, top + 1)]
+    b = 3 * top + 1
+    for k in range(1, top + 1):
+        for i in range(1, k + 1):
+            edges.append((i, 2 * top + k, b))
+            b += 1
+    return Hypergraph(b, edges)
+
+
+def _assert_codegree_pass_matches_naive(h: Hypergraph) -> None:
+    adj, p2e = shadow(h), pair_to_edges(h)
+    codeg = naive_codegrees(adj)
+    opened = Counter(c - len(p2e.get(pair, ())) for pair, c in codeg.items())
+    through = [sum(codeg[p] - 1 for p in ((a, b), (a, c), (b, c))) for a, b, c in h.edges]
+    total = sum(codeg.values())
+    four_cycles = sum(c * (c - 1) // 2 for c in codeg.values()) // 2
+    values, got_through, got_total, got_four_cycles = census_module._codegree_pass(adj, p2e, h.edge_count)
+    assert {k: v for k, v in values.items() if v} == {k: v for k, v in opened.items() if v}
+    assert (got_through, got_total, got_four_cycles) == (through, total, four_cycles)
+
+
+class TestCodegreePass:
+    """The bit-sliced codegree pass against codegrees counted one middle at a time."""
+
+    @pytest.mark.parametrize("top", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 33, 40])
+    def test_ladder_crosses_every_plane(self, top):
+        # codegrees 1..top at one low end: up to 40 they cross 1, 2, 4, 8, 16
+        # and 32, so every carry plane up to the sixth is written, carried
+        # into and split on, and each top just below or at a power of two
+        # ends on the plane count about to grow or just grown
+        h = codegree_ladder(top)
+        assert [naive_codegrees(shadow(h))[(0, 2 * top + k)] for k in range(1, top + 1)] == list(range(1, top + 1))
+        _assert_codegree_pass_matches_naive(h)
+
+    def test_constructions(self, construction_family):
+        for q, h in construction_family.items():
+            if q <= 8:
+                _assert_codegree_pass_matches_naive(h)
+
+    @small
+    @given(any_graphs)
+    def test_random_inputs(self, h):
+        _assert_codegree_pass_matches_naive(h)
 
 
 # (id, n, edges, free, k): each input has a 4-cycle whose 4-set holds k

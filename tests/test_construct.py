@@ -181,6 +181,11 @@ class TestLowerBoundConstruction:
         with pytest.raises(ValueError, match="at most"):
             lower_bound_construction(81)
 
+    @pytest.mark.parametrize("q", [2.0, True], ids=["float", "bool"])
+    def test_rejects_non_int_q(self, q):
+        with pytest.raises(ValueError, match="q must be an int"):
+            lower_bound_construction(q)
+
     def test_c4_check_runs_above_q16(self, monkeypatch):
         monkeypatch.setattr(construct, "is_c4_free", lambda g: False)
         with pytest.raises(RuntimeError, match="not C4-free"):
@@ -312,3 +317,18 @@ class TestRandomBc4Free:
             random_bc4free(5, -1, 0)
         with pytest.raises(ValueError, match="n must be"):
             random_bc4free(RANDOM_MAX_N + 1, 0, 0)
+
+    @pytest.mark.parametrize(
+        "args, prefix",
+        [
+            ((8.0, 3, 1), "n must be in"),
+            ((True, 3, 1), "n must be in"),
+            ((8, 2.5, 1), "target_m must be >= 0"),
+            ((8, 3, 1.5), "seed must be"),
+            ((8, 3, False), "seed must be"),
+        ],
+        ids=["float-n", "bool-n", "float-target", "float-seed", "bool-seed"],
+    )
+    def test_rejects_non_int_args(self, args, prefix):
+        with pytest.raises(ValueError, match=f"{prefix}.* an int"):
+            random_bc4free(*args)

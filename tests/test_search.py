@@ -88,6 +88,11 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_ex(7)
 
+    @pytest.mark.parametrize("n", [5.0, True], ids=["float", "bool"])
+    def test_rejects_non_int_n(self, n):
+        with pytest.raises(ValueError, match="brute force supports 3 <= n <= 6 and an int"):
+            brute_force_ex(n)
+
 
 class TestBranchAndBound:
     def test_matches_brute_force(self):
