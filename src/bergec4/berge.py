@@ -332,7 +332,7 @@ class Bc4FreeBuilder:
     21.1-22.0 ms, and ex_table(8) from 12.8-13.5 ms to 10.6 ms (best of 25
     and of 9, one process, same VM). Every caller but the search only
     appends; pop's list.remove is O(deg), and a search degree is at most
-    SEARCH_MAX_N - 1 = 12. No verdict and no closing_pair answer depends
+    SEARCH_MAX_N - 1 = 15. No verdict and no closing_pair answer depends
     on the order of a list.
 
     The bitsets pay off for small vertex ids, not for few edges: an int

@@ -15,7 +15,9 @@ loads no library module and ``check`` loads only ``hypergraph`` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 
 import bergec4
@@ -198,15 +200,24 @@ def cmd_random(args) -> int:
 def cmd_search(args) -> int:
     from bergec4.search import check_table_args, ex_table, format_ex_table, format_stats
 
-    # bad arguments, then an unwritable stats path, fail before any row is searched
+    # bad arguments, then an unwritable stats or witness path, fail before any row is searched
     check_table_args(args.n_max, args.budget)
-    if args.stats is None:
+    extra = [f"# n-max {args.n_max}", f"# budget {args.budget}"]
+    with contextlib.ExitStack() as stack:
+        stats = None if args.stats is None else stack.enter_context(open(args.stats, "w", encoding="utf-8"))
+        witnesses = []
+        if args.witness_dir is not None:
+            for n in range(3, args.n_max + 1):
+                path = os.path.join(args.witness_dir, f"ex_n{n}.txt")
+                witnesses.append(stack.enter_context(open(path, "w", encoding="utf-8")))
         results = ex_table(args.n_max, budget=args.budget)
-    else:
-        with open(args.stats, "w", encoding="utf-8") as fh:
-            results = ex_table(args.n_max, budget=args.budget)
-            fh.write(format_stats(results))
-    lines = _header("search", extra=[f"# n-max {args.n_max}", f"# budget {args.budget}"])
+        if stats is not None:
+            stats.write(format_stats(results))
+        for fh, r in zip(witnesses, results):
+            flag = "true" if r.optimal else "false"
+            lines = _header("search", extra=[*extra, f"# n {r.n}", f"# max_edges {r.max_edges}", f"# optimal {flag}"])
+            fh.write("\n".join(lines) + "\n" + r.witness.to_text())
+    lines = _header("search", extra=extra)
     lines.append(format_ex_table(results).rstrip("\n"))
     print("\n".join(lines))
     return EXIT_OK
@@ -260,8 +271,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exact extremal table")
     p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=200_000,
+        help="node budget of each row from n = 7 (default 200000, which proves every row through 14; "
+        "rows 15 and 16 need at least 761487 and 1419593)",
+    )
     p.add_argument("--stats", metavar="FILE", help="write per-row search counts as JSON lines")
+    p.add_argument("--witness-dir", metavar="DIR", help="write each row's witness to DIR/ex_n{n}.txt")
     p.set_defaults(run=cmd_search)
 
     return parser

@@ -5,13 +5,13 @@ search command, is a depth-first branch-and-bound on Bc4FreeBuilder,
 walked as one loop over an explicit stack. It pins two edges of largest
 intersection as the root of each of three root classes, keeps per node
 the triples that can still join the current set, and branches on a whole
-orbit of them under the permutations of the untouched vertices: one
-child includes the first candidate, the other excludes its orbit. Edge
-sets and candidate sets are int bitmasks over the indices of
-combinations(range(n), 3), with the masks of the triples through each
-vertex and each vertex pair built once per n (_TripleMasks), so an
-orbit, a meet filter or a deletion count is a few big-integer ANDs and
-popcounts. The C4 filter after an include asks the builder once per
+orbit of them under the vertex transpositions that map the node's edge
+set and candidate set onto themselves: one child includes the first
+candidate, the other excludes its orbit. Edge sets and candidate sets are
+int bitmasks over the indices of combinations(range(n), 3), with the
+masks of the triples through each vertex and each vertex pair built once
+per n (_TripleMasks), so an orbit, a meet filter or a deletion count is a
+few big-integer ANDs and popcounts. The C4 filter after an include asks the builder once per
 vertex pair that still has a candidate (the dead-pair lemma of
 random_bc4free: a pair's verdict does not depend on the third vertex). It
 prunes a node whose size plus candidate count cannot beat the
@@ -33,7 +33,7 @@ oracle-equivalence tests against brute force.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Callable, Sequence
 
@@ -43,11 +43,12 @@ from bergec4.hypergraph import Edge, Hypergraph, Pair
 
 # every n from 7 up builds all C(n, 3) triples, their masks and the greedy
 # seed over them before any node budget applies, so ex_table and
-# branch_and_bound_ex refuse larger n before any of it runs; ex_table proves
-# every row through n = 13 at the default 200,000-node budget (row 13 visits
-# 123,423 nodes, and ex_table(13) takes about 3 s on a 2-vCPU Xeon VM),
-# while row 14 needs about two million
-SEARCH_MAX_N = 13
+# branch_and_bound_ex refuse larger n before any of it runs. Inside ex_table,
+# row 14 visits 112,849 nodes, row 15 761,487 and row 16 1,419,593 (1,556,015
+# without the row-15 seed), so the default 200,000-node budget proves every
+# row through 14, and rows 15 and 16 need a budget of at least 761,487 and
+# 1,419,593 nodes (25 and 40 s on a 2-vCPU Xeon VM)
+SEARCH_MAX_N = 16
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,9 @@ class ClassStats:
     saw, the seed included. nodes = 1 + includes + excludes, the root
     counted once. A visited node that is not expanded is a bound prune, a
     degree prune (the set-deletion prune with one vertex deleted) or a
-    set-deletion prune with two or more; cap_stop says the class stopped
+    set-deletion prune with two or more. orbit_excluded counts the
+    candidates that exclude children dropped beyond the branching candidate
+    itself, summed over the expanded nodes. cap_stop says the class stopped
     because its best reached the cap, and completed is False when the node
     budget cut it.
     """
@@ -71,6 +74,7 @@ class ClassStats:
     bound_prunes: int
     degree_prunes: int
     set_deletion_prunes: int
+    orbit_excluded: int
     cap_stop: bool
     completed: bool
 
@@ -210,13 +214,17 @@ class _TripleMasks:
     is its least triple. contain[v] holds the triples through vertex v and
     pairs lists (mask, x, y) for every vertex pair x < y, the mask holding
     the triples through both. over[i][j] holds the triples that meet
-    triples[j] in more than i vertices, triples[j] itself included.
+    triples[j] in more than i vertices, triples[j] itself included. swaps
+    holds the table of _swap_table for each vertex pair a < b that a search
+    has tested; it belongs to this object, so one search never reads
+    another's tables.
     """
 
     triples: list[Edge]
     contain: list[int]
     pairs: list[tuple[int, int, int]]
     over: tuple[list[int], list[int], list[int]]
+    swaps: dict[tuple[int, int], tuple[int, list[int]]] = field(default_factory=dict)
 
 
 def _triple_masks(n: int) -> _TripleMasks:
@@ -234,6 +242,120 @@ def _triple_masks(n: int) -> _TripleMasks:
         [1 << j for j in range(len(triples))],
     )
     return _TripleMasks(triples, contain, [(m, x, y) for (x, y), m in pair.items()], over)
+
+
+def _swap_table(masks: _TripleMasks, a: int, b: int) -> tuple[int, list[int]]:
+    """(moved, image) for the vertex transposition (a b), a < b, built on first use.
+
+    moved holds the triples through a and not b, the ones (a b) moves to
+    the b side. image[j + 1] is the bit of the image of triples[j] for each
+    j in moved, and 0 for every other j (indexed by bit_length, so a lowest
+    set bit needs no - 1).
+    """
+    table = masks.swaps.get((a, b))
+    if table is None:
+        contain = masks.contain
+        image = [0] * (len(masks.triples) + 1)
+        others = [v for v in range(len(contain)) if v != a and v != b]
+        for x, y in combinations(others, 2):
+            through = contain[x] & contain[y]
+            image[(through & contain[a]).bit_length()] = through & contain[b]
+        table = masks.swaps[a, b] = (contain[a] & ~contain[b], image)
+    return table
+
+
+def _fixes(mask: int, moved: int, image: list[int]) -> bool:
+    """Does the transposition of _swap_table(moved, image) map mask into itself on its a side?
+
+    That is, does the image of every moved triple of mask lie in mask? The
+    transposition is one-to-one, so a yes means mask holds at least as
+    many moved triples on the b side as on the a side.
+    """
+    rest = mask & moved
+    while rest:
+        low = rest & -rest
+        if not mask & image[low.bit_length()]:
+            return False
+        rest ^= low
+    return True
+
+
+def _swap_classes(masks: _TripleMasks, edges: int, candidates: int, parts: list[list[int]]) -> list[list[int]]:
+    """The vertex classes of the node (S, C): a ~ b iff (a b) maps S onto S and C onto C.
+
+    edges and candidates are the masks of S and C. parts is a partition of
+    the vertices that this relation refines: every transposition of two
+    vertices of one part maps S onto S and C onto C. The relation is an
+    equivalence, since (a c) = (a b)(b c)(a b), so each true class is a
+    union of parts, and one test of the first vertices of two parts tells
+    whether they lie in one class.
+
+    A transposition keeps the degree of its vertices in S + C, so only
+    parts of equal degree are tested, and that makes the one-sided test of
+    _fixes exact: S and C are disjoint, so if (a b) maps the a side of S
+    into S and the a side of C into C, the two sides of each have equal
+    size, and (a b) maps S onto S and C onto C. S, with its few edges, is
+    tested first.
+    """
+    contain = masks.contain
+    live = edges | candidates
+    groups: dict[int, list[list[int]]] = {}
+    for part in parts:
+        v = part[0]
+        degree = (live & contain[v]).bit_count()
+        classes = groups.get(degree)
+        if classes is None:
+            groups[degree] = [part]
+            continue
+        for i, cls in enumerate(classes):
+            a, b = (cls[0], v) if cls[0] < v else (v, cls[0])
+            moved, image = _swap_table(masks, a, b)
+            if _fixes(edges, moved, image) and _fixes(candidates, moved, image):
+                classes[i] = cls + part
+                break
+        else:
+            classes.append(part)
+    return [cls for classes in groups.values() for cls in classes]
+
+
+def _branch(contain: Sequence[int], classes: list[list[int]], t: Edge, candidates: int) -> tuple[int, list[list[int]]]:
+    """The orbit of t under the product of Sym(K) over the classes K, and the include child's parts.
+
+    The orbit, as a mask, is the triples u with |u & K| = |t & K| for every
+    class K. Since |u| = |t| = 3, it is enough that u meets each class K
+    that t meets in at least |t & K| vertices: these counts already sum to
+    3. For each such K, ones, twos and threes hold the triples that meet K
+    in at least 1, 2 and 3 vertices. Every u in the orbit is the image of
+    t under a permutation that maps C onto C, so the orbit lies in
+    candidates.
+
+    The parts are each class cut into its vertices in t and the rest. A
+    transposition of two vertices of one part fixes t, so every part stays
+    valid at the include child of t (see _explore_class).
+    """
+    orbit = candidates
+    parts = []
+    for cls in classes:
+        if len(cls) == 1:
+            if cls[0] in t:
+                orbit &= contain[cls[0]]
+            parts.append(cls)
+            continue
+        inside = [v for v in cls if v in t]
+        if not inside:
+            parts.append(cls)
+            continue
+        ones = twos = threes = 0
+        for v in cls:
+            m = contain[v]
+            threes |= twos & m
+            twos |= ones & m
+            ones |= m
+        orbit &= (ones, twos, threes)[len(inside) - 1]
+        parts.append(inside)
+        if len(inside) < len(cls):
+            parts.append([v for v in cls if v not in t])
+    return orbit, parts
 
 
 def _explore_class(
@@ -261,13 +383,29 @@ def _explore_class(
     S and C are int masks over the triple indices of `masks` (bit j is
     masks.triples[j]), so |C| is a popcount and the first candidate is the
     lowest set bit. The builder holds the edges of S only to answer closes.
-    S touches vertex v iff S AND contain[v] is not 0, and with T the
-    touched vertices, the orbit of a candidate t under the permutations of
-    the other vertices is {u in C : u & T = t & T}: C AND contain[v] for
-    each v in t & T, less contain[v] for each v in T - t. A node branches
-    on the orbit O of its first candidate t: the include child adds t and
-    keeps C less over[limit][t], filtered against t; the exclude child
-    keeps C - O. The include filter rests on the dead-pair lemma of
+    A node branches on the orbit O of its first candidate t under G, the
+    group generated by the vertex transpositions that map S onto S and C
+    onto C: the include child adds t and keeps C less over[limit][t],
+    filtered against t; the exclude child keeps C - O. Lemma: a vertex
+    permutation g that maps S onto S and C onto C maps every completion F
+    of the node (S <= F <= S + C, free, every two edges meeting in at most
+    `limit` vertices) to a completion g(F) of the same size, and so does
+    every product of such permutations. If some best completion holds a
+    member g(t) of O, then g^-1 maps it to a best completion that holds t.
+    So the include child and the exclude child cover every completion. The
+    lemma reads only the node's own S and C, not the exclusions above it.
+
+    Whether (a b) maps S onto S and C onto C is an equivalence relation on
+    the vertices, so G is the product of Sym(K) over its classes K
+    (_swap_classes), and O is the triples u with |u & K| = |t & K| for
+    every K (_branch). The classes are carried down as parts that the next
+    node only merges. They stay valid at the exclude child, since S and
+    C - O are unions of G-orbits. At the include child each class is cut
+    into its vertices in t and the rest: a transposition within one part
+    fixes t, so it maps over[limit][t] onto itself and, being an
+    automorphism of S + t, the pairs that close a Berge C4 onto each other.
+
+    The include filter rests on the dead-pair lemma of
     random_bc4free: whether a pair closes a Berge C4 does not depend on the
     third vertex of the triple, and a pair that closes one at a node closes
     one at every descendant. So the filter asks the builder once about each
@@ -277,9 +415,9 @@ def _explore_class(
     candidate was asked and passed against S, so the include adds t with
     the builder's unchecked add; two edges carry no Berge C4, so the pinned
     pair goes in the same way. The include child is visited first, and the
-    exclude child waits on a stack with its S and C; returning to it pops
-    the builder down to |S| edges. With `proven` (ex(m), or a proven upper
-    bound on it, for every m < n), a node is also dead when _deletion_dead
+    exclude child waits on a stack with its S, C and parts; returning to it
+    pops the builder down to |S| edges. With `proven` (ex(m), or a proven
+    upper bound on it, for every m < n), a node is also dead when _deletion_dead
     names a vertex set K whose deletion leaves too few edges. The search
     stops once best reaches `cap`.
 
@@ -299,12 +437,13 @@ def _explore_class(
         # a pinned edge meets itself in 3 > limit vertices, so neither is a candidate
         candidates &= ~over[j]
     candidates = _drop_closing(candidates, pairs, closes)
+    parts = [[v] for v in range(n)]
     best = seed_best
     best_edges: list[Edge] | None = None
-    nodes = includes = excludes = bound_prunes = degree_prunes = set_deletion_prunes = 0
+    nodes = includes = excludes = bound_prunes = degree_prunes = set_deletion_prunes = orbit_excluded = 0
     cap_stop = False
-    # the exclude children still to visit: their edge mask and their candidates
-    pending: list[tuple[int, int]] = []
+    # the exclude children still to visit: their edge mask, candidates and vertex parts
+    pending: list[tuple[int, int, list[list[int]]]] = []
     while True:
         # visit the node whose masks are edges and candidates; the builder holds the edges
         nodes += 1
@@ -327,11 +466,10 @@ def _explore_class(
             low = candidates & -candidates
             j = low.bit_length() - 1
             t = triples[j]
-            orbit = candidates
-            for v, mask in enumerate(contain):
-                if edges & mask:
-                    orbit &= mask if v in t else ~mask
-            pending.append((edges, candidates & ~orbit))
+            classes = _swap_classes(masks, edges, candidates, parts)
+            orbit, parts = _branch(contain, classes, t, candidates)
+            orbit_excluded += orbit.bit_count() - 1
+            pending.append((edges, candidates & ~orbit, classes))
             builder.add(t)
             edges |= low
             candidates = _drop_closing(candidates & ~over[j], pairs, closes)
@@ -339,13 +477,14 @@ def _explore_class(
             continue
         if not pending:
             break
-        edges, candidates = pending.pop()
+        edges, candidates, parts = pending.pop()
         for _ in range(len(builder) - edges.bit_count()):
             builder.pop()
         excludes += 1
     completed = budget is None or nodes <= budget
     stats = ClassStats(
-        limit, best, nodes, includes, excludes, bound_prunes, degree_prunes, set_deletion_prunes, cap_stop, completed
+        limit, best, nodes, includes, excludes, bound_prunes, degree_prunes, set_deletion_prunes, orbit_excluded,
+        cap_stop, completed,
     )
     return best_edges, stats
 
@@ -447,17 +586,18 @@ def branch_and_bound_ex(
       that meets an edge of S in more than i vertices, is rejected next to
       every superset of S. So a node with size + |candidates| <= the
       incumbent is dead (_explore_class);
-    - orbital branching (Ostrowski, Linderoth, Rossi, Smriglio): let U be
-      the vertices no edge of S touches. Every permutation of U fixes S,
-      the pinned pair and the intersection limit, so it maps the filtered
-      triples onto themselves; it maps the candidates onto themselves too,
-      as long as every exclusion so far removed a whole orbit, which holds
-      because an include only shrinks U, and an orbit of the larger group
-      is a union of orbits of the smaller one. The orbit of t is fixed by
-      t & T for the touched set T = V - U (which also fixes |t & U|). So if
-      the best completion of a node holds a member of the orbit O of t,
-      some permutation maps it to one holding t: the include child (t) and
-      the exclude child (no member of O) cover every completion;
+    - orbital branching (Ostrowski, Linderoth, Rossi, Smriglio; Margot):
+      let g be a vertex permutation that maps a node's edge set S onto S
+      and its candidates C onto C. It fixes the pinned pair's class and
+      the intersection limit, so it maps every completion F (S <= F <=
+      S + C, free, within the limit) to a completion of the same size, and
+      so does every product of such permutations. Let G be the group
+      generated by the transpositions (a b) that map S onto S and C onto
+      C, and O the orbit of the branching candidate t under G. If some
+      best completion meets O in g(t), then g^-1 maps it to one that holds
+      t. So the include child (t) and the exclude child (C - O) cover every
+      completion. This reads only the node's own S and C, and needs no
+      assumption about earlier exclusions (_explore_class);
     - analytic cap: every BC4-free hypergraph on n vertices satisfies the
       combined chain inequality (bounds module), so no branch can exceed
       floor(upper_bound(n)) and the search may stop at the cap;
@@ -538,7 +678,7 @@ def check_table_args(n_max: int, budget: int | None) -> None:
 def ex_table(n_max: int, budget: int | None = 200_000) -> list[SearchResult]:
     """Extremal values for n = 3..n_max, all by branch_and_bound_ex.
 
-    Rows n <= 6 run with no node budget: they take at most 49 nodes, so
+    Rows n <= 6 run with no node budget: they take at most 23 nodes, so
     they are proven optimal at every budget, including 0. The budget
     applies from n = 7 on. Every row gets the table so far as proven, which
     turns on the averaging cap and the set-deletion prune: ex(m) for each
@@ -584,6 +724,7 @@ def format_stats(results: list[SearchResult]) -> str:
             "nodes": r.nodes_explored,
             "includes": sum(c.includes for c in r.classes),
             "excludes": sum(c.excludes for c in r.classes),
+            "orbit_excluded": sum(c.orbit_excluded for c in r.classes),
             "prunes": {
                 "candidate_bound": sum(c.bound_prunes for c in r.classes),
                 "degree": sum(c.degree_prunes for c in r.classes),

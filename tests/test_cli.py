@@ -293,16 +293,17 @@ class TestSearchCommand:
         assert with_stats == plain
         rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         assert [r["n"] for r in rows] == list(range(3, 9))
-        assert rows[4]["prunes"]["degree"] == 13
+        assert rows[4]["prunes"]["degree"] == 5
         assert rows[5] == {
             "n": 8,
-            "nodes": 433,
-            "includes": 215,
-            "excludes": 215,
-            "prunes": {"candidate_bound": 150, "degree": 0, "set_deletion": 68, "cap_stop": 0},
+            "nodes": 139,
+            "includes": 68,
+            "excludes": 68,
+            "orbit_excluded": 182,
+            "prunes": {"candidate_bound": 49, "degree": 0, "set_deletion": 22, "cap_stop": 0},
             "classes": [
-                {"limit": 2, "nodes": 377, "best": 6},
-                {"limit": 1, "nodes": 55, "best": 6},
+                {"limit": 2, "nodes": 117, "best": 6},
+                {"limit": 1, "nodes": 21, "best": 6},
                 {"limit": 0, "nodes": 1, "best": 6},
             ],
             "budget_hit": False,
@@ -329,6 +330,43 @@ class TestSearchCommand:
         assert cli.main(["search", "--n-max", "11", "--stats", path]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "No such file or directory" in err
+
+    def test_witness_dir_holds_each_row_witness(self, tmp_path, capsys):
+        # each file reads back with the row's edge count, and check calls it
+        # free; row 11's witness is row 10's with vertex 10 isolated, which
+        # verify refuses, and it is written all the same
+        plain = run_cli("search", "--n-max", "11", check=True).stdout
+        out = run_cli("search", "--n-max", "11", "--witness-dir", str(tmp_path), check=True).stdout
+        assert out == plain
+        rows = [l.split("\t") for l in out.splitlines() if l[:1].isdigit()]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"ex_n{n}.txt" for n in range(3, 12))
+        for n, max_edges, optimal, *_ in rows:
+            path = tmp_path / f"ex_n{n}.txt"
+            text = path.read_text(encoding="utf-8")
+            assert text.startswith("# schema bergec4.report.v1\n# tool bergec4 ")
+            assert f"# n {n}\n# max_edges {max_edges}\n# optimal {optimal}\n" in text
+            h = Hypergraph.from_text(text)
+            assert (h.n, h.edge_count) == (int(n), int(max_edges))
+            capsys.readouterr()
+            assert cli.main(["check", str(path)]) == 0
+            assert "result\tfree" in capsys.readouterr().out
+        assert cli.main(["verify", str(tmp_path / "ex_n11.txt")]) == 3
+
+    @pytest.mark.parametrize("where", ["missing", "file"])
+    def test_unwritable_witness_dir_is_usage_error(self, tmp_path, monkeypatch, capsys, where):
+        # refused before any row is searched, whether the directory is
+        # missing or a plain file
+        path = tmp_path / "out"
+        if where == "file":
+            path.write_text("", encoding="utf-8")
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("ex_table ran before the witness paths were opened")
+
+        monkeypatch.setattr(search, "ex_table", no_search)
+        assert cli.main(["search", "--n-max", "5", "--witness-dir", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_bad_search_args_leave_stats_path_alone(self, tmp_path):
         # n_max and the budget are checked before the stats file is opened

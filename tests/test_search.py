@@ -6,7 +6,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import four_edges_carry_c4, free_completion_above, naive_berge_cycle_exists, naive_class_best
@@ -25,8 +25,9 @@ from bergec4.search import (
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "ex_table_n6.tsv"
-# every root class's ClassStats and witness for n = 4..10, from the search
-# before it ran on triple-index masks
+# every root class's ClassStats and witness for n = 4..10; every witness is
+# free by the four-edge test, and every class that ran to its end has the
+# best it had when orbits were taken over the untouched vertices only
 CLASS_PINS = Path(__file__).parent / "golden" / "explore_class_n4_10.json"
 # the greedy seed at n = 7, and the n = 7 optimum found by the full search
 SUNFLOWER_7 = tuple((0, 1, v) for v in range(2, 7))
@@ -107,7 +108,7 @@ class TestBranchAndBound:
     def test_n7_result_is_pinned(self):
         # the same builder decisions visit the same nodes in the same order
         r = branch_and_bound_ex(7)
-        assert (r.max_edges, r.nodes_explored, r.optimal) == (6, 177, True)
+        assert (r.max_edges, r.nodes_explored, r.optimal) == (6, 65, True)
         assert r.witness.edges == (
             (0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6),
         )
@@ -118,9 +119,9 @@ class TestBranchAndBound:
             (7, 0, (5, 0, False), SUNFLOWER_7),
             (7, 1, (5, 2, False), SUNFLOWER_7),
             (7, 7, (5, 8, False), SUNFLOWER_7),
-            (7, 500, (6, 177, True), TWO_K4_MINUS_7),
-            (7, 5000, (6, 177, True), TWO_K4_MINUS_7),
-            (8, 200_000, (6, 1089, True), tuple((0, 1, v) for v in range(2, 8))),
+            (7, 500, (6, 65, True), TWO_K4_MINUS_7),
+            (7, 5000, (6, 65, True), TWO_K4_MINUS_7),
+            (8, 200_000, (6, 301, True), tuple((0, 1, v) for v in range(2, 8))),
         ],
     )
     def test_budgeted_results_are_pinned(self, n, budget, expected, witness):
@@ -133,7 +134,8 @@ class TestBranchAndBound:
         # the search walks an explicit stack at the largest n it accepts
         before = sys.getrecursionlimit()
         r = branch_and_bound_ex(SEARCH_MAX_N, node_budget=2000)
-        assert (r.max_edges, r.nodes_explored, r.optimal) == (11, 2001, False)
+        assert SEARCH_MAX_N == 16
+        assert (r.max_edges, r.nodes_explored, r.optimal) == (14, 2001, False)
         assert sys.getrecursionlimit() == before
 
     @pytest.mark.parametrize("n", [SEARCH_MAX_N + 1, 20])
@@ -175,9 +177,9 @@ class TestBranchAndBound:
         assert is_bc4_free(r.witness)
 
     def test_budget_cuts_are_deterministic(self):
-        # below the 177 nodes of the full n = 7 search, so the run is cut
-        a = branch_and_bound_ex(7, node_budget=100)
-        b = branch_and_bound_ex(7, node_budget=100)
+        # below the 65 nodes of the full n = 7 search, so the run is cut
+        a = branch_and_bound_ex(7, node_budget=30)
+        b = branch_and_bound_ex(7, node_budget=30)
         assert a == b
         assert not a.optimal
 
@@ -189,8 +191,8 @@ class TestBranchAndBound:
 
     def test_budgeted_run_ignores_thread_fanout(self):
         # finite budgets force canonical sequential accounting
-        a = branch_and_bound_ex(7, node_budget=100, threads=4)
-        b = branch_and_bound_ex(7, node_budget=100, threads=1)
+        a = branch_and_bound_ex(7, node_budget=30, threads=4)
+        b = branch_and_bound_ex(7, node_budget=30, threads=1)
         assert a == b and not a.optimal
 
     def test_threads_start_no_thread(self, monkeypatch):
@@ -269,7 +271,7 @@ class TestBranchAndBound:
         rows = ex_table(10)
         assert branch_and_bound_ex(9, seed=rows[5].witness) == branch_and_bound_ex(9)
         r = branch_and_bound_ex(11, proven=EX + (10,), seed=rows[-1].witness)
-        assert (r.max_edges, r.optimal, r.nodes_explored) == (10, True, 8057)
+        assert (r.max_edges, r.optimal, r.nodes_explored) == (10, True, 2035)
         assert r.witness.edges == rows[-1].witness.edges
 
     def test_class_counts_add_up(self):
@@ -330,13 +332,109 @@ class TestRootClasses:
         assert best == brute_force_ex(n).max_edges
 
 
+def _swapped(u, a, b):
+    """The triple u with vertices a and b exchanged."""
+    return tuple(sorted(b if v == a else a if v == b else v for v in u))
+
+
+def _naive_orbit(t, swaps):
+    """{t} closed under the given transpositions, one image at a time."""
+    orbit, todo = {t}, [t]
+    while todo:
+        u = todo.pop()
+        for a, b in swaps:
+            w = _swapped(u, a, b)
+            if w not in orbit:
+                orbit.add(w)
+                todo.append(w)
+    return orbit
+
+
+class TestOrbits:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_classes_and_orbit_match_the_transpositions(self, data):
+        # S and C start as unions of orbits of the vertex permutations that
+        # keep a random labelling, so many transpositions fix both; flipping
+        # a few triples between C and neither breaks some of them
+        n = data.draw(st.integers(min_value=3, max_value=7))
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        masks = search_module._triple_masks(n)
+        kinds = {tuple(sorted(labels[v] for v in u)) for u in masks.triples}
+        role = {k: data.draw(st.sampled_from("-SC")) for k in sorted(kinds)}
+        flips = data.draw(st.sets(st.integers(0, len(masks.triples) - 1), max_size=3))
+        S, C = set(), set()
+        for j, u in enumerate(masks.triples):
+            r = role[tuple(sorted(labels[v] for v in u))]
+            if j in flips and r != "S":
+                r = "C" if r == "-" else "-"
+            (S if r == "S" else C if r == "C" else set()).add(u)
+        assume(C)
+        edges = sum(1 << masks.triples.index(u) for u in S)
+        candidates = sum(1 << masks.triples.index(u) for u in C)
+
+        def fixes(a, b):
+            return {_swapped(u, a, b) for u in S} == S and {_swapped(u, a, b) for u in C} == C
+
+        classes = search_module._swap_classes(masks, edges, candidates, [[v] for v in range(n)])
+        assert sorted(v for cls in classes for v in cls) == list(range(n))
+        which = {v: i for i, cls in enumerate(classes) for v in cls}
+        for a, b in combinations(range(n), 2):
+            assert fixes(a, b) == (which[a] == which[b]), (a, b)
+        # carried parts: any refinement of the classes merges back to them
+        cuts = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        parts = [p for cls in classes for p in ([v for v in cls if cuts[v]], [v for v in cls if not cuts[v]]) if p]
+        merged = search_module._swap_classes(masks, edges, candidates, parts)
+        assert sorted(map(sorted, merged)) == sorted(map(sorted, classes))
+
+        t = min(C)
+        orbit, parts = search_module._branch(masks.contain, classes, t, candidates)
+        got = {u for j, u in enumerate(masks.triples) if orbit >> j & 1}
+        swaps = [(a, b) for a, b in combinations(range(n), 2) if which[a] == which[b]]
+        assert t in got and got <= C
+        assert all({_swapped(u, a, b) for u in got} == got for a, b in swaps)
+        assert got == _naive_orbit(t, swaps)
+        # the include child's parts cut every class by t
+        assert sorted(v for p in parts for v in p) == list(range(n))
+        assert all(len({which[v] for v in p}) == 1 and len({v in t for v in p}) == 1 for p in parts)
+        assert len(parts) == len(classes) + sum(0 < sum(v in t for v in cls) < len(cls) for cls in classes)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_orbits_keep_every_class_best(self, n, monkeypatch):
+        # plain binary branching, which excludes t alone, is sound with no
+        # lemma; excluding whole orbits must leave every root class's best
+        # where it was, with and without the proven table
+        masks = search_module._triple_masks(n)
+
+        def runs():
+            return [
+                search_module._explore_class(n, masks, i, f, 0, len(masks.triples), None, proven)[1]
+                for proven in (None, EX[:n])
+                for i, f in search_module._root_classes(n)
+            ]
+
+        with_orbits = runs()
+        real = search_module._branch
+
+        def t_alone(contain, classes, t, candidates):
+            return candidates & -candidates, real(contain, classes, t, candidates)[1]
+
+        monkeypatch.setattr(search_module, "_branch", t_alone)
+        plain = runs()
+        assert [c.best for c in plain] == [c.best for c in with_orbits]
+        assert sum(c.orbit_excluded for c in plain) == 0
+        # the orbits exclude more than t, so the test sees the rule
+        assert sum(c.orbit_excluded for c in with_orbits) > 0
+
+
 class TestPinnedSearch:
     def test_class_stats_and_witnesses_are_pinned(self):
         # every root class for n = 4..10 at seed_best 0, ex(n) - 1 and
         # ex(n), with and without the proven table, at the cap that
-        # branch_and_bound_ex would use; dropping vertex 0, 3 or 6 from the
-        # orbit mask, the dead-pair clear or a vertex of the deletion union
-        # moves some count or witness
+        # branch_and_bound_ex would use; counting a class that t meets twice
+        # as met once in the orbit, leaving a carried class uncut by t, the
+        # dead-pair clear or a vertex of the deletion union moves some count
+        # or witness
         ex = EX + (10,)
         pins = json.loads(CLASS_PINS.read_text())
         for n in range(4, 11):
@@ -357,10 +455,8 @@ class TestPinnedSearch:
             assert json.loads(json.dumps(got)) == [pin for pin in pins if pin["n"] == n]
 
     def test_builder_pair_tests_are_pinned(self, monkeypatch):
-        # a deterministic cost guard: ex_table(8) asks the builder 3,073
-        # pair questions (3,925 when each include asked again about the
-        # candidate's three pairs, 6,544 when each candidate triple asked
-        # about its three pairs at every include)
+        # a deterministic cost guard: ex_table(8) asks the builder 1,529
+        # pair questions
         calls = []
         real = Bc4FreeBuilder.closes
 
@@ -370,8 +466,8 @@ class TestPinnedSearch:
 
         monkeypatch.setattr(Bc4FreeBuilder, "closes", count)
         rows = ex_table(8)
-        assert [r.nodes_explored for r in rows] == [0, 3, 16, 49, 77, 433]
-        assert len(calls) == 3073
+        assert [r.nodes_explored for r in rows] == [0, 3, 8, 23, 39, 139]
+        assert len(calls) == 1529
 
 
 def _free_by_definition(triples):
@@ -404,7 +500,8 @@ class TestSetDeletion:
         # every node the prune kills, in every class and for every incumbent
         # up to ex(n) + 2, has no free S <= F <= S + C above the incumbent;
         # the table is brute force's for n <= 7. The prune fires only with
-        # k = 1 there, so n = 8 (ex(7) from the search) covers k = 2 and 3
+        # k = 1 there, and at n = 5 the orbits leave it no node to kill, so
+        # n = 8 (ex(7) from the search) covers k = 2 and 3
         kills = []
         real = search_module._deletion_dead
 
@@ -424,7 +521,7 @@ class TestSetDeletion:
         for best in range(EX[n] + 3) if n <= 7 else [EX[n]]:
             for i, f in search_module._root_classes(n):
                 search_module._explore_class(n, masks, i, f, best, len(masks.triples), None, proven)
-        assert {k for *_, k in kills} == ({1} if n <= 7 else {2, 3})
+        assert {k for *_, k in kills} == {5: set(), 6: {1}, 7: {1}, 8: {2, 3}}[n]
         for edges, candidates, best, _ in kills:
             assert not free_completion_above(edges, candidates, best)
 
@@ -473,9 +570,10 @@ class TestExTable:
         """ex(n) = 6, 6, 7, 10 for n = 7..10, every row proven optimal.
 
         Each row runs with the averaging cap and the set-deletion prune of
-        the rows before it. Keying orbits by |t & T| alone, instead of
-        t & T, merges orbits that no permutation of the untouched vertices
-        joins; that mutation reads row 10 as 9 and still calls it optimal.
+        the rows before it. Carrying a class down to the include child of t
+        without cutting it by t keeps transpositions that move t, so it
+        merges orbits that no symmetry of that child joins; that mutation
+        reads row 10 as 9 and still calls it optimal.
         """
         rows = ex_table(10)
         assert [(r.n, r.max_edges, r.optimal) for r in rows[4:]] == [
@@ -505,15 +603,24 @@ class TestExTable:
         assert [r.optimal for r in rows] == [True] * 4 + [False] * 2
 
     def test_node_counts_are_pinned(self):
-        # rows 4..9 run with the prunes from the rows before
-        assert [r.nodes_explored for r in ex_table(9)] == [0, 3, 16, 49, 77, 433, 1365]
+        # rows 4..13 run with the prunes from the rows before; every value is
+        # the one the search proved before orbits read each node's own
+        # symmetries, and row 13's witness is free by the four-edge test
+        rows = ex_table(13)
+        assert [r.nodes_explored for r in rows] == [0, 3, 8, 23, 39, 139, 413, 603, 2035, 7701, 16517]
+        assert [(r.max_edges, r.optimal) for r in rows] == [
+            (1, True), (3, True), (3, True), (4, True), (6, True), (6, True),
+            (7, True), (10, True), (10, True), (12, True), (13, True),
+        ]
+        assert rows[-1].witness.edge_count == 13
+        assert not any(search_module._four_edges_support_c4(q) for q in combinations(rows[-1].witness.edges, 4))
 
     def test_default_budget_proves_rows_11_and_12(self):
         # row 11 is seeded with the row-10 witness, and both rows prove
         # inside the default budget
         rows = ex_table(12)
         assert [(r.n, r.max_edges, r.optimal, r.nodes_explored) for r in rows[-2:]] == [
-            (11, 10, True, 8057), (12, 12, True, 57615),
+            (11, 10, True, 2035), (12, 12, True, 7701),
         ]
         for r in rows[-2:]:
             assert r.witness.edge_count == r.max_edges
