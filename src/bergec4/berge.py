@@ -91,8 +91,9 @@ def _distinct_representatives(candidates: Sequence[Sequence[int]]) -> list[int] 
 def find_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
     """First Berge cycle of the given length under canonical enumeration.
 
-    Returns None when none exists. A hypergraph with fewer than `length`
-    edges or fewer than `length` vertices has no Berge cycle of that length.
+    Returns None when none exists; ValueError unless length is an int (not
+    a bool) >= 2. A hypergraph with fewer than `length` edges or fewer than
+    `length` vertices has no Berge cycle of that length.
     At length 4 the verdict is is_bc4_free's, taken before the pair index is
     built, so a free input returns None without a walk. One loop matches
     each cycle that _cycle_candidates yields, at every length, so the
@@ -101,8 +102,8 @@ def find_berge_cycle(h: Hypergraph, length: int) -> BergeCycleWitness | None:
     nothing after is_bc4_free said "not free" raises RuntimeError rather
     than report a free input.
     """
-    if length < 2:
-        raise ValueError(f"cycle length must be >= 2, got {length}")
+    if type(length) is not int or length < 2:
+        raise ValueError(f"cycle length must be an int >= 2, got {length!r}")
     if h.edge_count < length or h.n < length:
         return None
     if length == 4 and is_bc4_free(h):
@@ -296,10 +297,11 @@ class Bc4FreeBuilder:
     c in C - {b} exist and differ). A candidate is rejected before anything
     is mutated; only a kept edge is added.
 
-    try_add(triple) is the only method that validates: it raises
-    ValueError unless the triple is 3 distinct int vertex ids in [0, n)
-    that are not already an edge, then asks closing_pair and adds a kept
-    triple. The others trust their caller and check nothing: closes(x, y)
+    The constructor raises ValueError unless n is an int (not a bool)
+    >= 0. try_add(triple) is the only method that validates a triple: it
+    raises ValueError unless the triple is 3 distinct int vertex ids in
+    [0, n) that are not already an edge, then asks closing_pair and adds a
+    kept triple. The others trust their caller and check nothing: closes(x, y)
     is the verdict on one pair; closing_pair(e) names the first pair of a
     sorted new triple e that closes a C4, or None; add(e) adds a sorted new
     triple that closes none; pop removes the last edge. Callers:
@@ -347,6 +349,8 @@ class Bc4FreeBuilder:
     """
 
     def __init__(self, n: int):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
         self.n = n
         self.edges: list[Edge] = []
         self._adj: list[list[int]] = [[] for _ in range(n)]

@@ -54,6 +54,9 @@ def good_paths_bound(n: int, db: Sequence[int]) -> int:
 
 
 def check_inequality(label: str, lhs, rhs, relation: str) -> InequalityCheck:
+    """lhs <= rhs or lhs >= rhs, kept exact; ValueError for any other relation."""
+    if relation not in ("<=", ">="):
+        raise ValueError(f"relation must be '<=' or '>=', got {relation!r}")
     lhs, rhs = Fraction(lhs), Fraction(rhs)
     ok = lhs <= rhs if relation == "<=" else lhs >= rhs
     return InequalityCheck(label, lhs, rhs, relation, ok)

@@ -8,10 +8,12 @@ the triples that can still join the current set, and branches on a whole
 orbit of them under the vertex transpositions that map the node's edge
 set and candidate set onto themselves: one child includes the first
 candidate, the other excludes its orbit. Edge sets and candidate sets are
-int bitmasks over the indices of combinations(range(n), 3), with the
-masks of the triples through each vertex and each vertex pair built once
-per n (_TripleMasks), so an orbit, a meet filter or a deletion count is a
-few big-integer ANDs and popcounts. The C4 filter after an include asks the builder once per
+int bitmasks over the indices of combinations(range(n), 3). The masks of
+the triples through each vertex and vertex pair, and the image table of
+every vertex transposition, are built once per n (_TripleMasks), so an
+orbit, a meet filter or a deletion count is a few big-integer ANDs and
+popcounts, and each expanded node counts its vertex reaches once. The C4
+filter after an include asks the builder once per
 vertex pair that still has a candidate (the dead-pair lemma of
 random_bc4free: a pair's verdict does not depend on the third vertex). It
 prunes a node whose size plus candidate count cannot beat the
@@ -33,7 +35,7 @@ oracle-equivalence tests against brute force.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Sequence
 
@@ -214,17 +216,18 @@ class _TripleMasks:
     is its least triple. contain[v] holds the triples through vertex v and
     pairs lists (mask, x, y) for every vertex pair x < y, the mask holding
     the triples through both. over[i][j] holds the triples that meet
-    triples[j] in more than i vertices, triples[j] itself included. swaps
-    holds the table of _swap_table for each vertex pair a < b that a search
-    has tested; it belongs to this object, so one search never reads
-    another's tables.
+    triples[j] in more than i vertices, triples[j] itself included.
+    swaps[a, b], a < b, is (moved, image) for the transposition (a b):
+    moved holds the triples through a and not b, and image[j + 1] is the
+    bit of the image of triples[j] for j in moved, else 0 (indexed by
+    bit_length, so a lowest set bit needs no - 1).
     """
 
     triples: list[Edge]
     contain: list[int]
     pairs: list[tuple[int, int, int]]
     over: tuple[list[int], list[int], list[int]]
-    swaps: dict[tuple[int, int], tuple[int, list[int]]] = field(default_factory=dict)
+    swaps: dict[tuple[int, int], tuple[int, list[int]]]
 
 
 def _triple_masks(n: int) -> _TripleMasks:
@@ -241,31 +244,18 @@ def _triple_masks(n: int) -> _TripleMasks:
         [pair[a, b] | pair[a, c] | pair[b, c] for a, b, c in triples],
         [1 << j for j in range(len(triples))],
     )
-    return _TripleMasks(triples, contain, [(m, x, y) for (x, y), m in pair.items()], over)
-
-
-def _swap_table(masks: _TripleMasks, a: int, b: int) -> tuple[int, list[int]]:
-    """(moved, image) for the vertex transposition (a b), a < b, built on first use.
-
-    moved holds the triples through a and not b, the ones (a b) moves to
-    the b side. image[j + 1] is the bit of the image of triples[j] for each
-    j in moved, and 0 for every other j (indexed by bit_length, so a lowest
-    set bit needs no - 1).
-    """
-    table = masks.swaps.get((a, b))
-    if table is None:
-        contain = masks.contain
-        image = [0] * (len(masks.triples) + 1)
-        others = [v for v in range(len(contain)) if v != a and v != b]
-        for x, y in combinations(others, 2):
-            through = contain[x] & contain[y]
+    swaps = {}
+    for a, b in pair:
+        image = [0] * (len(triples) + 1)
+        for x, y in combinations([v for v in range(n) if v != a and v != b], 2):
+            through = pair[x, y]
             image[(through & contain[a]).bit_length()] = through & contain[b]
-        table = masks.swaps[a, b] = (contain[a] & ~contain[b], image)
-    return table
+        swaps[a, b] = (contain[a] & ~contain[b], image)
+    return _TripleMasks(triples, contain, [(m, x, y) for (x, y), m in pair.items()], over, swaps)
 
 
 def _fixes(mask: int, moved: int, image: list[int]) -> bool:
-    """Does the transposition of _swap_table(moved, image) map mask into itself on its a side?
+    """Does the transposition with table (moved, image) map mask into itself on its a side?
 
     That is, does the image of every moved triple of mask lie in mask? The
     transposition is one-to-one, so a yes means mask holds at least as
@@ -280,7 +270,9 @@ def _fixes(mask: int, moved: int, image: list[int]) -> bool:
     return True
 
 
-def _swap_classes(masks: _TripleMasks, edges: int, candidates: int, parts: list[list[int]]) -> list[list[int]]:
+def _swap_classes(
+    masks: _TripleMasks, edges: int, candidates: int, parts: list[list[int]], reach: Sequence[int]
+) -> list[list[int]]:
     """The vertex classes of the node (S, C): a ~ b iff (a b) maps S onto S and C onto C.
 
     edges and candidates are the masks of S and C. parts is a partition of
@@ -290,26 +282,23 @@ def _swap_classes(masks: _TripleMasks, edges: int, candidates: int, parts: list[
     union of parts, and one test of the first vertices of two parts tells
     whether they lie in one class.
 
-    A transposition keeps the degree of its vertices in S + C, so only
-    parts of equal degree are tested, and that makes the one-sided test of
+    A transposition keeps the degree reach[v] of its vertices in S + C,
+    so only parts of equal reach are tested (on the tables of
+    masks.swaps), and that makes the one-sided test of
     _fixes exact: S and C are disjoint, so if (a b) maps the a side of S
     into S and the a side of C into C, the two sides of each have equal
     size, and (a b) maps S onto S and C onto C. S, with its few edges, is
     tested first.
     """
-    contain = masks.contain
-    live = edges | candidates
     groups: dict[int, list[list[int]]] = {}
     for part in parts:
         v = part[0]
-        degree = (live & contain[v]).bit_count()
-        classes = groups.get(degree)
+        classes = groups.get(reach[v])
         if classes is None:
-            groups[degree] = [part]
+            groups[reach[v]] = [part]
             continue
         for i, cls in enumerate(classes):
-            a, b = (cls[0], v) if cls[0] < v else (v, cls[0])
-            moved, image = _swap_table(masks, a, b)
+            moved, image = masks.swaps[(cls[0], v) if cls[0] < v else (v, cls[0])]
             if _fixes(edges, moved, image) and _fixes(candidates, moved, image):
                 classes[i] = cls + part
                 break
@@ -457,24 +446,27 @@ def _explore_class(
             break
         if size + candidates.bit_count() <= best:
             bound_prunes += 1
-        elif proven is not None and (k := _deletion_dead(edges, candidates, contain, proven, best)):
+        else:
+            live = edges | candidates
+            reach = [(live & m).bit_count() for m in contain]
+            k = 0 if proven is None else _deletion_dead(edges, candidates, reach, contain, proven, best)
             if k == 1:
                 degree_prunes += 1
-            else:
+            elif k:
                 set_deletion_prunes += 1
-        else:
-            low = candidates & -candidates
-            j = low.bit_length() - 1
-            t = triples[j]
-            classes = _swap_classes(masks, edges, candidates, parts)
-            orbit, parts = _branch(contain, classes, t, candidates)
-            orbit_excluded += orbit.bit_count() - 1
-            pending.append((edges, candidates & ~orbit, classes))
-            builder.add(t)
-            edges |= low
-            candidates = _drop_closing(candidates & ~over[j], pairs, closes)
-            includes += 1
-            continue
+            else:
+                low = candidates & -candidates
+                j = low.bit_length() - 1
+                t = triples[j]
+                classes = _swap_classes(masks, edges, candidates, parts, reach)
+                orbit, parts = _branch(contain, classes, t, candidates)
+                orbit_excluded += orbit.bit_count() - 1
+                pending.append((edges, candidates & ~orbit, classes))
+                builder.add(t)
+                edges |= low
+                candidates = _drop_closing(candidates & ~over[j], pairs, closes)
+                includes += 1
+                continue
         if not pending:
             break
         edges, candidates, parts = pending.pop()
@@ -501,20 +493,21 @@ def _drop_closing(candidates: int, pairs: list[tuple[int, int, int]], closes: Ca
     return candidates
 
 
-def _deletion_dead(edges: int, candidates: int, contain: Sequence[int], proven: Sequence[int], best: int) -> int:
+def _deletion_dead(
+    edges: int, candidates: int, reach: Sequence[int], contain: Sequence[int], proven: Sequence[int], best: int
+) -> int:
     """The least k for which deleting K kills the node, or 0 when no k does.
 
-    edges and candidates are the masks of S and C, and contain[v] the mask
-    of the triples through v (see _TripleMasks). reach(v) counts the edges
-    of S + C at v: the popcount of (S | C) AND contain[v]. K is the k
-    vertices of least reach, ties broken by vertex id, for k = 1..n - 3.
-    The node is dead when proven[n - k] + #{e in S + C : e meets K} <=
-    best; the edges that meet K are (S | C) AND the union of contain[v]
-    over K, grown one vertex at a time.
+    edges and candidates are the masks of S and C, contain[v] the mask of
+    the triples through v (see _TripleMasks), and reach[v] the edges of
+    S + C at v, popcount((S | C) AND contain[v]), counted once per node by
+    _explore_class. K is the k vertices of least reach, ties broken by
+    vertex id, for k = 1..n - 3. The node is dead when proven[n - k] +
+    #{e in S + C : e meets K} <= best; the edges that meet K are (S | C)
+    AND the union of contain[v] over K, grown one vertex at a time.
     """
     n = len(contain)
     live = edges | candidates
-    reach = [(live & m).bit_count() for m in contain]
     met = 0
     for k, v in enumerate(sorted(range(n), key=reach.__getitem__)[: n - 3], 1):
         met |= contain[v]

@@ -88,6 +88,13 @@ class TestFindBergeCycle:
         with pytest.raises(ValueError):
             find_berge_cycle(k4_full, 1)
 
+    @pytest.mark.parametrize("length", [4.0, "4", True], ids=["float", "str", "bool"])
+    def test_rejects_non_int_length(self, k4_full, k4_minus, length):
+        # refused alike on a free input and on one that carries a Berge C4
+        for h in (k4_minus, k4_full):
+            with pytest.raises(ValueError, match="cycle length"):
+                find_berge_cycle(h, length)
+
     def test_length_above_n_returns_without_walking(self, monkeypatch):
         # a cycle of length L needs L distinct vertices; 16 edges on 6 vertices
         def refuse(*args):
@@ -334,6 +341,11 @@ class TestBc4FreeBuilder:
                 _four_edges_support_c4((e, *three)) for three in combinations(kept, 3)
             )
             assert builder.try_add(e) == (not closes)
+
+    @pytest.mark.parametrize("n", [-1, True, 2.5, "3"], ids=["negative", "bool", "float", "str"])
+    def test_rejects_bad_vertex_count(self, n):
+        with pytest.raises(ValueError, match="vertex count"):
+            Bc4FreeBuilder(n)
 
     def test_rejection_leaves_builder_untouched(self, monkeypatch):
         builder = Bc4FreeBuilder(6)

@@ -12,6 +12,7 @@ from bergec4.bounds import (
     EdgeBound,
     HypothesisError,
     binom2,
+    check_inequality,
     combined_inequality_sides,
     decimal_str,
     edge_ratio,
@@ -234,6 +235,18 @@ class TestJensenSteps:
             values = [Fraction(rng.randint(0, 30), rng.randint(1, 4)) for _ in range(k)]
             mean = sum(values) / k
             assert k * binom2(mean) <= sum(binom2(x) for x in values)
+
+
+class TestCheckInequality:
+    def test_both_relations(self):
+        assert [check_inequality("x", 3, 2, r).passed for r in ("<=", ">=")] == [False, True]
+        assert check_inequality("x", Fraction(1, 2), 1, "<=").lhs == Fraction(1, 2)
+
+    @pytest.mark.parametrize("relation", ["<", "==", ">", "=<", None])
+    def test_rejects_other_relations(self, relation):
+        # "<" once passed 3 < 2, read as ">="
+        with pytest.raises(ValueError, match="relation"):
+            check_inequality("x", 3, 2, relation)
 
 
 class TestVerifyChain:

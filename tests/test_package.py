@@ -105,7 +105,8 @@ def test_builder_internals_stay_in_berge():
 
 def test_only_try_add_validates():
     # closes, closing_pair, add and pop trust their caller; the one method
-    # of Bc4FreeBuilder that checks a triple, or raises ValueError, is try_add
+    # of Bc4FreeBuilder that checks a triple is try_add, and besides it only
+    # the constructor, on its vertex count, raises ValueError
     tree = ast.parse((Path(bergec4.__file__).parent / "berge.py").read_text(encoding="utf-8"))
     cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Bc4FreeBuilder")
     found = [
@@ -117,7 +118,7 @@ def test_only_try_add_validates():
             for node in ast.walk(method)
         )
     ]
-    assert found == ["try_add"]
+    assert found == ["__init__", "try_add"]
 
 
 FLOAT_CALLS = {"float", "round"}

@@ -376,7 +376,8 @@ class TestOrbits:
         def fixes(a, b):
             return {_swapped(u, a, b) for u in S} == S and {_swapped(u, a, b) for u in C} == C
 
-        classes = search_module._swap_classes(masks, edges, candidates, [[v] for v in range(n)])
+        reach = [sum(v in u for u in S | C) for v in range(n)]
+        classes = search_module._swap_classes(masks, edges, candidates, [[v] for v in range(n)], reach)
         assert sorted(v for cls in classes for v in cls) == list(range(n))
         which = {v: i for i, cls in enumerate(classes) for v in cls}
         for a, b in combinations(range(n), 2):
@@ -384,7 +385,7 @@ class TestOrbits:
         # carried parts: any refinement of the classes merges back to them
         cuts = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         parts = [p for cls in classes for p in ([v for v in cls if cuts[v]], [v for v in cls if not cuts[v]]) if p]
-        merged = search_module._swap_classes(masks, edges, candidates, parts)
+        merged = search_module._swap_classes(masks, edges, candidates, parts, reach)
         assert sorted(map(sorted, merged)) == sorted(map(sorted, classes))
 
         t = min(C)
@@ -398,6 +399,19 @@ class TestOrbits:
         assert sorted(v for p in parts for v in p) == list(range(n))
         assert all(len({which[v] for v in p}) == 1 and len({v in t for v in p}) == 1 for p in parts)
         assert len(parts) == len(classes) + sum(0 < sum(v in t for v in cls) < len(cls) for cls in classes)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_swap_tables_map_each_moved_triple_to_its_image(self, n):
+        # every pair a < b, including the pairs that no search tests
+        masks = search_module._triple_masks(n)
+        index = {u: j for j, u in enumerate(masks.triples)}
+        assert sorted(masks.swaps) == list(combinations(range(n), 2))
+        for (a, b), (moved, image) in masks.swaps.items():
+            want = {index[u] for u in masks.triples if a in u and b not in u}
+            assert moved == sum(1 << j for j in want)
+            assert len(image) == len(masks.triples) + 1
+            for j, u in enumerate(masks.triples):
+                assert image[j + 1] == (1 << index[_swapped(u, a, b)] if j in want else 0), (a, b, u)
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_orbits_keep_every_class_best(self, n, monkeypatch):
@@ -510,8 +524,11 @@ class TestSetDeletion:
         def decode(mask):
             return [t for j, t in enumerate(masks.triples) if mask >> j & 1]
 
-        def spy(edges, candidates, contain, proven, best):
-            k = real(edges, candidates, contain, proven, best)
+        def spy(edges, candidates, reach, contain, proven, best):
+            # the node's shared reach is its naive degrees in S + C
+            live = decode(edges) + decode(candidates)
+            assert list(reach) == [sum(v in u for u in live) for v in range(n)]
+            k = real(edges, candidates, reach, contain, proven, best)
             if k:
                 kills.append((decode(edges), decode(candidates), best, k))
             return k
@@ -614,6 +631,9 @@ class TestExTable:
         ]
         assert rows[-1].witness.edge_count == 13
         assert not any(search_module._four_edges_support_c4(q) for q in combinations(rows[-1].witness.edges, 4))
+        # candidate bound, degree and set-deletion prunes, then orbit_excluded, of rows 11..13
+        keys = ("bound_prunes", "degree_prunes", "set_deletion_prunes", "orbit_excluded")
+        assert [[sum(getattr(c, k) for c in r.classes) for k in keys] for r in rows[-3:]] == [[519, 0, 500, 2777], [2009, 793, 1050, 8996], [3840, 1338, 3082, 21915]]
 
     def test_default_budget_proves_rows_11_and_12(self):
         # row 11 is seeded with the row-10 witness, and both rows prove
